@@ -927,11 +927,25 @@ def list_cases(catalog: dict[str, CaseSpec] | None = None) -> list[tuple[str, st
     return out
 
 
+def check_lambda(d: int, lam: Fraction | int | str) -> Fraction:
+    """lambda as a Fraction; ValueError unless it lies in [0, 3/d)."""
+    lam = rat(lam)
+    if lam < 0 or lam * d >= 3:
+        raise ValueError(f"lambda {lam} outside [0, 3/{d})")
+    return lam
+
+
+def flag_family(model: SurfaceModel, t: Fraction | int) -> DivisorExpr:
+    """The divisor family D(v) = t*H - v*E, H the pulled-back line class."""
+    return DivisorExpr.build(model, Poly.const(t), {"E": Poly.affine(0, -1)})
+
+
 def build_case(case_id: str, d: int, catalog: dict[str, CaseSpec] | None = None):
     """Model, divisor-family factory, and spec for a case at curve degree d.
 
     The factory maps a rational lambda in [0, 3/d) to the divisor family
-    D(v) = (pullback of the lambda-anticanonical class) - v*E.
+    D(v) = (pullback of the lambda-anticanonical class) - v*E, which is
+    ``flag_family(model, t)`` with t = 3 - d*lambda.
     """
     cat = CASES if catalog is None else catalog
     if case_id not in cat:
@@ -942,10 +956,7 @@ def build_case(case_id: str, d: int, catalog: dict[str, CaseSpec] | None = None)
     model = spec.model
 
     def factory(lam: Fraction | int | str) -> DivisorExpr:
-        lam = rat(lam)
-        if lam < 0 or lam * d >= 3:
-            raise ValueError(f"lambda {lam} outside [0, 3/{d})")
-        return DivisorExpr.build(model, Poly.const(3 - d * lam), {"E": Poly.affine(0, -1)})
+        return flag_family(model, 3 - d * check_lambda(d, lam))
 
     return model, factory, spec
 

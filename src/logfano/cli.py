@@ -24,6 +24,7 @@ from .catalog import (
 )
 from .delta import (
     DeltaReport,
+    NotExactOnInterval,
     delta_closed_form,
     delta_point,
     expected_closed_form,
@@ -265,6 +266,9 @@ def cmd_closed_form(args, out) -> int:
         rf = delta_closed_form(spec, args.degree, args.num_deg, args.den_deg)
     except NoFit as exc:
         raise InputError(f"no fit with bounds ({args.num_deg},{args.den_deg}): {exc}") from exc
+    except NotExactOnInterval as exc:  # a ValueError, but a mismatch rather than bad input
+        print(f"mismatch: {exc}", file=sys.stderr)
+        return 1
     stated = expected_closed_form(spec, args.degree)
     row = spec.row(args.degree)
     record = {

@@ -10,14 +10,21 @@ with S(E) the normalized volume integral and S(W;O) the normalized integral of
 h(v) = (P.E) * (N.E at O) + (P.E)^2 / 2.  When the two sides agree the local
 delta invariant is that common value; otherwise only the lower bound is
 certified.
+
+With t = 3 - d*lambda, D(v) = t*H - v*E is homogeneous of degree 1 in (t, v):
+the decomposition at any lambda is the one at t = 1 with v scaled by t, and
+S(E) and both S(W;O) are the t = 1 values times t.  The decomposition therefore
+runs once per surface model, at t = 1, and every lambda only scales its
+constants by t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .catalog import CaseSpec, Variant, build_case, get_case
+from .catalog import CaseSpec, Variant, build_case, check_lambda, flag_family, get_case
 from .exact import (
     PiecewisePoly,
     Poly,
@@ -89,27 +96,44 @@ class _Evaluation:
     d: int
     lam: Fraction
     t: Fraction
-    pieces: ZariskiPieces
-    vol: PiecewisePoly
     s_e: Fraction
     a_e: Fraction
     s_generic: Fraction
     s_on_l: Fraction | None
 
 
+@dataclass(frozen=True)
+class _UnitConstants:
+    """Threshold and S-invariants of a surface model's family at t = 1."""
+
+    tau: Fraction
+    s_e: Fraction
+    s_generic: Fraction
+    s_on_l: Fraction | None
+
+
+@lru_cache(maxsize=64)
+def _unit_constants(model: SurfaceModel) -> _UnitConstants:
+    """Decompose t*H - v*E at t = 1 once per model value.
+
+    Keyed by value, so a model with a changed intersection entry gets its own
+    decomposition; the bounded size keeps many such models from piling up.
+    """
+    pieces = zariski_decompose(model, flag_family(model, 1))
+    return _UnitConstants(pieces.tau, *integrated_s_invariants(pieces, 1))
+
+
 def _evaluate(case: str | CaseSpec, d: int, lam) -> _Evaluation:
     spec = case if isinstance(case, CaseSpec) else get_case(case)
-    model, factory, spec = build_case(spec.id, d, {spec.id: spec})
-    lam = rat(lam)
+    model, _, spec = build_case(spec.id, d, {spec.id: spec})
+    lam = check_lambda(d, lam)
     t = 3 - d * lam
-    divisor = factory(lam)
-    pieces = zariski_decompose(model, divisor, t * spec.tau_factor)
-    vol = volume_function(pieces)
-    s_e = integrate_piecewise(vol) / t**2
+    unit = _unit_constants(model)
+    if spec.tau_factor != unit.tau:
+        raise ValueError(f"v_max {t * spec.tau_factor} != computed pseudo-effective threshold {t * unit.tau}")
     a_e = 1 + spec.k_E - lam * spec.m_C
-    s_generic = _flag_integral(pieces, on_l=False) / t**2
-    s_on_l = _flag_integral(pieces, on_l=True) / t**2 if "L" in model.curves else None
-    return _Evaluation(spec, model, d, lam, t, pieces, vol, s_e, a_e, s_generic, s_on_l)
+    s_on_l = None if unit.s_on_l is None else t * unit.s_on_l
+    return _Evaluation(spec, model, d, lam, t, t * unit.s_e, a_e, t * unit.s_generic, s_on_l)
 
 
 def _flag_integrand(pieces: ZariskiPieces, on_l: bool) -> PiecewisePoly:
@@ -132,10 +156,26 @@ def _flag_integral(pieces: ZariskiPieces, on_l: bool) -> Fraction:
     return 2 * integrate_piecewise(_flag_integrand(pieces, on_l))
 
 
+def integrated_s_invariants(pieces: ZariskiPieces, t: Fraction | int) -> tuple[Fraction, Fraction, Fraction | None]:
+    """(S(E), generic S(W;O), S(W;O) at the crossing with L) of a decomposition at t.
+
+    The last entry is None when the model has no companion curve L.
+    """
+    s_on_l = _flag_integral(pieces, on_l=True) / t**2 if "L" in pieces.model.curves else None
+    return integrate_piecewise(volume_function(pieces)) / t**2, _flag_integral(pieces, on_l=False) / t**2, s_on_l
+
+
 def flag_integrand(case: str | CaseSpec, d: int, lam, point: str = "generic") -> PiecewisePoly:
-    """The exact integrand of S(W;O) for a point label; used by numeric oracles."""
-    ev = _evaluate(case, d, lam)
-    return _flag_integrand(ev.pieces, _point_is_on_l(ev.spec, point))
+    """The exact integrand of S(W;O) for a point label; used by numeric oracles.
+
+    It decomposes afresh at this lambda rather than scaling the t = 1 data, so
+    it stays an independent check of the scaled S-invariants.
+    """
+    spec = case if isinstance(case, CaseSpec) else get_case(case)
+    model, factory, spec = build_case(spec.id, d, {spec.id: spec})
+    lam = rat(lam)
+    pieces = zariski_decompose(model, factory(lam), (3 - d * lam) * spec.tau_factor)
+    return _flag_integrand(pieces, _point_is_on_l(spec, point))
 
 
 def _point_is_on_l(spec: CaseSpec, point: str) -> bool:

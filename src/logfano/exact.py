@@ -34,11 +34,17 @@ class Degenerate(ValueError):
 
 
 def rat(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, Fraction, or canonical ``"p/q"`` string to a Fraction."""
+    """Coerce an int, Fraction, or canonical ``"p/q"`` string to a Fraction.
+
+    Floats are refused with TypeError: a binary float is not the rational it
+    was meant to be, so there is no float input path into the engine.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, float):
+        raise TypeError(f"float {value!r} is not an exact rational; pass a Fraction, an int or a 'p/q' string")
     return Fraction(str(value).strip())
 
 

@@ -257,10 +257,10 @@ def pseudo_effective_threshold(model: SurfaceModel, d: DivisorExpr) -> Fraction:
     return _grow(model, d).tau
 
 
-def zariski_decompose(model: SurfaceModel, d: DivisorExpr, v_max: Fraction) -> ZariskiPieces:
-    """Full decomposition on [0, v_max]; v_max must equal the computed threshold."""
+def zariski_decompose(model: SurfaceModel, d: DivisorExpr, v_max: Fraction | None = None) -> ZariskiPieces:
+    """Full decomposition on [0, tau]; a given v_max must equal the computed threshold tau."""
     pieces = _grow(model, d)
-    if pieces.tau != rat(v_max):
+    if v_max is not None and pieces.tau != rat(v_max):
         raise ValueError(f"v_max {v_max} != computed pseudo-effective threshold {pieces.tau}")
     return pieces
 

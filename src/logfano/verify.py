@@ -2,15 +2,16 @@
 
 Every transcribed number is cross-checked against an independently computed
 value: breakpoints and thresholds against the support-growth decomposition,
-S factors against exact integrals, per-point ratios against the flag
-integrals, closed forms against reconstruction from samples, and the
-lower-bound regimes against the assembled minimum.  A single corrupted
-catalog entry therefore produces at least one failing check.
+S factors against exact integrals, the S-invariants that delta_point scales
+from the t = 1 decomposition against the integrals of a fresh decomposition
+at each sample, per-point ratios against the flag integrals, closed forms
+against reconstruction from samples, and the lower-bound regimes against the
+assembled minimum.  A single corrupted catalog entry therefore produces at
+least one failing check.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from .delta import (
     delta_closed_form,
     delta_point,
     expected_closed_form,
+    integrated_s_invariants,
     interior_samples,
     lower_bound_regime_value,
 )
@@ -46,6 +48,7 @@ def verify_case(spec: CaseSpec, d: int, n_samples: int = 6) -> list[Check]:
     checks: list[Check] = []
     row = spec.row(d)
     catalog = {spec.id: spec}
+    on_l_points = {(var.name, pt.label) for var in spec.variants for pt in var.points if pt.location == "on_L"}
     try:
         model, factory, _ = build_case(spec.id, d, catalog)
         samples = interior_samples(row.lo, row.hi, n_samples, n_samples + 1)
@@ -65,6 +68,14 @@ def verify_case(spec: CaseSpec, d: int, n_samples: int = 6) -> list[Check]:
             checks.append(_check(scope, f"decomposition invariants at l={lam}", not defects, "; ".join(defects)))
 
             rep = delta_point(spec, d, lam)
+            # delta_point scales the t = 1 decomposition; these integrals come from the fresh one at t
+            s_e, s_generic, s_on_l = integrated_s_invariants(pieces, t)
+            mismatched = [] if rep.s_e == s_e else [f"E: scaled {rep.s_e}, integrated {s_e}"]
+            for prow in rep.rows:
+                want = s_on_l if (prow.variant, prow.label) in on_l_points else s_generic
+                if prow.s_value != want:
+                    mismatched.append(f"{prow.variant}:{prow.label}: scaled {prow.s_value}, integrated {want}")
+            checks.append(_check(scope, f"S scaling at l={lam}", not mismatched, "; ".join(mismatched)))
             checks.append(
                 _check(
                     scope,
@@ -181,6 +192,9 @@ def verify_all(
         specs = [s for s in specs if s.id in wanted]
     work = [(spec, d) for spec in specs for d in spec.degrees]
     if jobs > 1 and catalog is None:
+        # imported here: multiprocessing adds about 2 MB and 20 ms to every import of the package
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_verify_case_by_id, [(s.id, d, n_samples) for s, d in work]))
         for per_case in results:

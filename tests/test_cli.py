@@ -12,6 +12,7 @@ import pytest
 
 from logfano.catalog import CASES
 from logfano.cli import main, parse_rational
+from logfano.delta import NotExactOnInterval
 from logfano.verify import verify_all
 
 
@@ -124,6 +125,15 @@ class TestClosedFormCommand:
         assert code == 0
         rec = json.loads(out)["records"][0]
         assert rec["delta"] == "(15-24λ)/(15-20λ)" and rec["match"] is True
+
+    def test_not_exact_is_a_mismatch(self, monkeypatch, capsys):
+        def only_bounded(*args, **kwargs):
+            raise NotExactOnInterval("D5 at lambda=1/2: only a lower bound is available")
+
+        monkeypatch.setattr("logfano.cli.delta_closed_form", only_bounded)
+        code, out = run(["closed-form", "--case", "D5", "--degree", "4", "--format", "json"])
+        assert code == 1 and out == ""
+        assert "only a lower bound" in capsys.readouterr().err
 
 
 class TestThreefoldCommand:

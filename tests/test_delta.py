@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from logfano.catalog import CASES
 from logfano.delta import (
     UnknownPoint,
+    _unit_constants,
     a_divisor,
     a_flag_point,
     delta_closed_form,
@@ -22,11 +24,36 @@ from logfano.delta import (
     s_divisor,
     s_flag_point,
 )
-from logfano.exact import RationalFunction
+from logfano.exact import RationalFunction, integrate_piecewise
 from logfano.surface import volume_function, zariski_decompose
 from logfano.catalog import build_case
 
 from conftest import midpoint_piecewise, rel_err
+
+ROWS = [(spec.id, row.d) for spec in sorted(CASES.values(), key=lambda s: s.order) for row in spec.rows]
+# lambda = 0 and the ends of each stated validity interval, wherever they lie in [0, 3/d)
+END_EXAMPLES = [
+    ((case_id, d), lam)
+    for case_id, d in ROWS
+    for lam in sorted({F(0), CASES[case_id].row(d).lo, CASES[case_id].row(d).hi})
+    if lam * d < 3
+]
+
+
+def _with_end_examples(test):
+    for row_lam in END_EXAMPLES:
+        test = example(row_lam=row_lam)(test)
+    return test
+
+
+def _fresh_s_invariants(spec, d, lam):
+    """S(E) and every point's S(W;O), integrated from a decomposition made at this lambda."""
+    model, factory, _ = build_case(spec.id, d, {spec.id: spec})
+    t = 3 - d * lam
+    pieces = zariski_decompose(model, factory(lam), t * spec.tau_factor)
+    s_e = integrate_piecewise(volume_function(pieces)) / t**2
+    points = ("generic", *(("EL",) if "L" in model.curves else ()), *spec.point_labels())
+    return s_e, {p: 2 * integrate_piecewise(flag_integrand(spec, d, lam, p)) / t**2 for p in points}
 
 
 class TestSDivisor:
@@ -185,6 +212,58 @@ class TestClosedForms:
         for spec in CASES.values():
             for row in spec.rows:
                 assert delta_closed_form(spec.id, row.d) == expected_closed_form(spec, row.d), (spec.id, row.d)
+
+
+class TestUnitDecompositionMemo:
+    """The t = 1 decomposition, decomposed once per model and scaled by t, is exact."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        row_lam=st.sampled_from(ROWS).flatmap(
+            lambda row: st.tuples(
+                st.just(row),
+                st.fractions(min_value=0, max_value=F(3, row[1]), max_denominator=97).filter(lambda x: x * row[1] < 3),
+            )
+        )
+    )
+    @_with_end_examples
+    def test_scaled_equals_fresh_decomposition(self, row_lam):
+        (case_id, d), lam = row_lam
+        s_e, s_points = _fresh_s_invariants(CASES[case_id], d, lam)
+        assert s_divisor(case_id, d, lam) == s_e, (case_id, d, lam)
+        for point, s in s_points.items():
+            assert s_flag_point(case_id, d, lam, point) == s, (case_id, d, lam, point)
+
+    def test_perturbed_model_misses_memo(self):
+        spec = CASES["A2"]
+        lam = F(1, 2)
+        report = delta_point("A2", 4, lam)
+        gram = [list(r) for r in spec.model.gram]
+        gram[0][0] -= F(1, 12)
+        model = dataclasses.replace(spec.model, gram=tuple(tuple(r) for r in gram))
+        # E.E = -1/4 moves the pseudo-effective threshold of t*H - v*E from 3t to 2t
+        faulty = dataclasses.replace(spec, model=model, tau_factor=F(2))
+
+        info = _unit_constants.cache_info()
+        assert info.maxsize is not None
+        s_faulty = s_divisor(faulty, 4, lam)
+        assert _unit_constants.cache_info().misses == info.misses + 1
+        assert s_faulty != report.s_e
+        assert s_faulty == _fresh_s_invariants(faulty, 4, lam)[0]
+
+        assert delta_point("A2", 4, lam) == report
+        assert _unit_constants.cache_info().misses == info.misses + 1
+
+    def test_lambda_domain_still_checked(self):
+        for lam in (F(-1, 5), F(3, 4), F(1)):
+            with pytest.raises(ValueError, match=r"outside \[0, 3/4\)"):
+                delta_point("A2", 4, lam)
+
+    def test_corrupted_tau_factor_still_raises(self):
+        faulty = dataclasses.replace(CASES["A2"], tau_factor=F(5, 2))
+        assert s_divisor("A2", 4, F(1, 2)) == F(5, 3)  # the model is now memoised: the check runs on a hit
+        with pytest.raises(ValueError, match="pseudo-effective threshold"):
+            delta_point(faulty, 4, F(1, 2))
 
 
 @pytest.mark.slow

@@ -38,6 +38,11 @@ class TestRationalStrings:
     def test_canonical(self):
         assert rat_str(F(6, -4)) == "-3/2"
 
+    def test_float_rejected(self):
+        for bad in (0.1, 0.5, 2.0, float("nan")):
+            with pytest.raises(TypeError):
+                rat(bad)
+
     @given(rationals)
     def test_parse_inverse(self, x):
         assert rat(rat_str(x)) == x
