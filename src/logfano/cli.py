@@ -304,16 +304,24 @@ def cmd_table(args, out) -> int:
     return 0
 
 
+# one record per check; its elapsed time is left out, so the output is deterministic
+_VERIFY_COLUMNS = ["scope", "name", "ok", "detail"]
+
+
 def cmd_verify(args, out) -> int:
     ids = None if args.all else [args.case]
     if ids is not None:
         get_case(ids[0])
     checks, ok = verify.verify_all(case_ids=ids, jobs=args.jobs)
-    for line in verify.summarize(checks):
-        out.write(line + "\n")
-    total = len(checks)
-    failed = sum(1 for c in checks if not c.ok)
-    out.write(f"{'OK' if ok else 'MISMATCH'}: {total - failed}/{total} checks passed\n")
+    if args.format == "plain":
+        for line in verify.summarize(checks):
+            out.write(line + "\n")
+        total = len(checks)
+        failed = sum(1 for c in checks if not c.ok)
+        out.write(f"{'OK' if ok else 'MISMATCH'}: {total - failed}/{total} checks passed\n")
+    else:
+        records = [{col: getattr(c, col) for col in _VERIFY_COLUMNS} for c in checks]
+        _render(records, _VERIFY_COLUMNS, args.format, out)
     return 0 if ok else 1
 
 

@@ -15,7 +15,8 @@ With t = 3 - d*lambda, D(v) = t*H - v*E is homogeneous of degree 1 in (t, v):
 the decomposition at any lambda is the one at t = 1 with v scaled by t, and
 S(E) and both S(W;O) are the t = 1 values times t.  The decomposition therefore
 runs once per surface model, at t = 1, and every lambda only scales its
-constants by t.
+constants by t.  Likewise the stated closed form of a catalog row is built and
+reduced once per row, and every lambda only evaluates it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .catalog import CaseSpec, Variant, build_case, check_lambda, flag_family, get_case
+from .catalog import CaseSpec, DegreeRow, Variant, build_case, check_lambda, flag_family, get_case
 from .exact import (
     PiecewisePoly,
     Poly,
@@ -123,6 +124,16 @@ def _unit_constants(model: SurfaceModel) -> _UnitConstants:
     return _UnitConstants(pieces.tau, *integrated_s_invariants(pieces, 1))
 
 
+@lru_cache(maxsize=128)
+def _stated_form(row: DegreeRow) -> RationalFunction:
+    """The stated closed form of a catalog row, built and reduced once per row value.
+
+    Keyed by value like _unit_constants, so a row with a changed coefficient
+    gets its own entry; the bound is over twice the catalog's 54 rows.
+    """
+    return RationalFunction.from_coeffs(row.delta_num, row.delta_den)
+
+
 def _evaluate(case: str | CaseSpec, d: int, lam) -> _Evaluation:
     spec = case if isinstance(case, CaseSpec) else get_case(case)
     model, _, spec = build_case(spec.id, d, {spec.id: spec})
@@ -136,24 +147,23 @@ def _evaluate(case: str | CaseSpec, d: int, lam) -> _Evaluation:
     return _Evaluation(spec, model, d, lam, t, t * unit.s_e, a_e, t * unit.s_generic, s_on_l)
 
 
-def _flag_integrand(pieces: ZariskiPieces, on_l: bool) -> PiecewisePoly:
-    """h(v) per piece: (P.E)*(N.E at O) + (P.E)^2/2, with the first term only
-    when O is the crossing point of E and the companion curve."""
+def _flag_integrands(pieces: ZariskiPieces, on_l: bool) -> tuple[PiecewisePoly, PiecewisePoly | None]:
+    """h(v) per piece at a generic point, (P.E)^2/2, and, when on_l, at the
+    crossing point of E and the companion curve, (P.E)^2/2 + (P.E)*(N.E at O).
+
+    (P.E) is paired once per piece and shared by both integrands.
+    """
     model = pieces.model
     e_unit = DivisorExpr.build(model, Poly(), {"E": Poly.const(1)})
-    hs = []
+    generic, at_l = [], []
     for p_expr, n_expr in zip(pieces.positives, pieces.negatives):
         pe = pair(model, p_expr, e_unit)
         h = pe * pe * F(1, 2)
+        generic.append(h)
         if on_l:
-            ne = pair(model, n_expr, e_unit)
-            h = h + pe * ne
-        hs.append(h)
-    return PiecewisePoly(pieces.breakpoints, tuple(hs))
-
-
-def _flag_integral(pieces: ZariskiPieces, on_l: bool) -> Fraction:
-    return 2 * integrate_piecewise(_flag_integrand(pieces, on_l))
+            at_l.append(h + pe * pair(model, n_expr, e_unit))
+    on_l_integrand = PiecewisePoly(pieces.breakpoints, tuple(at_l)) if on_l else None
+    return PiecewisePoly(pieces.breakpoints, tuple(generic)), on_l_integrand
 
 
 def integrated_s_invariants(pieces: ZariskiPieces, t: Fraction | int) -> tuple[Fraction, Fraction, Fraction | None]:
@@ -161,8 +171,9 @@ def integrated_s_invariants(pieces: ZariskiPieces, t: Fraction | int) -> tuple[F
 
     The last entry is None when the model has no companion curve L.
     """
-    s_on_l = _flag_integral(pieces, on_l=True) / t**2 if "L" in pieces.model.curves else None
-    return integrate_piecewise(volume_function(pieces)) / t**2, _flag_integral(pieces, on_l=False) / t**2, s_on_l
+    generic, at_l = _flag_integrands(pieces, "L" in pieces.model.curves)
+    s_on_l = None if at_l is None else 2 * integrate_piecewise(at_l) / t**2
+    return integrate_piecewise(volume_function(pieces)) / t**2, 2 * integrate_piecewise(generic) / t**2, s_on_l
 
 
 def flag_integrand(case: str | CaseSpec, d: int, lam, point: str = "generic") -> PiecewisePoly:
@@ -175,7 +186,8 @@ def flag_integrand(case: str | CaseSpec, d: int, lam, point: str = "generic") ->
     model, factory, spec = build_case(spec.id, d, {spec.id: spec})
     lam = rat(lam)
     pieces = zariski_decompose(model, factory(lam), (3 - d * lam) * spec.tau_factor)
-    return _flag_integrand(pieces, _point_is_on_l(spec, point))
+    generic, at_l = _flag_integrands(pieces, _point_is_on_l(spec, point))
+    return generic if at_l is None else at_l
 
 
 def _point_is_on_l(spec: CaseSpec, point: str) -> bool:
@@ -296,8 +308,7 @@ def delta_point(case: str | CaseSpec, d: int, lam) -> DeltaReport:
     matches = None
     note = ""
     if validity_ok:
-        expected_rf = RationalFunction.from_coeffs(row_spec.delta_num, row_spec.delta_den)
-        expected = expected_rf(ev.lam)
+        expected = _stated_form(row_spec)(ev.lam)
         if exact:
             matches = upper == expected
             if not matches:
@@ -357,8 +368,7 @@ def delta_closed_form(case: str | CaseSpec, d: int, num_deg: int = 2, den_deg: i
 
 
 def expected_closed_form(spec: CaseSpec, d: int) -> RationalFunction:
-    row = spec.row(d)
-    return RationalFunction.from_coeffs(row.delta_num, row.delta_den)
+    return _stated_form(spec.row(d))
 
 
 def lower_bound_regime_value(d: int, lam) -> Fraction:

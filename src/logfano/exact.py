@@ -108,29 +108,29 @@ class Poly:
 
     def __add__(self, other: Poly) -> Poly:
         n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(tuple(self.coeff(k) + other.coeff(k) for k in range(n)))
+        return _canonical([self.coeff(k) + other.coeff(k) for k in range(n)])
 
     def __sub__(self, other: Poly) -> Poly:
         n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(tuple(self.coeff(k) - other.coeff(k) for k in range(n)))
+        return _canonical([self.coeff(k) - other.coeff(k) for k in range(n)])
 
     def __neg__(self) -> Poly:
-        return Poly(tuple(-c for c in self.coeffs))
+        return _canonical([-c for c in self.coeffs])
 
     def __mul__(self, other: Poly | int | Fraction) -> Poly:
         if isinstance(other, (int, Fraction)):
-            return Poly(tuple(c * other for c in self.coeffs))
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
+            return _canonical([c * other for c in self.coeffs])
+        out = [Fraction(0)] * max(0, len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return Poly(tuple(out))
+        return _canonical(out)
 
     __rmul__ = __mul__
 
     def antiderivative(self) -> Poly:
         """Antiderivative with zero constant term."""
-        return Poly((Fraction(0),) + tuple(c / (k + 1) for k, c in enumerate(self.coeffs)))
+        return _canonical([Fraction(0)] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
 
     def format(self, var: str = "v", power: str = "^") -> str:
         """Human-readable form, constant term first: e.g. ``3-4v`` or ``9-v^2/2``."""
@@ -158,6 +158,16 @@ class Poly:
             else:
                 parts.append(f"+{term}" if c > 0 else f"-{term}")
         return "".join(parts)
+
+
+def _canonical(coeffs: list[Fraction]) -> Poly:
+    """A Poly from coefficients that are already Fractions, as the results of
+    arithmetic on Polys are: strips trailing zeros and skips the coercion."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    poly = object.__new__(Poly)
+    object.__setattr__(poly, "coeffs", tuple(coeffs))
+    return poly
 
 
 def integrate(p: Poly, a: int | str | Fraction, b: int | str | Fraction) -> Fraction:

@@ -23,6 +23,7 @@ from fractions import Fraction
 from .exact import (
     PiecewisePoly,
     Poly,
+    _canonical,
     is_negative_definite,
     rat,
     rational_roots,
@@ -125,21 +126,41 @@ class DivisorExpr:
 
 
 def pair(model: SurfaceModel, d1: DivisorExpr, d2: DivisorExpr) -> Poly:
-    """Bilinear extension of the intersection table; a polynomial in v of degree <= 2."""
+    """Bilinear extension of the intersection table; a polynomial in v of degree <= 2.
+
+    The terms are summed on the coefficient tuples, with no Poly per term.
+    """
     if d1.model != model or d2.model != model:
         raise ModelMismatch("divisor expressions do not belong to the model")
-    result = d1.ambient * d2.ambient * model.ambient_self
+    acc: list[Fraction] = []
+    amb1, amb2 = d1.ambient.coeffs, d2.ambient.coeffs
+    _add_product(acc, amb1, amb2, model.ambient_self)
     for i, p in enumerate(model.ambient_pairings):
         if p != 0:
-            result = result + (d1.ambient * d2.coeffs[i] + d2.ambient * d1.coeffs[i]) * p
-    for i in range(len(model.curves)):
-        for j in range(len(model.curves)):
-            g = model.gram[i][j]
-            if g != 0 and not d1.coeffs[i].is_zero and not d2.coeffs[j].is_zero:
-                result = result + d1.coeffs[i] * d2.coeffs[j] * g
+            _add_product(acc, amb1, d2.coeffs[i].coeffs, p)
+            _add_product(acc, amb2, d1.coeffs[i].coeffs, p)
+    for i, row in enumerate(model.gram):
+        a = d1.coeffs[i].coeffs
+        if a:
+            for j, g in enumerate(row):
+                if g != 0:
+                    _add_product(acc, a, d2.coeffs[j].coeffs, g)
+    result = _canonical(acc)
     if result.degree > 2:
         raise AssertionError("pairing of affine families must have degree <= 2")
     return result
+
+
+def _add_product(acc: list[Fraction], a: tuple[Fraction, ...], b: tuple[Fraction, ...], g: Fraction) -> None:
+    """acc += a * b * g, with a, b and acc coefficient sequences indexed by degree."""
+    if not a or not b:
+        return
+    if len(acc) < len(a) + len(b) - 1:
+        acc.extend([Fraction(0)] * (len(a) + len(b) - 1 - len(acc)))
+    for j, y in enumerate(b):
+        yg = y * g
+        for i, x in enumerate(a):
+            acc[i + j] += x * yg
 
 
 @dataclass(frozen=True)
@@ -207,23 +228,16 @@ def _grow(model: SurfaceModel, d: DivisorExpr) -> ZariskiPieces:
     supports: list[tuple[str, ...]] = []
     for _ in range(len(model.curves) + 1):
         p, n = _solve_support(model, d, support)
+        # (P . C) for every curve outside the support, shared by both tests below
+        outside = {name: pair(model, p, _unit(model, name)) for name in model.curves if name not in support}
         # absorb curves whose pairing is already zero and strictly decreasing at v
-        entering = [
-            name
-            for name in model.curves
-            if name not in support
-            and (f := pair(model, p, _unit(model, name)))(v) == 0
-            and f.coeff(1) < 0
-        ]
+        entering = [name for name, f in outside.items() if f(v) == 0 and f.coeff(1) < 0]
         if entering:
             support = support + tuple(entering)
             continue
         vol = pair(model, p, p)
         crossings: list[tuple[Fraction, str]] = []
-        for name in model.curves:
-            if name in support:
-                continue
-            f = pair(model, p, _unit(model, name))
+        for name, f in outside.items():
             if f.degree == 1:
                 root = -f.coeff(0) / f.coeff(1)
                 if f.coeff(1) < 0 and root > v:
@@ -283,11 +297,11 @@ def invariant_violations(z: ZariskiPieces, samples_per_piece: int = 5) -> list[s
     for i, (p, n, support) in enumerate(zip(z.positives, z.negatives, z.supports)):
         lo, hi = z.breakpoints[i], z.breakpoints[i + 1]
         vs = [lo + (hi - lo) * Fraction(k, samples_per_piece + 1) for k in range(1, samples_per_piece + 1)]
+        pairings = {name: pair(model, p, _unit(model, name)) for name in model.curves}
         for name in support:
-            if not pair(model, p, _unit(model, name)).is_zero:
+            if not pairings[name].is_zero:
                 problems.append(f"piece {i}: (P . {name}) not identically zero on support")
-        for name in model.curves:
-            f = pair(model, p, _unit(model, name))
+        for name, f in pairings.items():
             if any(f(v) < 0 for v in vs + [lo, hi]):
                 problems.append(f"piece {i}: (P . {name}) negative on [{lo}, {hi}]")
         for name in support:

@@ -11,6 +11,8 @@ import dataclasses
 import time
 from fractions import Fraction as F
 
+import pytest
+
 from logfano.catalog import CASES, build_case
 from logfano.delta import (
     delta_closed_form,
@@ -103,6 +105,7 @@ def test_criterion_6_zariski_property_suite():
     print("\nACCEPTANCE 6 PASS: decomposition invariants and declared thresholds hold everywhere")
 
 
+@pytest.mark.slow
 def test_criterion_7_numeric_quadrature_oracle():
     worst = 0.0
     for spec, row in _all_rows():
@@ -179,4 +182,15 @@ def test_criterion_9_fault_injection():
                     f"{spec.id}: different fault at {pt.label}[{part}] survived"
                 )
                 injected += 1
+        # stated closed form: the constant term of the numerator, then of the denominator
+        for k, row in enumerate(spec.rows):
+            for field in ("delta_num", "delta_den"):
+                coeffs = list(getattr(row, field))
+                coeffs[0] += F(1, 11)
+                rows = spec.rows[:k] + (dataclasses.replace(row, **{field: tuple(coeffs)}),) + spec.rows[k + 1 :]
+                assert _fails_verification(spec, rows=rows), f"{spec.id}: {field}[0] fault at d={row.d} survived"
+                injected += 1
+            # the faulty row is a different cache key: the genuine one still matches
+            mid = (row.lo + row.hi) / 2
+            assert delta_point(spec, row.d, mid).matches_expected is True, (spec.id, row.d)
     print(f"\nACCEPTANCE 9 PASS: all {injected} single-number catalog faults detected")

@@ -13,7 +13,7 @@ import pytest
 from logfano.catalog import CASES
 from logfano.cli import main, parse_rational
 from logfano.delta import NotExactOnInterval
-from logfano.verify import verify_all
+from logfano.verify import Check, verify_all
 
 
 def run(argv):
@@ -171,6 +171,31 @@ class TestVerifyCommand:
         code1, out1 = run(["verify", "--case", "A2"])
         code2, out2 = run(["verify", "--case", "A2", "--jobs", "3"])
         assert (code1, out1) == (code2, out2)
+
+    def test_json_one_record_per_check(self):
+        code, out = run(["verify", "--case", "D5", "--format", "json"])
+        checks, ok = verify_all(case_ids=["D5"])
+        assert code == 0 and ok
+        assert json.loads(out)["records"] == [
+            {"scope": c.scope, "name": c.name, "ok": c.ok, "detail": c.detail} for c in checks
+        ]
+
+    def test_formats_and_exit_code_on_mismatch(self, monkeypatch):
+        checks = [Check("X/d=4", "a", True), Check("X/d=4", "b", False, "computed 1, stated 2")]
+        monkeypatch.setattr("logfano.cli.verify.verify_all", lambda **kwargs: (checks, False))
+        code, out = run(["verify", "--case", "D5", "--format", "csv"])
+        assert code == 1
+        assert list(csv.reader(io.StringIO(out))) == [
+            ["scope", "name", "ok", "detail"],
+            ["X/d=4", "a", "True", ""],
+            ["X/d=4", "b", "False", "computed 1, stated 2"],
+        ]
+        for fmt in ("md", "latex"):
+            code, out = run(["verify", "--case", "D5", "--format", fmt])
+            assert code == 1 and "computed 1, stated 2" in out
+        code, out = run(["verify", "--case", "D5"])
+        assert code == 1
+        assert out == "FAIL X/d=4 (1/2 checks failed)\n     - b: computed 1, stated 2\nMISMATCH: 1/2 checks passed\n"
 
     def test_fault_injection_fails_verification(self):
         spec = CASES["A2"]

@@ -53,6 +53,40 @@ class TestRationalStrings:
         assert math.gcd(val.numerator, val.denominator) == 1 and val.denominator > 0
 
 
+class TestPolyArithmetic:
+    """Sums, differences, products and antiderivatives skip the public
+    constructor's coercion; each must equal what that constructor builds from
+    the same coefficients."""
+
+    # zeros make trailing zeros, cancellation and the zero polynomial common
+    coeff_lists = st.lists(st.one_of(st.just(F(0)), rationals), max_size=5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(coeff_lists, coeff_lists, st.one_of(rationals, st.integers(-9, 9)))
+    def test_matches_coercing_constructor(self, a, b, s):
+        p, q = Poly(tuple(a)), Poly(tuple(b))
+        n = max(len(p.coeffs), len(q.coeffs))
+        product = [F(0)] * (len(p.coeffs) + len(q.coeffs))
+        for i, x in enumerate(p.coeffs):
+            for j, y in enumerate(q.coeffs):
+                product[i + j] += x * y
+        cases = [
+            (p + q, Poly(tuple(p.coeff(k) + q.coeff(k) for k in range(n)))),
+            (p - q, Poly(tuple(p.coeff(k) - q.coeff(k) for k in range(n)))),
+            (-p, Poly(tuple(-c for c in p.coeffs))),
+            (p * s, Poly(tuple(c * s for c in p.coeffs))),
+            (s * p, Poly(tuple(c * s for c in p.coeffs))),
+            (p * q, Poly(tuple(product))),
+            (p.antiderivative(), Poly((F(0),) + tuple(c / (k + 1) for k, c in enumerate(p.coeffs)))),
+            (p - p, Poly()),
+        ]
+        for got, want in cases:
+            assert got == want
+            assert all(type(c) is F for c in got.coeffs)
+            assert not got.coeffs or got.coeffs[-1] != 0
+        assert (p - p).coeffs == () and (p * 0).coeffs == () and (p * Poly()).coeffs == ()
+
+
 class TestIntegrate:
     def test_power_rule(self):
         assert integrate(Poly.of(0, 0, 1), 0, 1) == F(1, 3)

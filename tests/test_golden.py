@@ -1,0 +1,81 @@
+"""Golden outputs: sha256 of the JSON stdout and exit code of fixed CLI runs.
+
+The digests were taken from the engine before any speed-up of the delta path,
+so an optimisation that changes one exact output, one exit code or one byte of
+formatting fails here.  A change that alters outputs on purpose re-pins the
+digest and says so in CHANGES.md; ``python tests/test_golden.py`` prints the
+current digests.
+
+The delta grid covers every case/degree at 0, the stated interval ends, the
+midpoint, ``lower_regime_hi`` and every multiple of 1/24 in [0, 3/d); it
+includes the exact-negative reports past the klt threshold and the exit-2
+rejections of lambda = 0 and 3/d.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+from fractions import Fraction as F
+
+from logfano.catalog import CASES
+from logfano.cli import main
+
+GOLDEN = {
+    "delta": "bcfb353c2f9653724d2849d33f6b8335be502c024f4bdac654b4a54c0e5a44fd",
+    "closed-form": "d5ded809b41042eda6c47284f26b8ecc3c734cace12e3117608fdc1aa4d19f9f",
+    "table": "32d4e8424fa2daf1d9b66045e7c3c5042f9d75e62c30427dbee75b55610c71c2",
+}
+
+
+def _rows():
+    for spec in sorted(CASES.values(), key=lambda s: s.order):
+        for row in spec.rows:
+            yield spec, row
+
+
+def _delta_lambdas(spec, row) -> list[F]:
+    lams = {F(0), row.lo, row.hi, (row.lo + row.hi) / 2}
+    if spec.lower_regime_hi is not None:
+        lams.add(spec.lower_regime_hi)
+    lams.update(F(k, 24) for k in range(72) if F(k, 24) * row.d < 3)
+    return sorted(lams)
+
+
+def _argvs(command: str) -> list[list[str]]:
+    fmt = ["--format", "json"]
+    if command == "delta":
+        return [
+            ["delta", "--case", spec.id, "--degree", str(row.d), "--lambda", str(lam)] + fmt
+            for spec, row in _rows()
+            for lam in _delta_lambdas(spec, row)
+        ]
+    if command == "closed-form":
+        return [["closed-form", "--case", spec.id, "--degree", str(row.d)] + fmt for spec, row in _rows()]
+    return [["table"] + fmt]
+
+
+def digest(command: str) -> str:
+    h = hashlib.sha256()
+    for argv in _argvs(command):
+        out = io.StringIO()
+        code = main(argv, out=out)
+        h.update(f"{' '.join(argv)}\n{code}\n{out.getvalue()}\n".encode())
+    return h.hexdigest()
+
+
+def test_delta_golden():
+    assert digest("delta") == GOLDEN["delta"]
+
+
+def test_closed_form_golden():
+    assert digest("closed-form") == GOLDEN["closed-form"]
+
+
+def test_table_golden():
+    assert digest("table") == GOLDEN["table"]
+
+
+if __name__ == "__main__":
+    for name in GOLDEN:
+        print(f'    "{name}": "{digest(name)}",')

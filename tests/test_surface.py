@@ -6,8 +6,10 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from logfano.catalog import build_case
+from logfano.catalog import CASES, build_case
 from logfano.exact import IrrationalRoot, Poly, is_negative_definite, solve_linear
 from logfano.surface import (
     DivisorExpr,
@@ -54,6 +56,59 @@ class TestPair:
         model2, factory2, _ = build_case("A2", 4)
         with pytest.raises(ModelMismatch):
             pair(model1, d1, factory2(F(0)))
+
+
+def reference_pair(model, d1, d2):
+    """The pairing as a sum of Poly expressions, one Poly per term: the
+    reference for the coefficient-tuple accumulation in ``pair``."""
+    if d1.model != model or d2.model != model:
+        raise ModelMismatch("divisor expressions do not belong to the model")
+    result = d1.ambient * d2.ambient * model.ambient_self
+    for i, p in enumerate(model.ambient_pairings):
+        if p != 0:
+            result = result + (d1.ambient * d2.coeffs[i] + d2.ambient * d1.coeffs[i]) * p
+    for i in range(len(model.curves)):
+        for j in range(len(model.curves)):
+            g = model.gram[i][j]
+            if g != 0 and not d1.coeffs[i].is_zero and not d2.coeffs[j].is_zero:
+                result = result + d1.coeffs[i] * d2.coeffs[j] * g
+    if result.degree > 2:
+        raise AssertionError("pairing of affine families must have degree <= 2")
+    return result
+
+
+CATALOG_MODELS = sorted({spec.model for spec in CASES.values()}, key=repr)
+coefficient = st.one_of(st.just(F(0)), st.fractions(min_value=-10, max_value=10, max_denominator=40))
+affine = st.builds(Poly.affine, coefficient, coefficient)
+
+
+@st.composite
+def divisor_pairs(draw):
+    model = draw(st.sampled_from(CATALOG_MODELS))
+
+    def divisor():
+        return DivisorExpr(model, draw(affine), tuple(draw(affine) for _ in model.curves))
+
+    return model, divisor(), divisor()
+
+
+class TestPairReference:
+    @settings(max_examples=300, deadline=None)
+    @given(divisor_pairs())
+    def test_matches_poly_expression(self, drawn):
+        model, d1, d2 = drawn
+        for a, b in ((d1, d2), (d2, d1), (d1, d1)):
+            got = pair(model, a, b)
+            assert got == reference_pair(model, a, b)
+            assert all(type(c) is F for c in got.coeffs)
+
+    def test_degree_cap(self):
+        model, _, _ = conic_setup()
+        square = DivisorExpr.build(model, Poly.of(0, 0, 1))
+        with pytest.raises(AssertionError):
+            reference_pair(model, square, square)
+        with pytest.raises(AssertionError):
+            pair(model, square, square)
 
 
 class TestDecomposition:
