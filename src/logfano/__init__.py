@@ -3,7 +3,7 @@
 The package computes, verifies, and tabulates local delta invariants of plane
 pairs through exact rational arithmetic: Zariski decompositions of flag
 divisor families, flag S-invariants, log discrepancies with differents, and
-closed-form reconstruction in lambda, plus the derived K-stability bounds for
+closed forms in lambda derived exactly, plus the derived K-stability bounds for
 threefold pairs.
 """
 

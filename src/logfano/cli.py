@@ -30,7 +30,7 @@ from .delta import (
     expected_closed_form,
     s_curve_on_plane,
 )
-from .exact import NoFit, rat_str
+from .exact import rat_str
 
 SCHEMA_VERSION = 1
 
@@ -203,8 +203,6 @@ def _resolve_case_degree(case_id: str, d: int):
 def cmd_delta(args, out) -> int:
     spec = _resolve_case_degree(args.case, args.degree)
     lam = parse_rational(args.lam)
-    if not (0 < lam and lam * args.degree < 3):
-        raise InputError(f"lambda must lie in (0, 3/{args.degree})")
     rep = delta_point(spec, args.degree, lam)
     record = _report_record(rep)
     if args.format == "plain":
@@ -263,12 +261,12 @@ def cmd_scan(args, out) -> int:
 def cmd_closed_form(args, out) -> int:
     spec = _resolve_case_degree(args.case, args.degree)
     try:
-        rf = delta_closed_form(spec, args.degree, args.num_deg, args.den_deg)
-    except NoFit as exc:
-        raise InputError(f"no fit with bounds ({args.num_deg},{args.den_deg}): {exc}") from exc
+        rf = delta_closed_form(spec, args.degree)
     except NotExactOnInterval as exc:  # a ValueError, but a mismatch rather than bad input
         print(f"mismatch: {exc}", file=sys.stderr)
         return 1
+    if rf.num.degree > args.num_deg or rf.den.degree > args.den_deg:
+        raise InputError(f"no fit with bounds ({args.num_deg},{args.den_deg}): derived {rf.format('λ')}")
     stated = expected_closed_form(spec, args.degree)
     row = spec.row(args.degree)
     record = {
@@ -312,7 +310,7 @@ def cmd_verify(args, out) -> int:
     ids = None if args.all else [args.case]
     if ids is not None:
         get_case(ids[0])
-    checks, ok = verify.verify_all(case_ids=ids, jobs=args.jobs)
+    checks, ok = verify.verify_all(case_ids=ids)
     if args.format == "plain":
         for line in verify.summarize(checks):
             out.write(line + "\n")
@@ -374,19 +372,17 @@ def cmd_threefold(args, out) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # --format/--jobs are accepted both before and after the subcommand
+    # --format is accepted both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=["json", "csv", "md", "latex", "plain"], default=argparse.SUPPRESS
     )
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS, help="parallel workers for verification")
 
     parser = argparse.ArgumentParser(
         prog="logfano",
         description="Exact delta invariants of log Fano pairs (P^2, lambda*C_d), d <= 4.",
     )
     parser.add_argument("--format", choices=["json", "csv", "md", "latex", "plain"], default="plain")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for verification")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="enumerate catalog cases", parents=[common])
@@ -403,11 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="stop", required=True, metavar="P/Q")
     p.add_argument("--samples", type=int, default=9)
 
-    p = sub.add_parser("closed-form", help="reconstruct the closed form of delta(lambda)", parents=[common])
+    p = sub.add_parser("closed-form", help="derive the closed form of delta(lambda)", parents=[common])
     p.add_argument("--case", required=True)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--num-deg", type=int, default=2)
-    p.add_argument("--den-deg", type=int, default=2)
+    p.add_argument("--num-deg", type=int, default=2, help="largest numerator degree accepted (exit 2 above it)")
+    p.add_argument("--den-deg", type=int, default=2, help="largest denominator degree accepted (exit 2 above it)")
 
     p = sub.add_parser("verify", help="verify the engine against every stated result", parents=[common])
     group = p.add_mutually_exclusive_group(required=True)

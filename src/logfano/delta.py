@@ -16,7 +16,8 @@ the decomposition at any lambda is the one at t = 1 with v scaled by t, and
 S(E) and both S(W;O) are the t = 1 values times t.  The decomposition therefore
 runs once per surface model, at t = 1, and every lambda only scales its
 constants by t.  Likewise the stated closed form of a catalog row is built and
-reduced once per row, and every lambda only evaluates it.
+reduced once per row, and every lambda only evaluates it.  Every ratio is thus
+a line in lambda over t, and delta_closed_form derives the closed form from them.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .catalog import CaseSpec, DegreeRow, Variant, build_case, check_lambda, flag_family, get_case
+from .catalog import Affine, CaseSpec, DegreeRow, Variant, build_case, check_lambda, flag_family, get_case
 from .exact import (
     PiecewisePoly,
     Poly,
     RationalFunction,
-    fit_rational_function,
     integrate_piecewise,
     rat,
 )
@@ -51,7 +51,7 @@ class UnknownPoint(KeyError):
 
 
 class NotExactOnInterval(ValueError):
-    """Closed-form reconstruction was requested where delta is only bounded."""
+    """A closed form was requested where delta is only bounded."""
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,6 @@ class _Evaluation:
     """All exact per-(case, d, lambda) data shared by the delta operations."""
 
     spec: CaseSpec
-    model: SurfaceModel
     d: int
     lam: Fraction
     t: Fraction
@@ -134,17 +133,22 @@ def _stated_form(row: DegreeRow) -> RationalFunction:
     return RationalFunction.from_coeffs(row.delta_num, row.delta_den)
 
 
-def _evaluate(case: str | CaseSpec, d: int, lam) -> _Evaluation:
-    spec = case if isinstance(case, CaseSpec) else get_case(case)
-    model, _, spec = build_case(spec.id, d, {spec.id: spec})
-    lam = check_lambda(d, lam)
-    t = 3 - d * lam
-    unit = _unit_constants(model)
+def _checked_unit_constants(spec: CaseSpec, t: Fraction | int = 1) -> _UnitConstants:
+    unit = _unit_constants(spec.model)
     if spec.tau_factor != unit.tau:
         raise ValueError(f"v_max {t * spec.tau_factor} != computed pseudo-effective threshold {t * unit.tau}")
+    return unit
+
+
+def _evaluate(case: str | CaseSpec, d: int, lam) -> _Evaluation:
+    spec = case if isinstance(case, CaseSpec) else get_case(case)
+    _, _, spec = build_case(spec.id, d, {spec.id: spec})
+    lam = check_lambda(d, lam)
+    t = 3 - d * lam
+    unit = _checked_unit_constants(spec, t)
     a_e = 1 + spec.k_E - lam * spec.m_C
     s_on_l = None if unit.s_on_l is None else t * unit.s_on_l
-    return _Evaluation(spec, model, d, lam, t, t * unit.s_e, a_e, t * unit.s_generic, s_on_l)
+    return _Evaluation(spec, d, lam, t, t * unit.s_e, a_e, t * unit.s_generic, s_on_l)
 
 
 def _flag_integrands(pieces: ZariskiPieces, on_l: bool) -> tuple[PiecewisePoly, PiecewisePoly | None]:
@@ -343,28 +347,41 @@ def interior_samples(lo: Fraction, hi: Fraction, n: int, den: int | None = None)
     return [lo + (hi - lo) * F(k, den) for k in range(1, n + 1)]
 
 
-def delta_closed_form(case: str | CaseSpec, d: int, num_deg: int = 2, den_deg: int = 2) -> RationalFunction:
-    """Reconstruct delta(lambda) on the validity interval from exact samples.
+def _ratio_lines(spec: CaseSpec) -> tuple[list[Affine], list[Affine]]:
+    """Numerators a + b*lambda over t of the ratios delta_point compares, as (lower, upper):
+    lower for E, the generic point and every variant's points, upper for E and each curve bound.
+    """
+    unit = _checked_unit_constants(spec)
+    e_line = ((1 + spec.k_E) / unit.s_e, -spec.m_C / unit.s_e)
+    lower = [e_line, (1 / unit.s_generic, F(0))]
+    for var in spec.variants:
+        for pt in var.points:
+            s = unit.s_on_l if pt.location == "on_L" else unit.s_generic
+            a, b = pt.coeff
+            lower.append(((1 - a) / s, -b / s))
+    upper = [e_line] + [(F(3 * cb.e), -3 * cb.e * cb.l) for cb in spec.extra_upper_bounds]
+    return lower, upper
 
-    Samples 7 interior points for the fit and cross-validates on 3 more; every
-    sample must be exact or NotExactOnInterval is raised.
+
+def _least_line(lines: list[Affine], lo: Fraction, hi: Fraction) -> Affine | None:
+    """The line least at both lo and hi, hence on all of [lo, hi]; None if there is none."""
+    at_lo = min(a + b * lo for a, b in lines)
+    at_hi = min(a + b * hi for a, b in lines)
+    return next(((a, b) for a, b in lines if a + b * lo == at_lo and a + b * hi == at_hi), None)
+
+
+def delta_closed_form(case: str | CaseSpec, d: int) -> RationalFunction:
+    """delta(lambda) on the validity interval: the least lower line over t = 3 - d*lambda.
+
+    NotExactOnInterval unless that line is least at both ends among the upper lines too.
     """
     spec = case if isinstance(case, CaseSpec) else get_case(case)
     row = spec.row(d)
-    fit_xs = interior_samples(row.lo, row.hi, 7, 8)
-    hold_xs = [row.lo + (row.hi - row.lo) * F(k, 16) for k in (3, 9, 13)]
-
-    def value(lam: Fraction) -> Fraction:
-        rep = delta_point(spec, d, lam)
-        if not rep.exact:
-            raise NotExactOnInterval(f"{spec.id} at lambda={lam}: only a lower bound is available")
-        return rep.upper_bound
-
-    rf = fit_rational_function([(x, value(x)) for x in fit_xs], num_deg, den_deg)
-    for x in hold_xs:
-        if rf(x) != value(x):
-            raise NotExactOnInterval(f"{spec.id}: fitted form fails held-out sample at {x}")
-    return rf
+    lower, upper = _ratio_lines(spec)
+    line = _least_line(lower, row.lo, row.hi)
+    if line is None or line != _least_line(upper, row.lo, row.hi):
+        raise NotExactOnInterval(f"{spec.id} (d={d}): delta is not one certified ratio on [{row.lo}, {row.hi}]")
+    return RationalFunction(Poly.affine(*line), Poly.affine(3, -d))
 
 
 def expected_closed_form(spec: CaseSpec, d: int) -> RationalFunction:

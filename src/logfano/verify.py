@@ -5,9 +5,9 @@ value: breakpoints and thresholds against the support-growth decomposition,
 S factors against exact integrals, the S-invariants that delta_point scales
 from the t = 1 decomposition against the integrals of a fresh decomposition
 at each sample, per-point ratios against the flag integrals, closed forms
-against reconstruction from samples, and the lower-bound regimes against the
-assembled minimum.  A single corrupted catalog entry therefore produces at
-least one failing check.
+against the form derived from the ratio lines, and the lower-bound regimes
+against the assembled minimum.  A single corrupted catalog entry therefore
+produces at least one failing check.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def _check(scope: str, name: str, ok: bool, detail: str = "") -> Check:
 
 
 def verify_case(spec: CaseSpec, d: int, n_samples: int = 6) -> list[Check]:
-    """All per-sample and reconstruction checks for one case at one degree."""
+    """All per-sample checks and the closed-form check for one case at one degree."""
     scope = f"{spec.id}/d={d}"
     checks: list[Check] = []
     row = spec.row(d)
@@ -122,14 +122,14 @@ def verify_case(spec: CaseSpec, d: int, n_samples: int = 6) -> list[Check]:
                 )
             )
 
-        fitted = delta_closed_form(spec, d)
+        derived = delta_closed_form(spec, d)
         stated = expected_closed_form(spec, d)
         checks.append(
             _check(
                 scope,
                 "closed-form reconstruction",
-                fitted == stated,
-                f"fitted {fitted.format()}, stated {stated.format()}",
+                derived == stated,
+                f"derived {derived.format()}, stated {stated.format()}",
             )
         )
 
@@ -161,11 +161,6 @@ def verify_case(spec: CaseSpec, d: int, n_samples: int = 6) -> list[Check]:
     return checks
 
 
-def _verify_case_by_id(args: tuple[str, int, int]) -> list[Check]:
-    case_id, d, n_samples = args
-    return verify_case(CASES[case_id], d, n_samples)
-
-
 def verify_threefold_section() -> list[Check]:
     checks = []
     for kind, params in (("plane", {"s": 4}), ("blowup", {"s": 4}), ("quadric", {})):
@@ -178,7 +173,6 @@ def verify_threefold_section() -> list[Check]:
 def verify_all(
     catalog: dict[str, CaseSpec] | None = None,
     case_ids: list[str] | None = None,
-    jobs: int = 1,
     n_samples: int = 6,
 ) -> tuple[list[Check], bool]:
     """Run the whole verification; returns (checks in catalog order, all_ok)."""
@@ -190,17 +184,8 @@ def verify_all(
     if case_ids is not None:
         wanted = set(case_ids)
         specs = [s for s in specs if s.id in wanted]
-    work = [(spec, d) for spec in specs for d in spec.degrees]
-    if jobs > 1 and catalog is None:
-        # imported here: multiprocessing adds about 2 MB and 20 ms to every import of the package
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_verify_case_by_id, [(s.id, d, n_samples) for s, d in work]))
-        for per_case in results:
-            checks.extend(per_case)
-    else:
-        for spec, d in work:
+    for spec in specs:
+        for d in spec.degrees:
             checks.extend(verify_case(spec, d, n_samples))
     if case_ids is None:
         checks.extend(verify_threefold_section())

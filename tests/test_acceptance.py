@@ -60,7 +60,7 @@ def test_criterion_2_closed_form_reconstruction():
     assert delta_closed_form("A2", 4) == RationalFunction.from_coeffs((15, -18), (15, -20))
     assert delta_closed_form("E6", 4) == RationalFunction.from_coeffs((21, -36), (21, -28))
     assert delta_closed_form("quadruple_line", 4) == RationalFunction.from_coeffs((3, -12), (3, -4))
-    print("\nACCEPTANCE 2 PASS: reconstructed closed forms identical for all case/degree rows")
+    print("\nACCEPTANCE 2 PASS: derived closed forms identical for all case/degree rows")
 
 
 def test_criterion_3_lower_bound_regimes():

@@ -6,10 +6,15 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import logfano
 from logfano.catalog import CASES
 from logfano.cli import main, parse_rational
 from logfano.delta import NotExactOnInterval
@@ -51,8 +56,17 @@ class TestDelta:
         assert "lower bound" in rec["note"]
 
     def test_out_of_range_rejected(self):
-        code, _ = run(["delta", "--case", "A2", "--degree", "4", "--lambda", "7/8"])
-        assert code == 2
+        for lam in ("7/8", "3/4", "-1/5"):
+            code, _ = run(["delta", "--case", "A2", "--degree", "4", f"--lambda={lam}"])
+            assert code == 2, lam
+
+    def test_lambda_zero_accepted(self):
+        code, out = run(["delta", "--case", "A2", "--degree", "4", "--lambda", "0", "--format", "json"])
+        rec = json.loads(out)["records"][0]
+        assert code == 0 and rec["delta"] == "1" and rec["exact"] is True
+        code, out = run(["delta", "--case", "A4", "--degree", "4", "--lambda", "0", "--format", "json"])
+        rec = json.loads(out)["records"][0]
+        assert code == 0 and rec["delta"] == "1/2" and rec["exact"] is False
 
     def test_unknown_case(self):
         code, _ = run(["delta", "--case", "Z9", "--degree", "4", "--lambda", "1/2"])
@@ -135,6 +149,22 @@ class TestClosedFormCommand:
         assert code == 1 and out == ""
         assert "only a lower bound" in capsys.readouterr().err
 
+    def test_widened_row_is_a_mismatch(self, monkeypatch, capsys):
+        spec = CASES["A4"]
+        widened = dataclasses.replace(spec, rows=(dataclasses.replace(spec.row(4), lo=F(0)),))
+        monkeypatch.setitem(CASES, "A4", widened)
+        code, out = run(["closed-form", "--case", "A4", "--degree", "4", "--format", "json"])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith("mismatch: ")
+
+    def test_degree_bounds(self, capsys):
+        argv = ["closed-form", "--case", "A2", "--degree", "4", "--format", "json"]
+        code, out = run(argv + ["--num-deg", "0", "--den-deg", "0"])
+        assert code == 2 and out == ""
+        assert "no fit with bounds (0,0)" in capsys.readouterr().err
+        code, out = run(argv + ["--num-deg", "1", "--den-deg", "1"])
+        assert code == 0 and (code, out) == run(argv)
+
 
 class TestThreefoldCommand:
     def test_quartic_double_solid(self):
@@ -167,10 +197,17 @@ class TestVerifyCommand:
         assert code == 0
         assert "PASS D5/d=4" in out
 
-    def test_jobs_deterministic(self):
-        code1, out1 = run(["verify", "--case", "A2"])
-        code2, out2 = run(["verify", "--case", "A2", "--jobs", "3"])
-        assert (code1, out1) == (code2, out2)
+    def test_serial_verification_loads_no_process_pool(self):
+        # multiprocessing costs every run about 2 MB and 20 ms of import
+        script = (
+            "import sys, logfano.cli\n"
+            "from logfano.verify import verify_all\n"
+            "assert verify_all(case_ids=['A2'])[1]\n"
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(logfano.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout == "[]\n"
 
     def test_json_one_record_per_check(self):
         code, out = run(["verify", "--case", "D5", "--format", "json"])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from logfano.catalog import CASES
 from logfano.delta import (
+    NotExactOnInterval,
     UnknownPoint,
     _unit_constants,
     a_divisor,
@@ -24,7 +25,7 @@ from logfano.delta import (
     s_divisor,
     s_flag_point,
 )
-from logfano.exact import RationalFunction, integrate_piecewise
+from logfano.exact import RationalFunction, fit_rational_function, integrate_piecewise
 from logfano.surface import volume_function, zariski_decompose
 from logfano.catalog import build_case
 
@@ -199,7 +200,7 @@ class TestClosedForms:
         assert delta_closed_form("D4", 3) == RationalFunction.from_coeffs((2, -3), (2, -2))
 
     def test_a7_derived(self):
-        # freeze the evaluations first, then demand the fit reproduces them
+        # freeze the evaluations first, then demand the derived form reproduces them
         spec = CASES["A7"]
         row = spec.row(4)
         samples = [(lam, delta_point("A7", 4, lam).upper_bound) for lam in interior_samples(row.lo, row.hi, 7, 8)]
@@ -212,6 +213,25 @@ class TestClosedForms:
         for spec in CASES.values():
             for row in spec.rows:
                 assert delta_closed_form(spec.id, row.d) == expected_closed_form(spec, row.d), (spec.id, row.d)
+
+    def test_derived_equals_fit_through_samples(self):
+        # reference: the (2,2) rational function through delta at 7 interior samples
+        for case_id, d in ROWS:
+            row = CASES[case_id].row(d)
+            samples = [(lam, delta_point(case_id, d, lam).upper_bound) for lam in interior_samples(row.lo, row.hi, 7, 8)]
+            assert delta_closed_form(case_id, d) == fit_rational_function(samples, 2, 2), (case_id, d)
+
+    @pytest.mark.parametrize("case_id", ["A4", "A5", "A6", "A7"])
+    def test_widened_to_lower_regime_not_exact(self, case_id):
+        # below lower_regime_hi only the lower bound 3/(2t) is certified: on [0, lo] the
+        # lower ratios change line, and on [0, lower_regime_hi] one lower line lies below the upper one
+        spec = CASES[case_id]
+        for widen in ({"lo": F(0)}, {"lo": F(0), "hi": spec.lower_regime_hi}):
+            rows = tuple(dataclasses.replace(row, **widen) for row in spec.rows)
+            widened = dataclasses.replace(spec, rows=rows)
+            for row in rows:
+                with pytest.raises(NotExactOnInterval):
+                    delta_closed_form(widened, row.d)
 
 
 class TestUnitDecompositionMemo:
@@ -264,6 +284,8 @@ class TestUnitDecompositionMemo:
         assert s_divisor("A2", 4, F(1, 2)) == F(5, 3)  # the model is now memoised: the check runs on a hit
         with pytest.raises(ValueError, match="pseudo-effective threshold"):
             delta_point(faulty, 4, F(1, 2))
+        with pytest.raises(ValueError, match="pseudo-effective threshold"):
+            delta_closed_form(faulty, 4)
 
 
 @pytest.mark.slow

@@ -1,15 +1,17 @@
 """Golden outputs: sha256 of the JSON stdout and exit code of fixed CLI runs.
 
-The digests were taken from the engine before any speed-up of the delta path,
-so an optimisation that changes one exact output, one exit code or one byte of
-formatting fails here.  A change that alters outputs on purpose re-pins the
-digest and says so in CHANGES.md; ``python tests/test_golden.py`` prints the
-current digests.
+The digests pin every exact output, exit code and byte of formatting, so an
+optimisation that changes one of them fails here.  A change that alters outputs
+on purpose re-pins the digest and says so in CHANGES.md; ``python
+tests/test_golden.py`` prints the current digests.  The delta digest was
+re-pinned once, when ``delta --lambda 0`` stopped exiting 2: only the 54
+lambda = 0 calls changed (exact delta = 1 on 50 rows, lower bound 1/2 on
+A4-A7).
 
 The delta grid covers every case/degree at 0, the stated interval ends, the
 midpoint, ``lower_regime_hi`` and every multiple of 1/24 in [0, 3/d); it
 includes the exact-negative reports past the klt threshold and the exit-2
-rejections of lambda = 0 and 3/d.
+rejections of lambda = 3/d.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from logfano.catalog import CASES
 from logfano.cli import main
 
 GOLDEN = {
-    "delta": "bcfb353c2f9653724d2849d33f6b8335be502c024f4bdac654b4a54c0e5a44fd",
+    "delta": "cfca223e909d46694862909e27c43cb613a1ec2517cf3c4f4cf9a8f78cafff56",
     "closed-form": "d5ded809b41042eda6c47284f26b8ecc3c734cace12e3117608fdc1aa4d19f9f",
     "table": "32d4e8424fa2daf1d9b66045e7c3c5042f9d75e62c30427dbee75b55610c71c2",
 }
