@@ -965,9 +965,11 @@ def _affine_str(a: Fraction, b: Fraction) -> str:
     return Poly.affine(a, b).format("l")
 
 
-def validate_catalog(catalog: dict[str, CaseSpec] | None = None) -> list[str]:
-    """Structural consistency of every entry; an empty list is the release gate.
+def validate_catalog(catalog: dict[str, CaseSpec] | None = None, case_ids: list[str] | None = None) -> list[str]:
+    """Structural consistency of the catalog; an empty list is the release gate.
 
+    The order and alias checks span the whole mapping; the per-entry checks of
+    validate_case run on the entries named in case_ids (all when None).
     Violations are returned as data rather than raised so that a verification
     run can report all of them at once.
     """
@@ -975,85 +977,83 @@ def validate_catalog(catalog: dict[str, CaseSpec] | None = None) -> list[str]:
     problems: list[str] = []
     orders_seen: set[int] = set()
     for spec in sorted(cat.values(), key=lambda s: s.order):
-        pid = spec.id
         if spec.order in orders_seen:
-            problems.append(f"{pid}: duplicate order {spec.order}")
+            problems.append(f"{spec.id}: duplicate order {spec.order}")
         orders_seen.add(spec.order)
-        model = spec.model
-        n = len(model.curves)
-        for i in range(n):
-            for j in range(n):
-                if model.gram[i][j] != model.gram[j][i]:
-                    problems.append(f"{pid}: gram not symmetric at ({i},{j})")
-        if "L" in model.curves:
-            if spec.m_L is None:
-                problems.append(f"{pid}: companion curve present but m_L missing")
-            else:
-                e2 = model.pairing("E", "E")
-                el = model.pairing("E", "L")
-                l2 = model.pairing("L", "L")
-                if el + spec.m_L * e2 != 0:
-                    problems.append(
-                        f"{pid}: pullback identity (L.E) + m_L*(E.E) = {el + spec.m_L * e2} != 0"
-                    )
-                if l2 + spec.m_L * el != 1:
-                    problems.append(
-                        f"{pid}: pullback identity (L.L) + m_L*(L.E) = {l2 + spec.m_L * el} != 1"
-                    )
-        else:
-            if model.pairing("E", "E") != -1:
-                problems.append(f"{pid}: single-blowup model must have E.E = -1")
-            if spec.m_L is not None:
-                problems.append(f"{pid}: m_L given but model has no companion curve")
-        derived_a = (1 + spec.k_E, -spec.m_C)
-        if derived_a != spec.printed_A:
-            problems.append(
-                f"{pid}: A(l) mismatch: got {_affine_str(*derived_a)}, stated {_affine_str(*spec.printed_A)}"
-            )
-        if spec.s_factor <= 0 or spec.tau_factor <= 0:
-            problems.append(f"{pid}: S/tau factors must be positive")
-        prev = F(0)
-        for b in spec.break_factors:
-            if not (prev < b < spec.tau_factor):
-                problems.append(f"{pid}: breakpoint factor {b} out of order")
-            prev = b
-        for row in spec.rows:
-            if not (0 <= row.lo < row.hi):
-                problems.append(f"{pid}: empty validity interval for d={row.d}")
-            if row.hi * row.d > 3:
-                problems.append(f"{pid}: validity for d={row.d} exceeds 3/d")
-            if not row.delta_den or all(c == 0 for c in row.delta_den):
-                problems.append(f"{pid}: zero denominator in closed form for d={row.d}")
-        lo = min(row.lo for row in spec.rows)
-        hi = max(row.hi for row in spec.rows)
-        for var in spec.variants:
-            on_l = [pt for pt in var.points if pt.location == "on_L"]
-            if len(on_l) > 1:
-                problems.append(f"{pid}/{var.name}: more than one point at E.L")
-            if on_l and "L" not in model.curves:
-                problems.append(f"{pid}/{var.name}: on_L point but no companion curve")
-            for pt in var.points:
-                a, b = pt.coeff
-                v_lo, v_hi = a + b * lo, a + b * hi
-                # value 1 is tolerated at the upper validity endpoint only
-                if v_lo < 0 or v_hi < 0 or v_lo >= 1 or v_hi > 1:
-                    problems.append(
-                        f"{pid}/{var.name}: different coefficient {_affine_str(a, b)} out of [0,1) on validity"
-                    )
-                if pt.orbifold_order is not None and a != 1 - F(1, pt.orbifold_order):
-                    problems.append(
-                        f"{pid}/{var.name}: point {pt.label} coefficient {a} != 1 - 1/{pt.orbifold_order}"
-                    )
-                if pt.location not in ("on_L", "on_C", "isolated"):
-                    problems.append(f"{pid}/{var.name}: bad location {pt.location!r}")
-                if pt.ratio_den <= 0:
-                    problems.append(f"{pid}/{var.name}: nonpositive ratio denominator factor")
-        labels = set(spec.point_labels()) | {"E"}
-        for m in spec.minimizers:
-            if m not in labels:
-                problems.append(f"{pid}: minimizer {m!r} is not a declared point")
-        if spec.lower_regime_hi is not None and spec.lower_regime_hi != lo:
-            problems.append(f"{pid}: lower-bound regime must end where validity starts")
+        if case_ids is None or spec.id in case_ids:
+            problems += validate_case(spec)
         if spec.alias_of is not None and spec.alias_of not in cat:
-            problems.append(f"{pid}: alias target {spec.alias_of!r} missing")
+            problems.append(f"{spec.id}: alias target {spec.alias_of!r} missing")
+    return problems
+
+
+def validate_case(spec: CaseSpec) -> list[str]:
+    """Structural consistency of one entry on its own."""
+    pid = spec.id
+    problems: list[str] = []
+    model = spec.model
+    n = len(model.curves)
+    for i in range(n):
+        for j in range(n):
+            if model.gram[i][j] != model.gram[j][i]:
+                problems.append(f"{pid}: gram not symmetric at ({i},{j})")
+    if "L" in model.curves:
+        if spec.m_L is None:
+            problems.append(f"{pid}: companion curve present but m_L missing")
+        else:
+            e2 = model.pairing("E", "E")
+            el = model.pairing("E", "L")
+            l2 = model.pairing("L", "L")
+            if el + spec.m_L * e2 != 0:
+                problems.append(f"{pid}: pullback identity (L.E) + m_L*(E.E) = {el + spec.m_L * e2} != 0")
+            if l2 + spec.m_L * el != 1:
+                problems.append(f"{pid}: pullback identity (L.L) + m_L*(L.E) = {l2 + spec.m_L * el} != 1")
+    else:
+        if model.pairing("E", "E") != -1:
+            problems.append(f"{pid}: single-blowup model must have E.E = -1")
+        if spec.m_L is not None:
+            problems.append(f"{pid}: m_L given but model has no companion curve")
+    derived_a = (1 + spec.k_E, -spec.m_C)
+    if derived_a != spec.printed_A:
+        problems.append(f"{pid}: A(l) mismatch: got {_affine_str(*derived_a)}, stated {_affine_str(*spec.printed_A)}")
+    if spec.s_factor <= 0 or spec.tau_factor <= 0:
+        problems.append(f"{pid}: S/tau factors must be positive")
+    prev = F(0)
+    for b in spec.break_factors:
+        if not (prev < b < spec.tau_factor):
+            problems.append(f"{pid}: breakpoint factor {b} out of order")
+        prev = b
+    for row in spec.rows:
+        if not (0 <= row.lo < row.hi):
+            problems.append(f"{pid}: empty validity interval for d={row.d}")
+        if row.hi * row.d > 3:
+            problems.append(f"{pid}: validity for d={row.d} exceeds 3/d")
+        if not row.delta_den or all(c == 0 for c in row.delta_den):
+            problems.append(f"{pid}: zero denominator in closed form for d={row.d}")
+    lo = min(row.lo for row in spec.rows)
+    hi = max(row.hi for row in spec.rows)
+    for var in spec.variants:
+        on_l = [pt for pt in var.points if pt.location == "on_L"]
+        if len(on_l) > 1:
+            problems.append(f"{pid}/{var.name}: more than one point at E.L")
+        if on_l and "L" not in model.curves:
+            problems.append(f"{pid}/{var.name}: on_L point but no companion curve")
+        for pt in var.points:
+            a, b = pt.coeff
+            v_lo, v_hi = a + b * lo, a + b * hi
+            # value 1 is tolerated at the upper validity endpoint only
+            if v_lo < 0 or v_hi < 0 or v_lo >= 1 or v_hi > 1:
+                problems.append(f"{pid}/{var.name}: different coefficient {_affine_str(a, b)} out of [0,1) on validity")
+            if pt.orbifold_order is not None and a != 1 - F(1, pt.orbifold_order):
+                problems.append(f"{pid}/{var.name}: point {pt.label} coefficient {a} != 1 - 1/{pt.orbifold_order}")
+            if pt.location not in ("on_L", "on_C", "isolated"):
+                problems.append(f"{pid}/{var.name}: bad location {pt.location!r}")
+            if pt.ratio_den <= 0:
+                problems.append(f"{pid}/{var.name}: nonpositive ratio denominator factor")
+    labels = set(spec.point_labels()) | {"E"}
+    for m in spec.minimizers:
+        if m not in labels:
+            problems.append(f"{pid}: minimizer {m!r} is not a declared point")
+    if spec.lower_regime_hi is not None and spec.lower_regime_hi != lo:
+        problems.append(f"{pid}: lower-bound regime must end where validity starts")
     return problems

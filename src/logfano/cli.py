@@ -234,24 +234,10 @@ def cmd_scan(args, out) -> int:
     records = []
     for k in range(args.samples):
         lam = lo + (hi - lo) * Fraction(k, args.samples - 1)
-        if lam < 0 or lam * args.degree >= 3:
-            records.append(
-                {
-                    "case": spec.id,
-                    "d": args.degree,
-                    "lambda": rat_str(lam),
-                    "delta": "",
-                    "exact": "",
-                    "lower": "",
-                    "upper": "",
-                    "minimizer": "",
-                    "validity": False,
-                    "expected": "",
-                    "match": "",
-                    "line_clause": "",
-                    "note": "outside the log Fano range [0, 3/d)",
-                }
-            )
+        if lam * args.degree >= 3:  # a negative lambda goes on to the domain check of delta_point
+            note = "outside the log Fano range [0, 3/d)"
+            records.append({**dict.fromkeys(_REPORT_COLUMNS, ""), "case": spec.id, "d": args.degree,
+                            "lambda": rat_str(lam), "validity": False, "note": note})
             continue
         records.append(_report_record(delta_point(spec, args.degree, lam)))
     _render(records, _REPORT_COLUMNS, args.format, out)
@@ -435,8 +421,12 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse takes a value such as -1/5 for an option: pass "--lambda -1/5" on as "--lambda=-1/5"
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i][:1] == "-" and argv[i][1:2].isdigit() and argv[i - 1][:2] == "--" and "=" not in argv[i - 1]:
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args, out)
     except (InputError, UnknownCase, DegreeNotAdmissible, ValueError) as exc:

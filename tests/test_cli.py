@@ -60,6 +60,11 @@ class TestDelta:
             code, _ = run(["delta", "--case", "A2", "--degree", "4", f"--lambda={lam}"])
             assert code == 2, lam
 
+    def test_negative_lambda_reaches_domain_check(self, capsys):
+        code, out = run(["delta", "--case", "A2", "--degree", "4", "--lambda", "-1/5"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: lambda -1/5 outside [0, 3/4)\n"
+
     def test_lambda_zero_accepted(self):
         code, out = run(["delta", "--case", "A2", "--degree", "4", "--lambda", "0", "--format", "json"])
         rec = json.loads(out)["records"][0]
@@ -99,6 +104,12 @@ class TestScan:
         recs = json.loads(out)["records"]
         assert recs[0]["lambda"] == "0" and recs[0]["delta"] == "1"
         assert recs[-1]["note"].startswith("outside")
+
+    def test_negative_start_reaches_domain_check(self, capsys):
+        for start in (["--from", "-1/5"], ["--from=-1/5"]):
+            code, out = run(["scan", "--case", "A2", "--degree", "4", *start, "--to", "1/2"])
+            assert code == 2 and out == ""
+            assert capsys.readouterr().err == "error: lambda -1/5 outside [0, 3/4)\n"
 
     def test_bad_range(self):
         code, _ = run(["scan", "--case", "A2", "--degree", "4", "--from", "1/2", "--to", "1/2"])
@@ -184,6 +195,11 @@ class TestThreefoldCommand:
                          "--cone", "smooth_cubic_flex", "--format", "json"])
         rec = json.loads(out)["records"][0]
         assert code == 0 and rec["bound"] == "1" and "not strict" in rec["note"]
+
+    def test_negative_lambda_reaches_domain_check(self, capsys):
+        code, out = run(["threefold", "blowup", "--s", "4", "--m", "2", "--lambda", "-1/5", "--cone", "smooth_conic"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: lambda -1/5 outside [0, 3/2)\n"
 
     def test_degree_mismatch(self):
         code, _ = run(["threefold", "blowup", "--s", "4", "--m", "3", "--lambda", "1/2",

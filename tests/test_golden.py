@@ -6,7 +6,8 @@ on purpose re-pins the digest and says so in CHANGES.md; ``python
 tests/test_golden.py`` prints the current digests.  The delta digest was
 re-pinned once, when ``delta --lambda 0`` stopped exiting 2: only the 54
 lambda = 0 calls changed (exact delta = 1 on 50 rows, lower bound 1/2 on
-A4-A7).
+A4-A7).  The verify digest was taken before each row's later samples were
+checked against its first sample scaled by t.
 
 The delta grid covers every case/degree at 0, the stated interval ends, the
 midpoint, ``lower_regime_hi`` and every multiple of 1/24 in [0, 3/d); it
@@ -27,6 +28,7 @@ GOLDEN = {
     "delta": "cfca223e909d46694862909e27c43cb613a1ec2517cf3c4f4cf9a8f78cafff56",
     "closed-form": "d5ded809b41042eda6c47284f26b8ecc3c734cace12e3117608fdc1aa4d19f9f",
     "table": "32d4e8424fa2daf1d9b66045e7c3c5042f9d75e62c30427dbee75b55610c71c2",
+    "verify": "5ec2d961b134fea126099c0131cc68f77723740f8f7b7d2b6495585699fb89a6",
 }
 
 
@@ -54,6 +56,8 @@ def _argvs(command: str) -> list[list[str]]:
         ]
     if command == "closed-form":
         return [["closed-form", "--case", spec.id, "--degree", str(row.d)] + fmt for spec, row in _rows()]
+    if command == "verify":
+        return [["verify", "--all"] + fmt]
     return [["table"] + fmt]
 
 
@@ -76,6 +80,10 @@ def test_closed_form_golden():
 
 def test_table_golden():
     assert digest("table") == GOLDEN["table"]
+
+
+def test_verify_golden():
+    assert digest("verify") == GOLDEN["verify"]
 
 
 if __name__ == "__main__":
