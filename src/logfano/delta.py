@@ -44,6 +44,7 @@ from .surface import (
 )
 
 F = Fraction
+Line = tuple[str, Affine]  # a labelled ratio numerator a + b*lambda
 
 
 class UnknownPoint(KeyError):
@@ -287,10 +288,8 @@ def delta_point(case: str | CaseSpec, d: int, lam) -> DeltaReport:
     lower = min(variant_lowers)
 
     upper = ratio_e
-    bound_rows: list[tuple[str, Fraction]] = []
     for cb in spec.extra_upper_bounds:
         s_b, a_b = s_curve_on_plane(d, ev.lam, cb.e, cb.l)
-        bound_rows.append((f"curve(e={cb.e},l={cb.l})", a_b / s_b))
         upper = min(upper, a_b / s_b)
 
     if lower > upper:
@@ -341,33 +340,33 @@ def delta_point(case: str | CaseSpec, d: int, lam) -> DeltaReport:
     )
 
 
-def interior_samples(lo: Fraction, hi: Fraction, n: int, den: int | None = None) -> list[Fraction]:
+def interior_samples(lo: Fraction, hi: Fraction, n: int) -> list[Fraction]:
     """n rationals strictly inside (lo, hi), evenly spread."""
-    den = den if den is not None else n + 1
-    return [lo + (hi - lo) * F(k, den) for k in range(1, n + 1)]
+    return [lo + (hi - lo) * F(k, n + 1) for k in range(1, n + 1)]
 
 
-def _ratio_lines(spec: CaseSpec) -> tuple[list[Affine], list[Affine]]:
-    """Numerators a + b*lambda over t of the ratios delta_point compares, as (lower, upper):
-    lower for E, the generic point and every variant's points, upper for E and each curve bound.
+def _ratio_lines(spec: CaseSpec) -> tuple[list[Line], list[Line]]:
+    """Labelled numerators a + b*lambda over t of the ratios delta_point compares, as (lower, upper):
+    lower for "E", "generic" and each point as "variant:label", upper for "E" and each curve bound.
     """
     unit = _checked_unit_constants(spec)
-    e_line = ((1 + spec.k_E) / unit.s_e, -spec.m_C / unit.s_e)
-    lower = [e_line, (1 / unit.s_generic, F(0))]
+    e_line = ("E", ((1 + spec.k_E) / unit.s_e, -spec.m_C / unit.s_e))
+    lower = [e_line, ("generic", (1 / unit.s_generic, F(0)))]
     for var in spec.variants:
         for pt in var.points:
             s = unit.s_on_l if pt.location == "on_L" else unit.s_generic
             a, b = pt.coeff
-            lower.append(((1 - a) / s, -b / s))
-    upper = [e_line] + [(F(3 * cb.e), -3 * cb.e * cb.l) for cb in spec.extra_upper_bounds]
+            lower.append((f"{var.name}:{pt.label}", ((1 - a) / s, -b / s)))
+    upper = [e_line] + [(f"curve(e={cb.e},l={cb.l})", (F(3 * cb.e), -3 * cb.e * cb.l))
+                        for cb in spec.extra_upper_bounds]
     return lower, upper
 
 
-def _least_line(lines: list[Affine], lo: Fraction, hi: Fraction) -> Affine | None:
+def _least_line(lines: list[Line], lo: Fraction, hi: Fraction) -> Affine | None:
     """The line least at both lo and hi, hence on all of [lo, hi]; None if there is none."""
-    at_lo = min(a + b * lo for a, b in lines)
-    at_hi = min(a + b * hi for a, b in lines)
-    return next(((a, b) for a, b in lines if a + b * lo == at_lo and a + b * hi == at_hi), None)
+    at_lo = min(a + b * lo for _, (a, b) in lines)
+    at_hi = min(a + b * hi for _, (a, b) in lines)
+    return next(((a, b) for _, (a, b) in lines if a + b * lo == at_lo and a + b * hi == at_hi), None)
 
 
 def delta_closed_form(case: str | CaseSpec, d: int) -> RationalFunction:

@@ -177,20 +177,6 @@ class ZariskiPieces:
     def tau(self) -> Fraction:
         return self.breakpoints[-1]
 
-    def piece_index(self, v: Fraction) -> int:
-        if v < 0 or v > self.tau:
-            raise ValueError(f"{v} outside [0, {self.tau}]")
-        for i in range(len(self.positives)):
-            if v <= self.breakpoints[i + 1]:
-                return i
-        raise AssertionError("unreachable")
-
-    def positive_at(self, v: Fraction) -> DivisorExpr:
-        return self.positives[self.piece_index(v)]
-
-    def negative_at(self, v: Fraction) -> DivisorExpr:
-        return self.negatives[self.piece_index(v)]
-
 
 def _solve_support(
     model: SurfaceModel, d: DivisorExpr, support: tuple[str, ...]

@@ -1,21 +1,16 @@
 """Full verification of the engine against the catalog's stated results.
 
 Every transcribed number is cross-checked against an independently computed
-value: breakpoints and thresholds against the support-growth decomposition,
-S factors against exact integrals, the S-invariants that delta_point scales
-from the t = 1 decomposition against the integrals of a fresh decomposition,
-per-point ratios against the flag integrals, closed forms against the form
-derived from the ratio lines, and the lower-bound regimes against the
-assembled minimum.  A single corrupted catalog entry therefore produces at
-least one failing check.
-
-Each sample of a row is decomposed afresh.  D(v) = t*H - v*E is homogeneous,
-so the first sample is the row's reference: its structural invariants and
-integrals are computed in full, and every later sample at t must equal it
-scaled by s = t/t_1 (breakpoints times s, each c_j*v^j of P and N becomes
-c_j*s^(1-j)*v^j, supports unchanged).  Every invariant keeps its verdict under
-that scaling and the S-invariants scale by s.  Structural validation covers
-the cases being verified, plus the catalog-wide order and alias checks.
+value, so a single corrupted catalog entry produces at least one failing check.
+Each case/degree row is checked once, as identities in lambda: with
+t = 3 - d*lambda, D(v) = t*H - v*E is homogeneous, and A(E), S(E)*t, every
+stated ratio and the closed form are lines a + b*lambda over t, equal for all
+lambda exactly when their coefficients are.  The row's decomposition at t = 1
+is the reference, its breakpoints, invariants and S-integrals checked in full;
+a fresh one at lambda_1 must equal it scaled by t_1 (breakpoints times t_1,
+c_j*v^j of P and N becomes c_j*t_1^(1-j)*v^j), so homogeneity is tested, not
+assumed.  Structural validation covers the cases being verified, plus the
+catalog-wide order and alias checks.
 """
 
 from __future__ import annotations
@@ -24,9 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import threefold
-from .catalog import CASES, CaseSpec, build_case, validate_catalog
+from .catalog import CASES, Affine, CaseSpec, DegreeRow, build_case, flag_family, validate_catalog
 from .delta import (
     NotExactOnInterval,
+    _least_line,
+    _ratio_lines,
+    _unit_constants,
     delta_closed_form,
     delta_point,
     expected_closed_form,
@@ -63,15 +61,24 @@ def _scaled(z: ZariskiPieces, s: Fraction) -> ZariskiPieces:
     return ZariskiPieces(z.model, *scaled, z.supports)
 
 
-def verify_case(spec: CaseSpec, d: int, n_samples: int = 6) -> list[Check]:
-    """All per-sample checks and the closed-form check for one case at one degree.
+def _probe_lambda(row: DegreeRow) -> Fraction:
+    """lo + (hi - lo)/7, where t_1 = 3 - d*lambda_1 is 1 on no row (at the midpoint A7/d=4 has t = 1)."""
+    return row.lo + (row.hi - row.lo) / 7
 
-    Every sample is decomposed afresh and its breakpoints checked.  The first
-    sample is the reference: its invariants and S-integrals are computed once.
-    A later sample at t passes "decomposition invariants" only if it equals the
-    reference scaled by t/t_1; it then has the reference's verdict, and its
-    S-invariants are the reference's times t/t_1.  A closed form that is not
-    exact on the interval fails its check, and the checks after it still run.
+
+def _line(line: Affine) -> str:
+    return Poly.affine(*line).format("l")
+
+
+def verify_case(spec: CaseSpec, d: int) -> list[Check]:
+    """All checks of one case at one degree, each made once as an identity in lambda.
+
+    Against the t = 1 reference: the stated breakpoints, its invariants, the
+    cached S-invariants that delta_point scales and a fresh decomposition at
+    lambda_1.  Against the engine's ratio lines: the stated S(E), A(E) and
+    ratios, the closed form and the minimizers; one delta_point at lambda_1
+    must report the lines' values over t_1.  A closed form that is not exact
+    on the interval fails its check, and the checks after it still run.
     """
     scope = f"{spec.id}/d={d}"
     checks: list[Check] = []
@@ -80,53 +87,33 @@ def verify_case(spec: CaseSpec, d: int, n_samples: int = 6) -> list[Check]:
         checks.append(_check(scope, name, ok, detail))
 
     row = spec.row(d)
-    on_l_points = {(var.name, pt.label) for var in spec.variants for pt in var.points if pt.location == "on_L"}
     try:
         model, factory, _ = build_case(spec.id, d, {spec.id: spec})
-        samples = interior_samples(row.lo, row.hi, n_samples, n_samples + 1)
-        ref = None
-        for lam in samples:
-            t = 3 - d * lam
-            pieces = zariski_decompose(model, factory(lam), t * spec.tau_factor)
-            expected_bps = (F(0),) + tuple(b * t for b in spec.break_factors) + (t * spec.tau_factor,)
-            add(f"breakpoints at l={lam}", pieces.breakpoints == expected_bps,
-                f"computed {pieces.breakpoints}, stated {expected_bps}")
-            if ref is None:
-                ref, t_ref, ref_defects = pieces, t, invariant_violations(pieces)
-                ref_s, defects = integrated_s_invariants(pieces, t), ref_defects
-            elif pieces == _scaled(ref, t / t_ref):
-                # same verdict as the reference; a defect is recomputed so that it names this sample's values
-                defects = ref_defects and invariant_violations(pieces)
-            else:
-                defects = [f"not the l={samples[0]} decomposition scaled by {t / t_ref}"]
-            add(f"decomposition invariants at l={lam}", not defects, "; ".join(defects))
+        ref = zariski_decompose(model, flag_family(model, 1))
+        stated_bps = (F(0), *spec.break_factors, spec.tau_factor)
+        add("breakpoints at t=1", ref.breakpoints == stated_bps, f"computed {ref.breakpoints}, stated {stated_bps}")
+        defects = invariant_violations(ref)
+        add("decomposition invariants at t=1", not defects, "; ".join(defects))
+        lam1 = _probe_lambda(row)
+        t1 = 3 - d * lam1
+        add(f"homogeneity at l={lam1}", zariski_decompose(model, factory(lam1)) == _scaled(ref, t1),
+            f"not the t=1 decomposition scaled by {t1}")
 
-            rep = delta_point(spec, d, lam)
-            # delta_point scales the memoised t = 1 decomposition; these come from this row's own reference
-            s_e, s_generic, s_on_l = (None if x is None else x * t / t_ref for x in ref_s)
-            mismatched = [] if rep.s_e == s_e else [f"E: scaled {rep.s_e}, integrated {s_e}"]
-            for prow in rep.rows:
-                want = s_on_l if (prow.variant, prow.label) in on_l_points else s_generic
-                if prow.s_value != want:
-                    mismatched.append(f"{prow.variant}:{prow.label}: scaled {prow.s_value}, integrated {want}")
-            add(f"S scaling at l={lam}", not mismatched, "; ".join(mismatched))
-            add(f"S(E) at l={lam}", rep.s_e == spec.s_factor * t, f"computed {rep.s_e}, stated {spec.s_factor * t}")
-            a_expected = spec.printed_A[0] + spec.printed_A[1] * lam
-            add(f"A(E) at l={lam}", rep.a_e == a_expected, f"computed {rep.a_e}, stated {a_expected}")
-            for prow in rep.rows:
-                if prow.label == "generic":
-                    num, den = spec.gen_ratio_num, spec.gen_ratio_den
-                else:
-                    pt = next(p for p in spec.variant(prow.variant).points if p.label == prow.label)
-                    num, den = pt.ratio_num, pt.ratio_den
-                want = (num[0] + num[1] * lam) / (den * t)
-                add(f"ratio {prow.variant}:{prow.label} at l={lam}", prow.ratio == want,
-                    f"computed {prow.ratio}, stated {want}")
-            add(f"exact at l={lam}", rep.exact, f"lower {rep.lower_bound} < upper {rep.upper_bound}")
-            add(f"value matches closed form at l={lam}", rep.matches_expected is True,
-                f"computed {rep.upper_bound}, stated {rep.expected}")
-            add(f"minimizer at l={lam}", set(rep.minimizers) == set(spec.minimizers),
-                f"computed {rep.minimizers}, stated {spec.minimizers}")
+        integrated = integrated_s_invariants(ref, 1)
+        unit = _unit_constants(model)
+        cached = (unit.s_e, unit.s_generic, unit.s_on_l)
+        add("S scaling", cached == integrated, f"cached {cached}, integrated {integrated}")
+        add("S(E)", unit.s_e == spec.s_factor, f"computed {unit.s_e}, stated {spec.s_factor}")
+
+        lower, upper = _ratio_lines(spec)
+        lines = dict(lower)
+        a_e = tuple(x / spec.s_factor for x in spec.printed_A)
+        add("A(E)", lines["E"] == a_e, f"computed {_line(lines['E'])}, stated {_line(a_e)}")
+        stated_ratios = [(f"{var.name}:{pt.label}", pt.ratio_num, pt.ratio_den)
+                         for var in spec.variants for pt in var.points]
+        for label, num, den in stated_ratios + [("generic", spec.gen_ratio_num, spec.gen_ratio_den)]:
+            want = (num[0] / den, num[1] / den)
+            add(f"ratio {label}", lines[label] == want, f"computed {_line(lines[label])}, stated {_line(want)}")
 
         stated = expected_closed_form(spec, d)
         try:
@@ -135,9 +122,20 @@ def verify_case(spec: CaseSpec, d: int, n_samples: int = 6) -> list[Check]:
         except NotExactOnInterval as exc:  # a failing check; the checks after it still run
             cf_ok, cf_detail = False, str(exc)
         add("closed-form reconstruction", cf_ok, cf_detail)
+        binding = _least_line(lower, row.lo, row.hi)
+        minimizers = {label.rpartition(":")[2] for label, line in lower if line == binding}
+        add("minimizer", minimizers == set(spec.minimizers),
+            f"computed {sorted(minimizers)}, stated {spec.minimizers}")
+
+        rep = delta_point(spec, d, lam1)
+        at = {label: (a + b * lam1) / t1 for label, (a, b) in lower}
+        got = [rep.a_e / rep.s_e, *(r.ratio for r in rep.rows), rep.lower_bound, rep.upper_bound]
+        want = [at["E"], *(at[r.label if r.label == "generic" else f"{r.variant}:{r.label}"] for r in rep.rows)]
+        want += [min(at.values()), min((a + b * lam1) / t1 for _, (a, b) in upper)]
+        add(f"report at l={lam1}", got == want, f"reported {list(map(str, got))}, lines {list(map(str, want))}")
 
         if spec.lower_regime_hi is not None:
-            for lam in interior_samples(F(0), spec.lower_regime_hi, 3, 4):
+            for lam in interior_samples(F(0), spec.lower_regime_hi, 3):
                 rep = delta_point(spec, d, lam)
                 want = lower_bound_regime_value(d, lam)
                 add(f"lower-bound regime at l={lam}", (not rep.exact) and rep.lower_bound == want,
@@ -155,7 +153,7 @@ def verify_case(spec: CaseSpec, d: int, n_samples: int = 6) -> list[Check]:
 def verify_threefold_section() -> list[Check]:
     checks = []
     for kind, params in (("plane", {"s": 4}), ("blowup", {"s": 4}), ("quadric", {})):
-        for lam in interior_samples(F(0), F(3, 4), 5, 6):
+        for lam in interior_samples(F(0), F(3, 4), 5):
             ok = threefold.verify_threefold_volumes(kind, params, lam)
             checks.append(_check("threefold", f"{kind} volume at l={lam}", ok, "integral differs from closed form"))
     return checks
@@ -164,9 +162,11 @@ def verify_threefold_section() -> list[Check]:
 def verify_all(
     catalog: dict[str, CaseSpec] | None = None,
     case_ids: list[str] | None = None,
-    n_samples: int = 6,
 ) -> tuple[list[Check], bool]:
     """Run the whole verification; returns (checks in catalog order, all_ok).
+
+    Each case/degree row is checked by verify_case, and a full run adds the
+    threefold volume identities.
 
     With case_ids, only those cases are verified and structurally validated;
     the catalog-wide order and alias checks still cover the whole mapping.
@@ -179,7 +179,7 @@ def verify_all(
         specs = [s for s in specs if s.id in case_ids]
     for spec in specs:
         for d in spec.degrees:
-            checks.extend(verify_case(spec, d, n_samples))
+            checks.extend(verify_case(spec, d))
     if case_ids is None:
         checks.extend(verify_threefold_section())
     return checks, all(c.ok for c in checks)

@@ -43,7 +43,7 @@ def test_criterion_1_main_table_reproduction():
     checked = 0
     for spec, row in _all_rows():
         stated = expected_closed_form(spec, row.d)
-        for lam in interior_samples(row.lo, row.hi, 6, 7):
+        for lam in interior_samples(row.lo, row.hi, 6):
             rep = delta_point(spec.id, row.d, lam)
             assert rep.exact, (spec.id, row.d, lam)
             assert rep.upper_bound == stated(lam), (spec.id, row.d, lam)
@@ -65,7 +65,7 @@ def test_criterion_2_closed_form_reconstruction():
 
 def test_criterion_3_lower_bound_regimes():
     for case_id in ("A4", "A5", "A6", "A7"):
-        for lam in interior_samples(F(0), F(3, 8), 3, 4):
+        for lam in interior_samples(F(0), F(3, 8), 3):
             rep = delta_point(case_id, 4, lam)
             assert not rep.exact, (case_id, lam)
             assert rep.lower_bound == F(3, 2) / (3 - 4 * lam), (case_id, lam)
@@ -76,7 +76,7 @@ def test_criterion_4_s_invariant_spot_table():
     table = {"A1": F(2, 3), "A2": F(5, 3), "A4": F(13, 6), "A6": F(5, 2), "E6": F(7, 3)}
     for case_id, factor in table.items():
         row = CASES[case_id].row(4)
-        for lam in interior_samples(row.lo, row.hi, 3, 4):
+        for lam in interior_samples(row.lo, row.hi, 3):
             assert s_divisor(case_id, 4, lam) == factor * (3 - 4 * lam), (case_id, lam)
     print("\nACCEPTANCE 4 PASS: S(E) spot table exact at 3 samples per case")
 
@@ -95,7 +95,7 @@ def test_criterion_5_lambda_zero_normalization():
 def test_criterion_6_zariski_property_suite():
     for spec, row in _all_rows():
         model, factory, _ = build_case(spec.id, row.d)
-        for lam in interior_samples(row.lo, row.hi, 5, 6):
+        for lam in interior_samples(row.lo, row.hi, 5):
             t = 3 - row.d * lam
             pieces = zariski_decompose(model, factory(lam), t * spec.tau_factor)
             assert pieces.tau == t * spec.tau_factor, (spec.id, row.d, lam)
@@ -128,7 +128,7 @@ def test_criterion_7_numeric_quadrature_oracle():
 
 def test_criterion_8_threefold_suite():
     for kind, params in (("plane", {"s": 4}), ("blowup", {"s": 4}), ("quadric", {})):
-        for lam in interior_samples(F(0), F(3, 4), 5, 6):
+        for lam in interior_samples(F(0), F(3, 4), 5):
             assert verify_threefold_volumes(kind, params, lam), (kind, lam)
     results = {r.config.name: r for r in corollary_suite()}
     assert results["quartic double solid, node"].bound == F(4, 3)
@@ -142,7 +142,7 @@ def test_criterion_8_threefold_suite():
 
 def _fails_verification(spec, **changes) -> bool:
     bad = {spec.id: dataclasses.replace(spec, **changes)}
-    _, ok = verify_all(catalog=bad, case_ids=[spec.id], n_samples=2)
+    _, ok = verify_all(catalog=bad, case_ids=[spec.id])
     return not ok
 
 

@@ -74,7 +74,7 @@ class TestSDivisor:
     def test_spot_table(self, case_id, factor):
         spec = CASES[case_id]
         row = spec.row(4)
-        for lam in interior_samples(row.lo, row.hi, 3, 4):
+        for lam in interior_samples(row.lo, row.hi, 3):
             assert s_divisor(case_id, 4, lam) == factor * (3 - 4 * lam)
 
 
@@ -155,7 +155,7 @@ class TestDeltaPoint:
         for spec in CASES.values():
             for row in spec.rows:
                 stated = expected_closed_form(spec, row.d)
-                for lam in interior_samples(row.lo, row.hi, 10, 11):
+                for lam in interior_samples(row.lo, row.hi, 10):
                     rep = delta_point(spec.id, row.d, lam)
                     assert rep.lower_bound <= rep.upper_bound
                     assert rep.exact and rep.lower_bound == stated(lam), (spec.id, row.d, lam)
@@ -163,14 +163,14 @@ class TestDeltaPoint:
     def test_minimizer_stability(self):
         for spec in CASES.values():
             for row in spec.rows:
-                for lam in interior_samples(row.lo, row.hi, 4, 5):
+                for lam in interior_samples(row.lo, row.hi, 4):
                     rep = delta_point(spec.id, row.d, lam)
                     assert set(rep.minimizers) == set(spec.minimizers), (spec.id, row.d, lam)
 
     def test_positivity_inside_validity(self):
         for spec in CASES.values():
             for row in spec.rows:
-                for lam in interior_samples(row.lo, row.hi, 3, 4):
+                for lam in interior_samples(row.lo, row.hi, 3):
                     rep = delta_point(spec.id, row.d, lam)
                     assert rep.a_e > 0 and rep.s_e > 0
 
@@ -203,7 +203,7 @@ class TestClosedForms:
         # freeze the evaluations first, then demand the derived form reproduces them
         spec = CASES["A7"]
         row = spec.row(4)
-        samples = [(lam, delta_point("A7", 4, lam).upper_bound) for lam in interior_samples(row.lo, row.hi, 7, 8)]
+        samples = [(lam, delta_point("A7", 4, lam).upper_bound) for lam in interior_samples(row.lo, row.hi, 7)]
         rf = delta_closed_form("A7", 4)
         for lam, val in samples:
             assert rf(lam) == val
@@ -218,7 +218,7 @@ class TestClosedForms:
         # reference: the (2,2) rational function through delta at 7 interior samples
         for case_id, d in ROWS:
             row = CASES[case_id].row(d)
-            samples = [(lam, delta_point(case_id, d, lam).upper_bound) for lam in interior_samples(row.lo, row.hi, 7, 8)]
+            samples = [(lam, delta_point(case_id, d, lam).upper_bound) for lam in interior_samples(row.lo, row.hi, 7)]
             assert delta_closed_form(case_id, d) == fit_rational_function(samples, 2, 2), (case_id, d)
 
     @pytest.mark.parametrize("case_id", ["A4", "A5", "A6", "A7"])
@@ -294,7 +294,7 @@ class TestNumericOracle:
         for spec in sorted(CASES.values(), key=lambda s: s.order):
             for row in spec.rows:
                 model, factory, _ = build_case(spec.id, row.d)
-                for lam in interior_samples(row.lo, row.hi, 3, 4):
+                for lam in interior_samples(row.lo, row.hi, 3):
                     t = 3 - row.d * lam
                     pieces = zariski_decompose(model, factory(lam), t * spec.tau_factor)
                     vol = volume_function(pieces)

@@ -6,8 +6,9 @@ on purpose re-pins the digest and says so in CHANGES.md; ``python
 tests/test_golden.py`` prints the current digests.  The delta digest was
 re-pinned once, when ``delta --lambda 0`` stopped exiting 2: only the 54
 lambda = 0 calls changed (exact delta = 1 on 50 rows, lower bound 1/2 on
-A4-A7).  The verify digest was taken before each row's later samples were
-checked against its first sample scaled by t.
+A4-A7).  The verify digest was re-pinned when verify went from six sampled
+lambda per row to one set of identity checks per row: only check names,
+count and order changed, every verdict stayed a pass.
 
 The delta grid covers every case/degree at 0, the stated interval ends, the
 midpoint, ``lower_regime_hi`` and every multiple of 1/24 in [0, 3/d); it
@@ -17,9 +18,15 @@ rejections of lambda = 3/d.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
+import sys
 from fractions import Fraction as F
+from pathlib import Path
+
+if __name__ == "__main__":  # run as a script from a checkout: import logfano from its src
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from logfano.catalog import CASES
 from logfano.cli import main
@@ -28,7 +35,7 @@ GOLDEN = {
     "delta": "cfca223e909d46694862909e27c43cb613a1ec2517cf3c4f4cf9a8f78cafff56",
     "closed-form": "d5ded809b41042eda6c47284f26b8ecc3c734cace12e3117608fdc1aa4d19f9f",
     "table": "32d4e8424fa2daf1d9b66045e7c3c5042f9d75e62c30427dbee75b55610c71c2",
-    "verify": "5ec2d961b134fea126099c0131cc68f77723740f8f7b7d2b6495585699fb89a6",
+    "verify": "410d0875ab238e8995dc037f9e690662cabf1b2cab6f1de113f2affc862de444",
 }
 
 
@@ -65,7 +72,8 @@ def digest(command: str) -> str:
     h = hashlib.sha256()
     for argv in _argvs(command):
         out = io.StringIO()
-        code = main(argv, out=out)
+        with contextlib.redirect_stderr(io.StringIO()):  # exit-2 messages; stderr is not hashed
+            code = main(argv, out=out)
         h.update(f"{' '.join(argv)}\n{code}\n{out.getvalue()}\n".encode())
     return h.hexdigest()
 

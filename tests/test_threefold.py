@@ -73,7 +73,7 @@ class TestBounds:
 
     def test_factor_consistency(self):
         # both blowup-bound arguments share the factor 4(3-lm)/(3(4-ls))
-        for lam in interior_samples(F(0), F(3, 4), 5, 6):
+        for lam in interior_samples(F(0), F(3, 4), 5):
             factor = F(4) * (3 - lam * 2) / (3 * (4 - lam * 4))
             for delta2d in (F(1, 2), F(1), F(7, 5)):
                 assert delta_bound_blowup(4, 2, lam, delta2d) == min(factor, delta2d * factor)
@@ -82,7 +82,7 @@ class TestBounds:
 class TestVolumes:
     @pytest.mark.parametrize("kind,params", [("plane", {"s": 4}), ("blowup", {"s": 4}), ("quadric", {})])
     def test_all_kinds(self, kind, params):
-        for lam in interior_samples(F(0), F(3, 4), 5, 6):
+        for lam in interior_samples(F(0), F(3, 4), 5):
             assert verify_threefold_volumes(kind, params, lam)
 
     def test_quadric_value(self):

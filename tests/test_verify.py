@@ -1,5 +1,6 @@
-"""verify: the per-row reference decomposition, scoped structural validation and
-closed-form failures that leave the later checks running."""
+"""verify: the per-row reference decomposition and identity checks, scoped
+structural validation and closed-form failures that leave the later checks
+running."""
 
 from __future__ import annotations
 
@@ -8,7 +9,6 @@ from fractions import Fraction as F
 
 import logfano.verify as verify
 from logfano.catalog import CASES
-from logfano.delta import interior_samples
 from logfano.exact import Poly
 from logfano.verify import verify_all, verify_case
 
@@ -17,21 +17,20 @@ def _named(checks, name):
     return [c for c in checks if c.name == name]
 
 
-def _samples(spec, d, n=6):
-    row = spec.row(d)
-    return interior_samples(row.lo, row.hi, n, n + 1)
+def _failing(checks):
+    return [c for c in checks if not c.ok]
 
 
-class TestReferenceSample:
-    def test_perturbed_later_sample_fails_its_invariants_check(self, monkeypatch):
+class TestReferenceDecomposition:
+    def test_perturbed_decomposition_at_lambda_1_fails_homogeneity_only(self, monkeypatch):
         spec, d = CASES["A2"], 4
         real = verify.zariski_decompose
         calls = []
 
-        def perturb_third(model, family, v_max=None):
+        def perturb_second(model, family, v_max=None):
             pieces = real(model, family, v_max)
             calls.append(pieces)
-            if len(calls) != 3:
+            if len(calls) != 2:
                 return pieces
             i = next(k for k, support in enumerate(pieces.supports) if support)
             n = pieces.negatives[i]
@@ -42,16 +41,13 @@ class TestReferenceSample:
             negatives[i] = dataclasses.replace(n, coeffs=tuple(coeffs))
             return dataclasses.replace(pieces, negatives=tuple(negatives))
 
-        monkeypatch.setattr(verify, "zariski_decompose", perturb_third)
+        monkeypatch.setattr(verify, "zariski_decompose", perturb_second)
         checks = verify_case(spec, d)
-        lams = _samples(spec, d)
-        assert len(calls) == len(lams)
-        by_name = {c.name: c for c in checks}
-        for k, lam in enumerate(lams):
-            assert by_name[f"breakpoints at l={lam}"].ok
-            assert by_name[f"decomposition invariants at l={lam}"].ok == (k != 2), lam
-        bad = by_name[f"decomposition invariants at l={lams[2]}"]
-        assert bad.detail == f"not the l={lams[0]} decomposition scaled by {(3 - d * lams[2]) / (3 - d * lams[0])}"
+        assert len(calls) == 2
+        lam1 = verify._probe_lambda(spec.row(d))
+        (bad,) = _failing(checks)
+        assert bad.name == f"homogeneity at l={lam1}"
+        assert bad.detail == f"not the t=1 decomposition scaled by {3 - d * lam1}"
 
     def test_invariants_and_integrals_run_once_per_row(self, monkeypatch):
         counts = {"invariants": 0, "integrals": 0}
@@ -69,14 +65,89 @@ class TestReferenceSample:
         assert all(c.ok for c in checks)
         assert counts == {"invariants": 1, "integrals": 1}
 
-    def test_reference_defect_is_reported_at_every_sample(self, monkeypatch):
-        # a defect keeps its verdict under scaling and names each sample's own values
+    def test_reference_defect_is_reported_once(self, monkeypatch):
         monkeypatch.setattr(verify, "invariant_violations", lambda z: [f"tau {z.tau}"])
-        spec, d = CASES["D5"], 4
-        checks = verify_case(spec, d)
-        for lam in _samples(spec, d):
-            (c,) = _named(checks, f"decomposition invariants at l={lam}")
-            assert not c.ok and c.detail == f"tau {(3 - d * lam) * spec.tau_factor}"
+        spec = CASES["D5"]
+        (bad,) = _failing(verify_case(spec, 4))
+        assert bad.name == "decomposition invariants at t=1" and bad.detail == f"tau {spec.tau_factor}"
+
+    def test_stale_cached_constants_fail_s_scaling_only(self, monkeypatch):
+        real = verify._unit_constants
+        monkeypatch.setattr(verify, "_unit_constants",
+                            lambda model: dataclasses.replace(real(model), s_generic=real(model).s_generic + 1))
+        (bad,) = _failing(verify_case(CASES["A2"], 4))
+        assert bad.name == "S scaling"
+
+    def test_report_off_its_lines_fails_the_report_check_only(self, monkeypatch):
+        spec, d = CASES["E6"], 4
+        real = verify.delta_point
+        lam1 = verify._probe_lambda(spec.row(d))
+
+        def off(case, degree, lam):
+            rep = real(case, degree, lam)
+            return dataclasses.replace(rep, upper_bound=rep.upper_bound + 1) if lam == lam1 else rep
+
+        monkeypatch.setattr(verify, "delta_point", off)
+        (bad,) = _failing(verify_case(spec, d))
+        assert bad.name == f"report at l={lam1}"
+
+    def test_two_decompositions_per_row(self, monkeypatch):
+        calls = []
+        real = verify.zariski_decompose
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "zariski_decompose", counted)
+        checks, ok = verify_all()
+        n_rows = sum(len(spec.rows) for spec in CASES.values())
+        assert ok and n_rows == 54
+        assert len(calls) == 2 * n_rows
+
+    def test_t_1_is_not_one_on_any_row(self):
+        rows = [(spec, row) for spec in CASES.values() for row in spec.rows]
+        assert len(rows) == 54
+        for spec, row in rows:
+            lam1 = verify._probe_lambda(row)
+            assert row.lo < lam1 < row.hi and 3 - row.d * lam1 != 1, (spec.id, row.d)
+            assert _named(verify_case(spec, row.d), f"homogeneity at l={lam1}"), (spec.id, row.d)
+
+
+def _printed_data_faults(spec):
+    """(name, faulty entry) for every redundant printed datum: 1/13 added to S(E), tau, A(E)'s
+    constant, each part of the generic and of every point's ratio, and 1/97 to the first breakpoint."""
+    q = F(1, 13)
+    yield "s_factor", dataclasses.replace(spec, s_factor=spec.s_factor + q)
+    yield "tau_factor", dataclasses.replace(spec, tau_factor=spec.tau_factor + q)
+    yield "printed_A[0]", dataclasses.replace(spec, printed_A=(spec.printed_A[0] + q, spec.printed_A[1]))
+    for part in (0, 1):
+        num = list(spec.gen_ratio_num)
+        num[part] += q
+        yield f"gen_ratio_num[{part}]", dataclasses.replace(spec, gen_ratio_num=tuple(num))
+    yield "gen_ratio_den", dataclasses.replace(spec, gen_ratio_den=spec.gen_ratio_den + q)
+    for v, var in enumerate(spec.variants):
+        for i, pt in enumerate(var.points):
+            for part in (0, 1):
+                num = list(pt.ratio_num)
+                num[part] += q
+                points = var.points[:i] + (dataclasses.replace(pt, ratio_num=tuple(num)),) + var.points[i + 1 :]
+                variants = spec.variants[:v] + (dataclasses.replace(var, points=points),) + spec.variants[v + 1 :]
+                yield f"{var.name}:{pt.label} ratio_num[{part}]", dataclasses.replace(spec, variants=variants)
+    if spec.break_factors:
+        yield "break_factors[0]", dataclasses.replace(
+            spec, break_factors=(spec.break_factors[0] + F(1, 97),) + spec.break_factors[1:]
+        )
+
+
+def test_every_printed_datum_fault_is_detected():
+    injected = 0
+    for spec in CASES.values():
+        for name, bad in _printed_data_faults(spec):
+            _, ok = verify_all(catalog={spec.id: bad}, case_ids=[spec.id])
+            assert not ok, f"{spec.id}: {name} fault survived"
+            injected += 1
+    assert injected == 512
 
 
 class TestScopedValidation:
@@ -122,3 +193,15 @@ class TestClosedFormFailure:
             (normal,) = _named(scoped, "normalization at l=0")
             assert not closed.ok and "delta is not one certified ratio" in closed.detail
             assert not normal.ok
+
+
+def test_stated_s_and_a_faults_fail_their_own_checks():
+    spec = CASES["E6"]
+    faults = {
+        "S(E)": {"s_factor": spec.s_factor + F(1, 13)},
+        "A(E)": {"printed_A": (spec.printed_A[0] + F(1, 13), spec.printed_A[1])},
+    }
+    for name, change in faults.items():
+        checks, ok = verify_all(catalog={"E6": dataclasses.replace(spec, **change)}, case_ids=["E6"])
+        (check,) = _named(checks, name)
+        assert not ok and not check.ok, name
