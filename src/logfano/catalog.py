@@ -25,10 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable
 
 from .exact import Poly, rat
 from .surface import DivisorExpr, SurfaceModel
+
+if TYPE_CHECKING:
+    from .delta import RatioTable
 
 F = Fraction
 
@@ -125,11 +129,12 @@ class CaseSpec:
                 return row
         raise DegreeNotAdmissible(f"case {self.id} does not admit degree {d}")
 
-    def variant(self, name: str) -> Variant:
-        for var in self.variants:
-            if var.name == name:
-                return var
-        raise KeyError(f"case {self.id} has no variant {name!r}")
+    @cached_property
+    def ratio_table(self) -> RatioTable:
+        """The entry's ratio table (delta.ratio_table), built once per instance on first use."""
+        from .delta import ratio_table  # delta imports this module
+
+        return ratio_table(self)
 
     def point_labels(self) -> tuple[str, ...]:
         seen: list[str] = []
@@ -905,10 +910,6 @@ _RAW_CASES: tuple[CaseSpec, ...] = (
 
 
 CASES: dict[str, CaseSpec] = {spec.id: spec for spec in _RAW_CASES}
-
-
-def case_ids() -> tuple[str, ...]:
-    return tuple(spec.id for spec in sorted(CASES.values(), key=lambda s: s.order))
 
 
 def get_case(case_id: str) -> CaseSpec:

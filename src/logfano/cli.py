@@ -98,7 +98,7 @@ def _report_record(rep: DeltaReport) -> dict:
         "case": rep.case_id,
         "d": rep.d,
         "lambda": rat_str(rep.lam),
-        "delta": rat_str(rep.upper_bound if rep.exact else rep.lower_bound),
+        "delta": rat_str(rep.value),
         "exact": rep.exact,
         "lower": rat_str(rep.lower_bound),
         "upper": rat_str(rep.upper_bound),

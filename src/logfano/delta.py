@@ -13,11 +13,12 @@ certified.
 
 With t = 3 - d*lambda, D(v) = t*H - v*E is homogeneous of degree 1 in (t, v):
 the decomposition at any lambda is the one at t = 1 with v scaled by t, and
-S(E) and both S(W;O) are the t = 1 values times t.  The decomposition therefore
-runs once per surface model, at t = 1, and every lambda only scales its
-constants by t.  Likewise the stated closed form of a catalog row is built and
-reduced once per row, and every lambda only evaluates it.  Every ratio is thus
-a line in lambda over t, and delta_closed_form derives the closed form from them.
+S(E) and both S(W;O) are the t = 1 values times t.  Every ratio above is thus
+A/S with A = a + b*lambda a line and S = s*t a t = 1 constant times t.  A
+case's ratio table lists them once (RatioTable, built on first use by each
+CaseSpec instance, the decomposition running once per surface model), and
+every operation reads it: delta_point evaluates it at one lambda, and
+delta_closed_form takes the least line A/s over t on the validity interval.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
-from .catalog import Affine, CaseSpec, DegreeRow, Variant, build_case, check_lambda, flag_family, get_case
+from .catalog import Affine, CaseSpec, DegreeRow, build_case, check_lambda, flag_family, get_case
 from .exact import (
     PiecewisePoly,
     Poly,
@@ -44,7 +47,6 @@ from .surface import (
 )
 
 F = Fraction
-Line = tuple[str, Affine]  # a labelled ratio numerator a + b*lambda
 
 
 class UnknownPoint(KeyError):
@@ -90,20 +92,6 @@ class DeltaReport:
 
 
 @dataclass(frozen=True)
-class _Evaluation:
-    """All exact per-(case, d, lambda) data shared by the delta operations."""
-
-    spec: CaseSpec
-    d: int
-    lam: Fraction
-    t: Fraction
-    s_e: Fraction
-    a_e: Fraction
-    s_generic: Fraction
-    s_on_l: Fraction | None
-
-
-@dataclass(frozen=True)
 class _UnitConstants:
     """Threshold and S-invariants of a surface model's family at t = 1."""
 
@@ -111,6 +99,32 @@ class _UnitConstants:
     s_e: Fraction
     s_generic: Fraction
     s_on_l: Fraction | None
+
+
+@dataclass(frozen=True)
+class Ratio:
+    """One ratio A/S of a ratio table: A = a + b*lambda, S = s*t with t = 3 - d*lambda.
+
+    label is "E", "generic", "EL", "<variant>:<point>" or "curve(e=..,l=..)"; on_l
+    marks a point whose S is S(W;O) at the crossing of E with L.
+    """
+
+    label: str
+    a: Fraction
+    b: Fraction
+    s: Fraction
+    on_l: bool = False
+
+
+@dataclass(frozen=True)
+class RatioTable:
+    """Every ratio delta compares for one case; lambda-free, built by ratio_table."""
+
+    tau: Fraction  # the model's pseudo-effective threshold at t = 1
+    e: Ratio  # A(E)/S(E), in both envelopes
+    rows: tuple[tuple[str, str, Ratio], ...]  # (variant, point, ratio): each variant's points, then "generic"
+    curves: tuple[Ratio, ...]  # the plane-curve upper bounds
+    points: Mapping[str, Ratio]  # by point label, "generic" and "EL" included; read-only, the table is shared
 
 
 @lru_cache(maxsize=64)
@@ -134,22 +148,63 @@ def _stated_form(row: DegreeRow) -> RationalFunction:
     return RationalFunction.from_coeffs(row.delta_num, row.delta_den)
 
 
-def _checked_unit_constants(spec: CaseSpec, t: Fraction | int = 1) -> _UnitConstants:
+def _curve_ratio(e: int, l: Fraction) -> Ratio:
+    """A degree-e plane curve class with multiplicity l in C: A = 1 - l*lambda, S = t/(3e)."""
+    if e < 1:
+        raise ValueError("curve degree must be >= 1")
+    return Ratio(f"curve(e={e},l={l})", F(1), -l, F(1, 3 * e))
+
+
+def ratio_table(spec: CaseSpec) -> RatioTable:
+    """The ratio table of a case, read through the cached CaseSpec.ratio_table.
+
+    It holds the model's threshold but does not compare it with the catalog's
+    tau_factor: the readers that report a value (_checked_table) do.
+    """
     unit = _unit_constants(spec.model)
-    if spec.tau_factor != unit.tau:
-        raise ValueError(f"v_max {t * spec.tau_factor} != computed pseudo-effective threshold {t * unit.tau}")
-    return unit
+    generic = Ratio("generic", F(1), F(0), unit.s_generic)
+    rows, points, at_l = [], {}, None
+    for var in spec.variants:
+        for pt in var.points:
+            a, b = pt.coeff
+            on_l = pt.location == "on_L"
+            ratio = Ratio(f"{var.name}:{pt.label}", 1 - a, -b, unit.s_on_l if on_l else unit.s_generic, on_l)
+            rows.append((var.name, pt.label, ratio))
+            points.setdefault(pt.label, ratio)
+            if at_l is None and on_l:
+                at_l = ratio
+        rows.append((var.name, "generic", generic))
+    points["generic"] = generic
+    has_l = unit.s_on_l is not None
+    points["EL"] = at_l or Ratio("EL", F(1), F(0), unit.s_on_l if has_l else unit.s_generic, has_l)
+    return RatioTable(
+        unit.tau,
+        Ratio("E", 1 + spec.k_E, -spec.m_C, unit.s_e),
+        tuple(rows),
+        tuple(_curve_ratio(cb.e, cb.l) for cb in spec.extra_upper_bounds),
+        MappingProxyType(points),
+    )
 
 
-def _evaluate(case: str | CaseSpec, d: int, lam) -> _Evaluation:
-    spec = case if isinstance(case, CaseSpec) else get_case(case)
-    _, _, spec = build_case(spec.id, d, {spec.id: spec})
+def _spec(case: str | CaseSpec) -> CaseSpec:
+    return case if isinstance(case, CaseSpec) else get_case(case)
+
+
+def _checked_table(spec: CaseSpec, t: Fraction | int = 1) -> RatioTable:
+    """The case's ratio table, once its stated threshold tau_factor is the model's."""
+    table = spec.ratio_table
+    if spec.tau_factor != table.tau:
+        raise ValueError(f"v_max {t * spec.tau_factor} != computed pseudo-effective threshold {t * table.tau}")
+    return table
+
+
+def _at(case: str | CaseSpec, d: int, lam) -> tuple[CaseSpec, RatioTable, Fraction, Fraction]:
+    """(spec, checked ratio table, lambda, t) once d, lambda and tau pass their checks."""
+    spec = _spec(case)
+    spec.row(d)
     lam = check_lambda(d, lam)
     t = 3 - d * lam
-    unit = _checked_unit_constants(spec, t)
-    a_e = 1 + spec.k_E - lam * spec.m_C
-    s_on_l = None if unit.s_on_l is None else t * unit.s_on_l
-    return _Evaluation(spec, d, lam, t, t * unit.s_e, a_e, t * unit.s_generic, s_on_l)
+    return spec, _checked_table(spec, t), lam, t
 
 
 def _flag_integrands(pieces: ZariskiPieces, on_l: bool) -> tuple[PiecewisePoly, PiecewisePoly | None]:
@@ -187,131 +242,86 @@ def flag_integrand(case: str | CaseSpec, d: int, lam, point: str = "generic") ->
     It decomposes afresh at this lambda rather than scaling the t = 1 data, so
     it stays an independent check of the scaled S-invariants.
     """
-    spec = case if isinstance(case, CaseSpec) else get_case(case)
+    spec = _spec(case)
     model, factory, spec = build_case(spec.id, d, {spec.id: spec})
     lam = rat(lam)
     pieces = zariski_decompose(model, factory(lam), (3 - d * lam) * spec.tau_factor)
-    generic, at_l = _flag_integrands(pieces, _point_is_on_l(spec, point))
+    generic, at_l = _flag_integrands(pieces, _point_ratio(spec, spec.ratio_table, point).on_l)
     return generic if at_l is None else at_l
 
 
-def _point_is_on_l(spec: CaseSpec, point: str) -> bool:
-    if point == "generic":
-        return False
-    if point == "EL":
-        return "L" in spec.model.curves
-    for var in spec.variants:
-        for pt in var.points:
-            if pt.label == point:
-                return pt.location == "on_L"
-    raise UnknownPoint(f"case {spec.id} has no point {point!r}")
-
-
-def _point_coeff(spec: CaseSpec, point: str, lam: Fraction) -> Fraction:
-    if point == "generic":
-        return F(0)
-    if point == "EL":
-        for var in spec.variants:
-            for pt in var.points:
-                if pt.location == "on_L":
-                    a, b = pt.coeff
-                    return a + b * lam
-        return F(0)
-    for var in spec.variants:
-        for pt in var.points:
-            if pt.label == point:
-                a, b = pt.coeff
-                return a + b * lam
-    raise UnknownPoint(f"case {spec.id} has no point {point!r}")
+def _point_ratio(spec: CaseSpec, table: RatioTable, point: str) -> Ratio:
+    try:
+        return table.points[point]
+    except KeyError:
+        raise UnknownPoint(f"case {spec.id} has no point {point!r}") from None
 
 
 def a_divisor(case: str | CaseSpec, lam) -> Fraction:
     """Log discrepancy of the flag divisor: 1 + k_E - lambda * m_C."""
-    spec = case if isinstance(case, CaseSpec) else get_case(case)
-    return 1 + spec.k_E - rat(lam) * spec.m_C
+    e = _spec(case).ratio_table.e
+    return e.a + e.b * rat(lam)
 
 
 def s_divisor(case: str | CaseSpec, d: int, lam) -> Fraction:
     """Expected vanishing order S(E): the normalized volume integral over [0, tau]."""
-    return _evaluate(case, d, lam).s_e
+    _, table, _, t = _at(case, d, lam)
+    return table.e.s * t
 
 
 def a_flag_point(case: str | CaseSpec, lam, point: str) -> Fraction:
     """1 minus the different coefficient at the point (1 at a generic point)."""
-    spec = case if isinstance(case, CaseSpec) else get_case(case)
-    return 1 - _point_coeff(spec, point, rat(lam))
+    spec = _spec(case)
+    ratio = _point_ratio(spec, spec.ratio_table, point)
+    return ratio.a + ratio.b * rat(lam)
 
 
 def s_flag_point(case: str | CaseSpec, d: int, lam, point: str) -> Fraction:
     """Normalized h(v)-integral of the point's flag on the exceptional curve."""
-    ev = _evaluate(case, d, lam)
-    if _point_is_on_l(ev.spec, point):
-        assert ev.s_on_l is not None
-        return ev.s_on_l
-    return ev.s_generic
+    spec, table, _, t = _at(case, d, lam)
+    return _point_ratio(spec, table, point).s * t
 
 
 def s_curve_on_plane(d: int, lam, e: int, l) -> tuple[Fraction, Fraction]:
     """(S, A) of a degree-e plane curve class appearing with multiplicity l in C."""
     lam = rat(lam)
-    if e < 1:
-        raise ValueError("curve degree must be >= 1")
-    s = (3 - d * lam) / (3 * e)
-    a = 1 - rat(l) * lam
-    return s, a
+    ratio = _curve_ratio(e, rat(l))
+    return ratio.s * (3 - d * lam), ratio.a + ratio.b * lam
 
 
-def _variant_rows(ev: _Evaluation, variant: Variant) -> list[PointRow]:
-    rows = []
-    for pt in variant.points:
-        a, b = pt.coeff
-        a_val = 1 - (a + b * ev.lam)
-        s_val = ev.s_on_l if pt.location == "on_L" else ev.s_generic
-        assert s_val is not None
-        rows.append(PointRow(variant.name, pt.label, a_val, s_val, a_val / s_val))
-    rows.append(PointRow(variant.name, "generic", F(1), ev.s_generic, 1 / ev.s_generic))
-    return rows
+def _minimizer_names(labels: list[str]) -> tuple[str, ...]:
+    """Minimizers as a DeltaReport names them: the point label of each table label, once, "generic" last."""
+    names = dict.fromkeys(label.rpartition(":")[2] for label in labels)
+    if "generic" in names:
+        names["generic"] = names.pop("generic")
+    return tuple(names)
 
 
 def delta_point(case: str | CaseSpec, d: int, lam) -> DeltaReport:
-    """Local delta report at rational lambda in [0, 3/d)."""
-    ev = _evaluate(case, d, lam)
-    spec = ev.spec
-    ratio_e = ev.a_e / ev.s_e
-
-    all_rows: list[PointRow] = []
-    variant_lowers: list[Fraction] = []
-    for variant in spec.variants:
-        rows = _variant_rows(ev, variant)
-        all_rows.extend(rows)
-        variant_lowers.append(min([ratio_e] + [r.ratio for r in rows]))
-    lower = min(variant_lowers)
-
-    upper = ratio_e
-    for cb in spec.extra_upper_bounds:
-        s_b, a_b = s_curve_on_plane(d, ev.lam, cb.e, cb.l)
-        upper = min(upper, a_b / s_b)
-
+    """Local delta report at rational lambda in [0, 3/d): the ratio table at lambda."""
+    spec, table, lam, t = _at(case, d, lam)
+    e = table.e
+    a_e, s_e = e.a + e.b * lam, e.s * t
+    ratio_e = a_e / s_e
+    rows = []
+    for variant, point, ratio in table.rows:
+        a, s = ratio.a + ratio.b * lam, ratio.s * t
+        rows.append(PointRow(variant, point, a, s, a / s))
+    lower = min(ratio_e, *(row.ratio for row in rows))
+    upper = min([ratio_e] + [(c.a + c.b * lam) / (c.s * t) for c in table.curves])
     if lower > upper:
         raise AssertionError(f"{spec.id}: lower bound {lower} exceeds upper bound {upper}")
     exact = lower == upper
-
-    minimizers: list[str] = []
-    if ratio_e == lower:
-        minimizers.append("E")
-    for row in all_rows:
-        if row.ratio == lower and row.label not in minimizers and row.label != "generic":
-            minimizers.append(row.label)
-    if any(r.ratio == lower and r.label == "generic" for r in all_rows):
-        minimizers.append("generic")
+    least = ["E"] if ratio_e == lower else []
+    minimizers = _minimizer_names(least + [row.label for row in rows if row.ratio == lower])
 
     row_spec = spec.row(d)
-    validity_ok = row_spec.lo <= ev.lam <= row_spec.hi
+    validity_ok = row_spec.lo <= lam <= row_spec.hi
     expected = None
     matches = None
     note = ""
     if validity_ok:
-        expected = _stated_form(row_spec)(ev.lam)
+        expected = _stated_form(row_spec)(lam)
         if exact:
             matches = upper == expected
             if not matches:
@@ -325,14 +335,14 @@ def delta_point(case: str | CaseSpec, d: int, lam) -> DeltaReport:
     return DeltaReport(
         case_id=spec.id,
         d=d,
-        lam=ev.lam,
-        a_e=ev.a_e,
-        s_e=ev.s_e,
-        rows=tuple(all_rows),
+        lam=lam,
+        a_e=a_e,
+        s_e=s_e,
+        rows=tuple(rows),
         upper_bound=upper,
         lower_bound=lower,
         exact=exact,
-        minimizers=tuple(minimizers),
+        minimizers=minimizers,
         validity_ok=validity_ok,
         expected=expected,
         matches_expected=matches,
@@ -345,28 +355,22 @@ def interior_samples(lo: Fraction, hi: Fraction, n: int) -> list[Fraction]:
     return [lo + (hi - lo) * F(k, n + 1) for k in range(1, n + 1)]
 
 
-def _ratio_lines(spec: CaseSpec) -> tuple[list[Line], list[Line]]:
-    """Labelled numerators a + b*lambda over t of the ratios delta_point compares, as (lower, upper):
-    lower for "E", "generic" and each point as "variant:label", upper for "E" and each curve bound.
+def _ratio_lines(table: RatioTable) -> tuple[dict[str, Affine], dict[str, Affine]]:
+    """The ratio table's lines A/s (each ratio times t) by label, as (lower, upper): lower for
+    "E", each "variant:point" and "generic", upper for "E" and each curve bound.  No tau check.
     """
-    unit = _checked_unit_constants(spec)
-    e_line = ("E", ((1 + spec.k_E) / unit.s_e, -spec.m_C / unit.s_e))
-    lower = [e_line, ("generic", (1 / unit.s_generic, F(0)))]
-    for var in spec.variants:
-        for pt in var.points:
-            s = unit.s_on_l if pt.location == "on_L" else unit.s_generic
-            a, b = pt.coeff
-            lower.append((f"{var.name}:{pt.label}", ((1 - a) / s, -b / s)))
-    upper = [e_line] + [(f"curve(e={cb.e},l={cb.l})", (F(3 * cb.e), -3 * cb.e * cb.l))
-                        for cb in spec.extra_upper_bounds]
-    return lower, upper
+
+    def lines(ratios: Iterable[Ratio]) -> dict[str, Affine]:
+        return {r.label: (r.a / r.s, r.b / r.s) for r in ratios}
+
+    return lines((table.e, *(ratio for _, _, ratio in table.rows))), lines((table.e, *table.curves))
 
 
-def _least_line(lines: list[Line], lo: Fraction, hi: Fraction) -> Affine | None:
+def _least_line(lines: dict[str, Affine], lo: Fraction, hi: Fraction) -> Affine | None:
     """The line least at both lo and hi, hence on all of [lo, hi]; None if there is none."""
-    at_lo = min(a + b * lo for _, (a, b) in lines)
-    at_hi = min(a + b * hi for _, (a, b) in lines)
-    return next(((a, b) for _, (a, b) in lines if a + b * lo == at_lo and a + b * hi == at_hi), None)
+    at_lo = min(a + b * lo for a, b in lines.values())
+    at_hi = min(a + b * hi for a, b in lines.values())
+    return next(((a, b) for a, b in lines.values() if a + b * lo == at_lo and a + b * hi == at_hi), None)
 
 
 def delta_closed_form(case: str | CaseSpec, d: int) -> RationalFunction:
@@ -374,9 +378,9 @@ def delta_closed_form(case: str | CaseSpec, d: int) -> RationalFunction:
 
     NotExactOnInterval unless that line is least at both ends among the upper lines too.
     """
-    spec = case if isinstance(case, CaseSpec) else get_case(case)
+    spec = _spec(case)
     row = spec.row(d)
-    lower, upper = _ratio_lines(spec)
+    lower, upper = _ratio_lines(_checked_table(spec))
     line = _least_line(lower, row.lo, row.hi)
     if line is None or line != _least_line(upper, row.lo, row.hi):
         raise NotExactOnInterval(f"{spec.id} (d={d}): delta is not one certified ratio on [{row.lo}, {row.hi}]")

@@ -15,42 +15,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .delta import delta_point
-from .exact import PiecewisePoly, Poly, integrate, integrate_piecewise, rat
+from .exact import PiecewisePoly, Poly, integrate_piecewise, rat
 
 F = Fraction
 
 
-def s_plane_flag(s: int, lam) -> Fraction:
-    """S of a general plane through a smooth point of a degree-s surface in P^3.
-
-    Computed as the exact integral of (4 - lam*s - u)^3 over [0, 4 - lam*s],
-    normalized by (4 - lam*s)^3, and cross-checked against the closed form
-    (4 - lam*s)/4.
-    """
-    lam = rat(lam)
+def _flag_base(s: int, lam: Fraction) -> Fraction:
+    """4 - lam*s, which the flags below need positive."""
     b = 4 - lam * s
     if b <= 0:
         raise ValueError("need lambda * s < 4")
-    integrand = Poly.of(b, -1) * Poly.of(b, -1) * Poly.of(b, -1)
-    value = integrate(integrand, 0, b) / b**3
-    closed = b / 4
-    if value != closed:
-        raise AssertionError("plane-flag integral disagrees with its closed form")
-    return closed
+    return b
+
+
+def s_plane_flag(s: int, lam) -> Fraction:
+    """S of a general plane through a smooth point of a degree-s surface in P^3: (4 - lam*s)/4."""
+    return _flag_base(s, rat(lam)) / 4
 
 
 def s_blowup_flag(s: int, lam) -> Fraction:
-    """S of the exceptional plane of a point blowup of P^3, boundary degree s."""
-    lam = rat(lam)
-    b = 4 - lam * s
-    if b <= 0:
-        raise ValueError("need lambda * s < 4")
-    integrand = Poly.of(b**3, 0, 0, -1)
-    value = integrate(integrand, 0, b) / b**3
-    closed = 3 * b / 4
-    if value != closed:
-        raise AssertionError("blowup-flag integral disagrees with its closed form")
-    return closed
+    """S of the exceptional plane of a point blowup of P^3, boundary degree s: 3*(4 - lam*s)/4."""
+    return 3 * _flag_base(s, rat(lam)) / 4
 
 
 def delta_bound_smooth(s: int, lam, delta2d) -> Fraction:
@@ -89,18 +74,19 @@ def delta_bound_quadric(m: int, lam, delta2d) -> Fraction:
 
 def verify_threefold_volumes(kind: str, params: dict, lam) -> bool:
     """Integrate the piecewise volume of the flag divisor and compare with the
-    closed form of its S-invariant; exact equality or bust."""
+    closed form of its S-invariant (s_plane_flag, s_blowup_flag, 3*(1 - lam) on
+    the quadric); exact equality or bust."""
     lam = rat(lam)
     if kind == "plane":
         s = params["s"]
-        b = 4 - lam * s
+        b = _flag_base(s, lam)
         vol = PiecewisePoly((F(0), b), (Poly.of(b, -1) * Poly.of(b, -1) * Poly.of(b, -1),))
-        return integrate_piecewise(vol) / b**3 == b / 4
+        return integrate_piecewise(vol) / b**3 == s_plane_flag(s, lam)
     if kind == "blowup":
         s = params["s"]
-        b = 4 - lam * s
+        b = _flag_base(s, lam)
         vol = PiecewisePoly((F(0), b), (Poly.of(b**3, 0, 0, -1),))
-        return integrate_piecewise(vol) / b**3 == 3 * b / 4
+        return integrate_piecewise(vol) / b**3 == s_blowup_flag(s, lam)
     if kind == "quadric":
         a = 1 - lam
         if a <= 0:

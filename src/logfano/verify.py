@@ -21,8 +21,8 @@ from fractions import Fraction
 from . import threefold
 from .catalog import CASES, Affine, CaseSpec, DegreeRow, build_case, flag_family, validate_catalog
 from .delta import (
-    NotExactOnInterval,
     _least_line,
+    _minimizer_names,
     _ratio_lines,
     _unit_constants,
     delta_closed_form,
@@ -78,7 +78,8 @@ def verify_case(spec: CaseSpec, d: int) -> list[Check]:
     lambda_1.  Against the engine's ratio lines: the stated S(E), A(E) and
     ratios, the closed form and the minimizers; one delta_point at lambda_1
     must report the lines' values over t_1.  A closed form that is not exact
-    on the interval fails its check, and the checks after it still run.
+    on the interval, or a stated tau_factor that is not the model's, fails the
+    closed-form check, and the checks after it still run.
     """
     scope = f"{spec.id}/d={d}"
     checks: list[Check] = []
@@ -105,33 +106,32 @@ def verify_case(spec: CaseSpec, d: int) -> list[Check]:
         add("S scaling", cached == integrated, f"cached {cached}, integrated {integrated}")
         add("S(E)", unit.s_e == spec.s_factor, f"computed {unit.s_e}, stated {spec.s_factor}")
 
-        lower, upper = _ratio_lines(spec)
-        lines = dict(lower)
+        lower, upper = _ratio_lines(spec.ratio_table)  # no tau gate: "breakpoints at t=1" compares tau
         a_e = tuple(x / spec.s_factor for x in spec.printed_A)
-        add("A(E)", lines["E"] == a_e, f"computed {_line(lines['E'])}, stated {_line(a_e)}")
+        add("A(E)", lower["E"] == a_e, f"computed {_line(lower['E'])}, stated {_line(a_e)}")
         stated_ratios = [(f"{var.name}:{pt.label}", pt.ratio_num, pt.ratio_den)
                          for var in spec.variants for pt in var.points]
         for label, num, den in stated_ratios + [("generic", spec.gen_ratio_num, spec.gen_ratio_den)]:
             want = (num[0] / den, num[1] / den)
-            add(f"ratio {label}", lines[label] == want, f"computed {_line(lines[label])}, stated {_line(want)}")
+            add(f"ratio {label}", lower[label] == want, f"computed {_line(lower[label])}, stated {_line(want)}")
 
         stated = expected_closed_form(spec, d)
         try:
             derived = delta_closed_form(spec, d)
             cf_ok, cf_detail = derived == stated, f"derived {derived.format()}, stated {stated.format()}"
-        except NotExactOnInterval as exc:  # a failing check; the checks after it still run
+        except ValueError as exc:  # NotExactOnInterval or a tau mismatch: a failing check, the checks after it run
             cf_ok, cf_detail = False, str(exc)
         add("closed-form reconstruction", cf_ok, cf_detail)
         binding = _least_line(lower, row.lo, row.hi)
-        minimizers = {label.rpartition(":")[2] for label, line in lower if line == binding}
+        minimizers = set(_minimizer_names([label for label, line in lower.items() if line == binding]))
         add("minimizer", minimizers == set(spec.minimizers),
             f"computed {sorted(minimizers)}, stated {spec.minimizers}")
 
         rep = delta_point(spec, d, lam1)
-        at = {label: (a + b * lam1) / t1 for label, (a, b) in lower}
+        at = {label: (a + b * lam1) / t1 for label, (a, b) in lower.items()}
         got = [rep.a_e / rep.s_e, *(r.ratio for r in rep.rows), rep.lower_bound, rep.upper_bound]
         want = [at["E"], *(at[r.label if r.label == "generic" else f"{r.variant}:{r.label}"] for r in rep.rows)]
-        want += [min(at.values()), min((a + b * lam1) / t1 for _, (a, b) in upper)]
+        want += [min(at.values()), min((a + b * lam1) / t1 for a, b in upper.values())]
         add(f"report at l={lam1}", got == want, f"reported {list(map(str, got))}, lines {list(map(str, want))}")
 
         if spec.lower_regime_hi is not None:

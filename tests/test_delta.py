@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from logfano.catalog import CASES
 from logfano.delta import (
     NotExactOnInterval,
+    PointRow,
     UnknownPoint,
+    _minimizer_names,
     _unit_constants,
     a_divisor,
     a_flag_point,
@@ -27,7 +29,7 @@ from logfano.delta import (
 )
 from logfano.exact import RationalFunction, fit_rational_function, integrate_piecewise
 from logfano.surface import volume_function, zariski_decompose
-from logfano.catalog import build_case
+from logfano.catalog import DegreeNotAdmissible, build_case
 
 from conftest import midpoint_piecewise, rel_err
 
@@ -55,6 +57,29 @@ def _fresh_s_invariants(spec, d, lam):
     s_e = integrate_piecewise(volume_function(pieces)) / t**2
     points = ("generic", *(("EL",) if "L" in model.curves else ()), *spec.point_labels())
     return s_e, {p: 2 * integrate_piecewise(flag_integrand(spec, d, lam, p)) / t**2 for p in points}
+
+
+def _reference_report(spec, d, lam):
+    """(rows, lower, upper, exact, minimizers) of delta_point, rebuilt from a decomposition made at
+    this lambda and the catalog's coefficients, without the engine's ratio table."""
+    s_e, s_points = _fresh_s_invariants(spec, d, lam)
+    t = 3 - d * lam
+    ratio_e = (1 + spec.k_E - spec.m_C * lam) / s_e
+    rows = []
+    for var in spec.variants:
+        for pt in var.points:
+            a = 1 - (pt.coeff[0] + pt.coeff[1] * lam)
+            s = s_points["EL" if pt.location == "on_L" else "generic"]
+            rows.append(PointRow(var.name, pt.label, a, s, a / s))
+        rows.append(PointRow(var.name, "generic", F(1), s_points["generic"], 1 / s_points["generic"]))
+    lower = min([ratio_e] + [r.ratio for r in rows])
+    upper = min([ratio_e] + [3 * cb.e * (1 - cb.l * lam) / t for cb in spec.extra_upper_bounds])
+    names = ["E"] if ratio_e == lower else []
+    for r in rows:
+        if r.ratio == lower and r.label != "generic" and r.label not in names:
+            names.append(r.label)
+    names += ["generic"] if any(r.label == "generic" and r.ratio == lower for r in rows) else []
+    return tuple(rows), lower, upper, lower == upper, tuple(names)
 
 
 class TestSDivisor:
@@ -108,11 +133,24 @@ class TestFlagPoints:
         assert a_flag_point("D5", F(1, 2), "P1") == F(1, 6)
         assert a_flag_point("A7", F(1, 2), "generic") == 1
 
+    def test_first_declaration_of_a_label_wins(self):
+        spec = CASES["A3"]
+        first, second = spec.variants
+        assert "P1" in {pt.label for pt in first.points} & {pt.label for pt in second.points}
+        points = tuple(dataclasses.replace(pt, coeff=(F(0), F(0))) if pt.label == "P1" else pt for pt in second.points)
+        shadowed = dataclasses.replace(spec, variants=(first, dataclasses.replace(second, points=points)))
+        assert a_flag_point(shadowed, F(1, 2), "P1") == a_flag_point("A3", F(1, 2), "P1") != 1
+
     def test_unknown_point(self):
         with pytest.raises(UnknownPoint):
             s_flag_point("A2", 4, F(1, 2), "P9")
         with pytest.raises(UnknownPoint):
             a_flag_point("A2", F(1, 2), "P9")
+
+
+def test_minimizer_names_drop_the_variant_once_and_put_generic_last():
+    labels = ["E", "v1:P", "generic", "v2:P", "v2:Q", "generic"]
+    assert _minimizer_names(labels) == ("E", "P", "Q", "generic")
 
 
 class TestPlaneCurveBounds:
@@ -254,6 +292,30 @@ class TestUnitDecompositionMemo:
         for point, s in s_points.items():
             assert s_flag_point(case_id, d, lam, point) == s, (case_id, d, lam, point)
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        row_lam=st.sampled_from(ROWS).flatmap(
+            lambda row: st.tuples(
+                st.just(row),
+                st.fractions(min_value=0, max_value=F(3, row[1]), max_denominator=97).filter(lambda x: x * row[1] < 3),
+            )
+        )
+    )
+    @_with_end_examples
+    def test_report_equals_fresh_reference(self, row_lam):
+        (case_id, d), lam = row_lam
+        rep = delta_point(case_id, d, lam)
+        got = (rep.rows, rep.lower_bound, rep.upper_bound, rep.exact, rep.minimizers)
+        assert got == _reference_report(CASES[case_id], d, lam), (case_id, d, lam)
+
+    def test_ratio_table_built_once_per_instance(self):
+        spec = CASES["A2"]
+        assert spec.ratio_table is spec.ratio_table
+        replaced = dataclasses.replace(spec, k_E=spec.k_E + 1)
+        assert replaced.ratio_table is not spec.ratio_table
+        assert replaced.ratio_table.e.a == spec.ratio_table.e.a + 1
+        assert a_divisor(replaced, F(1, 2)) == a_divisor(spec, F(1, 2)) + 1
+
     def test_perturbed_model_misses_memo(self):
         spec = CASES["A2"]
         lam = F(1, 2)
@@ -273,6 +335,15 @@ class TestUnitDecompositionMemo:
 
         assert delta_point("A2", 4, lam) == report
         assert _unit_constants.cache_info().misses == info.misses + 1
+
+    def test_degree_checked_before_lambda(self):
+        for call in (
+            lambda: s_divisor("A2", 1, F(4)),
+            lambda: s_flag_point("A2", 1, F(4), "generic"),
+            lambda: delta_point("A2", 1, F(4)),
+        ):
+            with pytest.raises(DegreeNotAdmissible):
+                call()
 
     def test_lambda_domain_still_checked(self):
         for lam in (F(-1, 5), F(3, 4), F(1)):

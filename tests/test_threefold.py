@@ -92,6 +92,12 @@ class TestVolumes:
     def test_plane_params(self):
         assert verify_threefold_volumes("plane", {"s": 3}, F(2, 3))
 
+    @pytest.mark.parametrize("kind", ["plane", "blowup"])
+    @pytest.mark.parametrize("s", [3, 4, 5, 6])
+    def test_flag_closed_forms_against_integrals(self, kind, s):
+        for lam in interior_samples(F(0), F(4, s), 5):
+            assert verify_threefold_volumes(kind, {"s": s}, lam), (kind, s, lam)
+
 
 class TestCorollaries:
     def test_all_certify(self):

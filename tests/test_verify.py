@@ -205,3 +205,18 @@ def test_stated_s_and_a_faults_fail_their_own_checks():
         checks, ok = verify_all(catalog={"E6": dataclasses.replace(spec, **change)}, case_ids=["E6"])
         (check,) = _named(checks, name)
         assert not ok and not check.ok, name
+
+
+def test_stated_tau_fault_fails_the_closed_form_and_the_line_checks_still_run():
+    spec = CASES["A2"]
+    bad = dataclasses.replace(spec, tau_factor=spec.tau_factor + F(1, 13))
+    checks, ok = verify_all(catalog={"A2": bad}, case_ids=["A2"])
+    assert not ok
+    for d in spec.degrees:
+        scoped = {c.name: c for c in checks if c.scope == f"A2/d={d}"}
+        assert not scoped["breakpoints at t=1"].ok
+        ratios = [f"ratio default:{pt.label}" for pt in spec.variants[0].points] + ["ratio generic"]
+        for name in ("S(E)", "A(E)", *ratios, "minimizer"):
+            assert scoped[name].ok, (d, name)
+        closed = scoped["closed-form reconstruction"]
+        assert not closed.ok and "pseudo-effective threshold" in closed.detail
