@@ -127,7 +127,7 @@ class CaseSpec:
         for row in self.rows:
             if row.d == d:
                 return row
-        raise DegreeNotAdmissible(f"case {self.id} does not admit degree {d}")
+        raise DegreeNotAdmissible(f"case {self.id} does not admit degree {d} (admissible: {self.degrees})")
 
     @cached_property
     def ratio_table(self) -> RatioTable:
@@ -952,8 +952,7 @@ def build_case(case_id: str, d: int, catalog: dict[str, CaseSpec] | None = None)
     if case_id not in cat:
         raise UnknownCase(f"unknown case id {case_id!r}")
     spec = cat[case_id]
-    if d not in spec.degrees:
-        raise DegreeNotAdmissible(f"case {case_id} does not admit degree {d}")
+    spec.row(d)
     model = spec.model
 
     def factory(lam: Fraction | int | str) -> DivisorExpr:

@@ -195,8 +195,7 @@ def cmd_list(args, out) -> int:
 
 def _resolve_case_degree(case_id: str, d: int):
     spec = get_case(case_id)
-    if d not in spec.degrees:
-        raise InputError(f"case {case_id} does not admit degree {d} (admissible: {spec.degrees})")
+    spec.row(d)  # DegreeNotAdmissible names the admissible degrees
     return spec
 
 
@@ -315,38 +314,24 @@ def cmd_threefold(args, out) -> int:
     cone_degree = args.m if args.kind in ("blowup", "quadric") else args.s
     if cone_degree is None:
         raise InputError("missing --s/--m for the requested kind")
-    if cone_degree not in cone.degrees:
-        raise InputError(
-            f"tangent-cone case {cone.id} has degrees {cone.degrees}, inconsistent with {cone_degree}"
-        )
-    delta2d, exact2d = threefold.tangent_cone_delta(cone.id, cone_degree, lam)
-    if args.kind == "smooth":
-        if args.s is None:
-            raise InputError("kind 'smooth' needs --s")
-        bound = threefold.delta_bound_smooth(args.s, lam, delta2d)
-    elif args.kind == "blowup":
-        if args.s is None or args.m is None:
-            raise InputError("kind 'blowup' needs --s and --m")
-        bound = threefold.delta_bound_blowup(args.s, args.m, lam, delta2d)
-    else:
-        if args.m is None:
-            raise InputError("kind 'quadric' needs --m")
-        bound = threefold.delta_bound_quadric(args.m, lam, delta2d)
-    note = ""
-    if bound == 1:
-        note = "bound not strict"
-    if not exact2d:
-        note = (note + "; " if note else "") + "plane delta used as a lower bound"
+    if args.kind == "blowup" and args.s is None:
+        raise InputError("kind 'blowup' needs --s and --m")
+    # evaluate_corollary reads the cone at cone_degree through delta_point: CaseSpec.row checks the degree
+    config = threefold.CorollaryConfig(args.kind, args.kind, args.s, args.m, lam, cone.id, cone_degree)
+    result = threefold.evaluate_corollary(config)
+    notes = ["bound not strict"] if result.bound == 1 else []
+    if not result.delta2d_exact:
+        notes.append("plane delta used as a lower bound")
     record = {
         "kind": args.kind,
         "s": "" if args.s is None else args.s,
         "m": "" if args.m is None else args.m,
         "lambda": rat_str(lam),
         "cone": cone.id,
-        "delta2d": rat_str(delta2d),
-        "bound": rat_str(bound),
-        "k_stable_bound": "yes" if bound >= 1 else "no",
-        "note": note,
+        "delta2d": rat_str(result.delta2d),
+        "bound": rat_str(result.bound),
+        "k_stable_bound": "yes" if result.certifies else "no",
+        "note": "; ".join(notes),
     }
     _render([record], ["kind", "s", "m", "lambda", "cone", "delta2d", "bound", "k_stable_bound", "note"], args.format, out)
     return 0

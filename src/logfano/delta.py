@@ -29,7 +29,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .catalog import Affine, CaseSpec, DegreeRow, build_case, check_lambda, flag_family, get_case
+from .catalog import Affine, CaseSpec, DegreeRow, check_lambda, flag_family, get_case
 from .exact import (
     PiecewisePoly,
     Poly,
@@ -135,7 +135,7 @@ def _unit_constants(model: SurfaceModel) -> _UnitConstants:
     decomposition; the bounded size keeps many such models from piling up.
     """
     pieces = zariski_decompose(model, flag_family(model, 1))
-    return _UnitConstants(pieces.tau, *integrated_s_invariants(pieces, 1))
+    return _UnitConstants(pieces.tau, *integrated_s_invariants(pieces))
 
 
 @lru_cache(maxsize=128)
@@ -226,14 +226,14 @@ def _flag_integrands(pieces: ZariskiPieces, on_l: bool) -> tuple[PiecewisePoly, 
     return PiecewisePoly(pieces.breakpoints, tuple(generic)), on_l_integrand
 
 
-def integrated_s_invariants(pieces: ZariskiPieces, t: Fraction | int) -> tuple[Fraction, Fraction, Fraction | None]:
-    """(S(E), generic S(W;O), S(W;O) at the crossing with L) of a decomposition at t.
+def integrated_s_invariants(pieces: ZariskiPieces) -> tuple[Fraction, Fraction, Fraction | None]:
+    """(S(E), generic S(W;O), S(W;O) at the crossing with L) of a decomposition at t = 1.
 
     The last entry is None when the model has no companion curve L.
     """
     generic, at_l = _flag_integrands(pieces, "L" in pieces.model.curves)
-    s_on_l = None if at_l is None else 2 * integrate_piecewise(at_l) / t**2
-    return integrate_piecewise(volume_function(pieces)) / t**2, 2 * integrate_piecewise(generic) / t**2, s_on_l
+    s_on_l = None if at_l is None else 2 * integrate_piecewise(at_l)
+    return integrate_piecewise(volume_function(pieces)), 2 * integrate_piecewise(generic), s_on_l
 
 
 def flag_integrand(case: str | CaseSpec, d: int, lam, point: str = "generic") -> PiecewisePoly:
@@ -242,11 +242,9 @@ def flag_integrand(case: str | CaseSpec, d: int, lam, point: str = "generic") ->
     It decomposes afresh at this lambda rather than scaling the t = 1 data, so
     it stays an independent check of the scaled S-invariants.
     """
-    spec = _spec(case)
-    model, factory, spec = build_case(spec.id, d, {spec.id: spec})
-    lam = rat(lam)
-    pieces = zariski_decompose(model, factory(lam), (3 - d * lam) * spec.tau_factor)
-    generic, at_l = _flag_integrands(pieces, _point_ratio(spec, spec.ratio_table, point).on_l)
+    spec, table, _, t = _at(case, d, lam)
+    pieces = zariski_decompose(spec.model, flag_family(spec.model, t), t * spec.tau_factor)
+    generic, at_l = _flag_integrands(pieces, _point_ratio(spec, table, point).on_l)
     return generic if at_l is None else at_l
 
 
@@ -366,11 +364,20 @@ def _ratio_lines(table: RatioTable) -> tuple[dict[str, Affine], dict[str, Affine
     return lines((table.e, *(ratio for _, _, ratio in table.rows))), lines((table.e, *table.curves))
 
 
-def _least_line(lines: dict[str, Affine], lo: Fraction, hi: Fraction) -> Affine | None:
-    """The line least at both lo and hi, hence on all of [lo, hi]; None if there is none."""
-    at_lo = min(a + b * lo for a, b in lines.values())
-    at_hi = min(a + b * hi for a, b in lines.values())
-    return next(((a, b) for a, b in lines.values() if a + b * lo == at_lo and a + b * hi == at_hi), None)
+def binding(table: RatioTable, lo: Fraction, hi: Fraction) -> tuple[Affine | None, Affine | None, tuple[str, ...]]:
+    """(least lower line, least upper line, minimizer names) of a ratio table on [lo, hi]; no tau check.
+
+    A line is least on [lo, hi] when it is least at both ends; None when no line
+    is.  The minimizers name every least lower line.
+    """
+
+    def least(lines: dict[str, Affine]) -> list[str]:
+        at_lo, at_hi = (min(a + b * x for a, b in lines.values()) for x in (lo, hi))
+        return [label for label, (a, b) in lines.items() if a + b * lo == at_lo and a + b * hi == at_hi]
+
+    lower, upper = _ratio_lines(table)
+    low, up = least(lower), least(upper)
+    return lower[low[0]] if low else None, upper[up[0]] if up else None, _minimizer_names(low)
 
 
 def delta_closed_form(case: str | CaseSpec, d: int) -> RationalFunction:
@@ -380,9 +387,8 @@ def delta_closed_form(case: str | CaseSpec, d: int) -> RationalFunction:
     """
     spec = _spec(case)
     row = spec.row(d)
-    lower, upper = _ratio_lines(_checked_table(spec))
-    line = _least_line(lower, row.lo, row.hi)
-    if line is None or line != _least_line(upper, row.lo, row.hi):
+    line, upper, _ = binding(_checked_table(spec), row.lo, row.hi)
+    if line is None or line != upper:
         raise NotExactOnInterval(f"{spec.id} (d={d}): delta is not one certified ratio on [{row.lo}, {row.hi}]")
     return RationalFunction(Poly.affine(*line), Poly.affine(3, -d))
 
@@ -390,7 +396,3 @@ def delta_closed_form(case: str | CaseSpec, d: int) -> RationalFunction:
 def expected_closed_form(spec: CaseSpec, d: int) -> RationalFunction:
     return _stated_form(spec.row(d))
 
-
-def lower_bound_regime_value(d: int, lam) -> Fraction:
-    """The certified lower bound 3/(2*(3 - d*lambda)) on the small-lambda regime."""
-    return F(3, 2) / (3 - d * rat(lam))

@@ -5,8 +5,10 @@ value, so a single corrupted catalog entry produces at least one failing check.
 Each case/degree row is checked once, as identities in lambda: with
 t = 3 - d*lambda, D(v) = t*H - v*E is homogeneous, and A(E), S(E)*t, every
 stated ratio and the closed form are lines a + b*lambda over t, equal for all
-lambda exactly when their coefficients are.  The row's decomposition at t = 1
-is the reference, its breakpoints, invariants and S-integrals checked in full;
+lambda exactly when their coefficients are; the minimizers, a lower-bound
+regime and delta(0) = 1 are read off the least lines (delta.binding).  The
+row's decomposition at t = 1 is the reference, its breakpoints, invariants
+and S-integrals checked in full;
 a fresh one at lambda_1 must equal it scaled by t_1 (breakpoints times t_1,
 c_j*v^j of P and N becomes c_j*t_1^(1-j)*v^j), so homogeneity is tested, not
 assumed.  Structural validation covers the cases being verified, plus the
@@ -17,20 +19,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import threefold
-from .catalog import CASES, Affine, CaseSpec, DegreeRow, build_case, flag_family, validate_catalog
+from .catalog import CASES, Affine, CaseSpec, DegreeRow, flag_family, validate_catalog
 from .delta import (
-    _least_line,
-    _minimizer_names,
     _ratio_lines,
     _unit_constants,
+    binding,
     delta_closed_form,
     delta_point,
     expected_closed_form,
     integrated_s_invariants,
     interior_samples,
-    lower_bound_regime_value,
 )
 from .exact import Poly
 from .surface import DivisorExpr, ZariskiPieces, invariant_violations, zariski_decompose
@@ -46,8 +47,9 @@ class Check:
     detail: str = ""
 
 
-def _check(scope: str, name: str, ok: bool, detail: str = "") -> Check:
-    return Check(scope, name, bool(ok), detail if not ok else "")
+def _check(scope: str, name: str, ok: bool, detail: Callable[[], str]) -> Check:
+    """A check whose detail text is built only when it fails."""
+    return Check(scope, name, bool(ok), "" if ok else detail())
 
 
 def _scaled(z: ZariskiPieces, s: Fraction) -> ZariskiPieces:
@@ -66,8 +68,8 @@ def _probe_lambda(row: DegreeRow) -> Fraction:
     return row.lo + (row.hi - row.lo) / 7
 
 
-def _line(line: Affine) -> str:
-    return Poly.affine(*line).format("l")
+def _line(line: Affine | None) -> str:
+    return "none" if line is None else Poly.affine(*line).format("l")
 
 
 def verify_case(spec: CaseSpec, d: int) -> list[Check]:
@@ -76,75 +78,84 @@ def verify_case(spec: CaseSpec, d: int) -> list[Check]:
     Against the t = 1 reference: the stated breakpoints, its invariants, the
     cached S-invariants that delta_point scales and a fresh decomposition at
     lambda_1.  Against the engine's ratio lines: the stated S(E), A(E) and
-    ratios, the closed form and the minimizers; one delta_point at lambda_1
-    must report the lines' values over t_1.  A closed form that is not exact
-    on the interval, or a stated tau_factor that is not the model's, fails the
-    closed-form check, and the checks after it still run.
+    ratios, the closed form, the minimizers, the lower-bound regime and
+    delta(0) = 1; one delta_point at lambda_1 must report the lines' values
+    over t_1.  A closed form that is not exact on the interval, or a stated
+    tau_factor that is not the model's, fails the closed-form and the report
+    check, and the checks after them still run.
     """
     scope = f"{spec.id}/d={d}"
     checks: list[Check] = []
 
-    def add(name: str, ok: bool, detail: str) -> None:
+    def add(name: str, ok: bool, detail: Callable[[], str]) -> None:
         checks.append(_check(scope, name, ok, detail))
 
     row = spec.row(d)
     try:
-        model, factory, _ = build_case(spec.id, d, {spec.id: spec})
+        model = spec.model
         ref = zariski_decompose(model, flag_family(model, 1))
         stated_bps = (F(0), *spec.break_factors, spec.tau_factor)
-        add("breakpoints at t=1", ref.breakpoints == stated_bps, f"computed {ref.breakpoints}, stated {stated_bps}")
+        add("breakpoints at t=1", ref.breakpoints == stated_bps,
+            lambda: f"computed {ref.breakpoints}, stated {stated_bps}")
         defects = invariant_violations(ref)
-        add("decomposition invariants at t=1", not defects, "; ".join(defects))
+        add("decomposition invariants at t=1", not defects, lambda: "; ".join(defects))
         lam1 = _probe_lambda(row)
         t1 = 3 - d * lam1
-        add(f"homogeneity at l={lam1}", zariski_decompose(model, factory(lam1)) == _scaled(ref, t1),
-            f"not the t=1 decomposition scaled by {t1}")
+        add(f"homogeneity at l={lam1}", zariski_decompose(model, flag_family(model, t1)) == _scaled(ref, t1),
+            lambda: f"not the t=1 decomposition scaled by {t1}")
 
-        integrated = integrated_s_invariants(ref, 1)
+        integrated = integrated_s_invariants(ref)
         unit = _unit_constants(model)
         cached = (unit.s_e, unit.s_generic, unit.s_on_l)
-        add("S scaling", cached == integrated, f"cached {cached}, integrated {integrated}")
-        add("S(E)", unit.s_e == spec.s_factor, f"computed {unit.s_e}, stated {spec.s_factor}")
+        add("S scaling", cached == integrated, lambda: f"cached {cached}, integrated {integrated}")
+        add("S(E)", unit.s_e == spec.s_factor, lambda: f"computed {unit.s_e}, stated {spec.s_factor}")
 
-        lower, upper = _ratio_lines(spec.ratio_table)  # no tau gate: "breakpoints at t=1" compares tau
+        table = spec.ratio_table  # no tau gate: "breakpoints at t=1" compares tau
+        lower, upper = _ratio_lines(table)
         a_e = tuple(x / spec.s_factor for x in spec.printed_A)
-        add("A(E)", lower["E"] == a_e, f"computed {_line(lower['E'])}, stated {_line(a_e)}")
+        add("A(E)", lower["E"] == a_e, lambda: f"computed {_line(lower['E'])}, stated {_line(a_e)}")
         stated_ratios = [(f"{var.name}:{pt.label}", pt.ratio_num, pt.ratio_den)
                          for var in spec.variants for pt in var.points]
         for label, num, den in stated_ratios + [("generic", spec.gen_ratio_num, spec.gen_ratio_den)]:
             want = (num[0] / den, num[1] / den)
-            add(f"ratio {label}", lower[label] == want, f"computed {_line(lower[label])}, stated {_line(want)}")
+            add(f"ratio {label}", lower[label] == want, lambda: f"computed {_line(lower[label])}, stated {_line(want)}")
 
         stated = expected_closed_form(spec, d)
         try:
             derived = delta_closed_form(spec, d)
-            cf_ok, cf_detail = derived == stated, f"derived {derived.format()}, stated {stated.format()}"
         except ValueError as exc:  # NotExactOnInterval or a tau mismatch: a failing check, the checks after it run
-            cf_ok, cf_detail = False, str(exc)
-        add("closed-form reconstruction", cf_ok, cf_detail)
-        binding = _least_line(lower, row.lo, row.hi)
-        minimizers = set(_minimizer_names([label for label, line in lower.items() if line == binding]))
-        add("minimizer", minimizers == set(spec.minimizers),
-            f"computed {sorted(minimizers)}, stated {spec.minimizers}")
+            add("closed-form reconstruction", False, lambda: str(exc))
+        else:
+            add("closed-form reconstruction", derived == stated,
+                lambda: f"derived {derived.format()}, stated {stated.format()}")
+        _, _, minimizers = binding(table, row.lo, row.hi)
+        add("minimizer", minimizers == spec.minimizers, lambda: f"computed {minimizers}, stated {spec.minimizers}")
 
-        rep = delta_point(spec, d, lam1)
-        at = {label: (a + b * lam1) / t1 for label, (a, b) in lower.items()}
-        got = [rep.a_e / rep.s_e, *(r.ratio for r in rep.rows), rep.lower_bound, rep.upper_bound]
-        want = [at["E"], *(at[r.label if r.label == "generic" else f"{r.variant}:{r.label}"] for r in rep.rows)]
-        want += [min(at.values()), min((a + b * lam1) / t1 for a, b in upper.values())]
-        add(f"report at l={lam1}", got == want, f"reported {list(map(str, got))}, lines {list(map(str, want))}")
+        try:
+            rep = delta_point(spec, d, lam1)
+        except ValueError as exc:  # a tau mismatch, as for the closed form
+            add(f"report at l={lam1}", False, lambda: str(exc))
+        else:
+            at = {label: (a + b * lam1) / t1 for label, (a, b) in lower.items()}
+            got = [rep.a_e / rep.s_e, *(r.ratio for r in rep.rows), rep.lower_bound, rep.upper_bound]
+            want = [at["E"], *(at[r.label if r.label == "generic" else f"{r.variant}:{r.label}"] for r in rep.rows)]
+            want += [min(at.values()), min((a + b * lam1) / t1 for a, b in upper.values())]
+            add(f"report at l={lam1}", got == want,
+                lambda: f"reported {list(map(str, got))}, lines {list(map(str, want))}")
 
         if spec.lower_regime_hi is not None:
-            for lam in interior_samples(F(0), spec.lower_regime_hi, 3):
-                rep = delta_point(spec, d, lam)
-                want = lower_bound_regime_value(d, lam)
-                add(f"lower-bound regime at l={lam}", (not rep.exact) and rep.lower_bound == want,
-                    f"exact={rep.exact}, computed {rep.lower_bound}, stated {want}")
+            # bound-only on [0, hi): the least lower line is 3/2 (delta >= 3/(2t)), and the least
+            # upper line, concave minus it, lies above it at 0 and not below it at hi
+            hi = spec.lower_regime_hi
+            low, up, _ = binding(table, F(0), hi)
+            above = up is not None and up[0] > F(3, 2) and up[0] + up[1] * hi >= F(3, 2)
+            add("lower-bound regime", low == (F(3, 2), 0) and above,
+                lambda: f"least lines on [0, {hi}]: lower {_line(low)}, upper {_line(up)}, stated lower 3/2")
 
         if row.lo == 0:
-            rep = delta_point(spec, d, F(0))
-            add("normalization at l=0", rep.exact and rep.upper_bound == 1,
-                f"computed {rep.lower_bound}..{rep.upper_bound}")
+            low, up, _ = binding(table, F(0), F(0))
+            add("normalization at l=0", low[0] == 3 and up[0] == 3,
+                lambda: f"least lines at 0: lower {_line(low)}, upper {_line(up)}; delta(0) = 1 needs 3")
     except Exception as exc:  # surfaced as a failing check, not a crash
         checks.append(Check(scope, "computation", False, f"{type(exc).__name__}: {exc}"))
     return checks
@@ -155,7 +166,8 @@ def verify_threefold_section() -> list[Check]:
     for kind, params in (("plane", {"s": 4}), ("blowup", {"s": 4}), ("quadric", {})):
         for lam in interior_samples(F(0), F(3, 4), 5):
             ok = threefold.verify_threefold_volumes(kind, params, lam)
-            checks.append(_check("threefold", f"{kind} volume at l={lam}", ok, "integral differs from closed form"))
+            checks.append(_check("threefold", f"{kind} volume at l={lam}", ok,
+                                 lambda: "integral differs from closed form"))
     return checks
 
 

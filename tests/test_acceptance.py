@@ -28,7 +28,7 @@ from logfano.surface import invariant_violations, volume_function, zariski_decom
 from logfano.threefold import corollary_suite, verify_threefold_volumes
 from logfano.verify import verify_all
 
-from conftest import midpoint_piecewise, rel_err
+from conftest import gauss_piecewise, rel_err
 
 
 def _all_rows():
@@ -113,17 +113,17 @@ def test_criterion_7_numeric_quadrature_oracle():
         lam = row.lo + (row.hi - row.lo) * F(1, 2)
         t = 3 - row.d * lam
         pieces = zariski_decompose(model, factory(lam), t * spec.tau_factor)
-        err = rel_err(s_divisor(spec.id, row.d, lam), midpoint_piecewise(volume_function(pieces)) / float(t) ** 2)
+        err = rel_err(s_divisor(spec.id, row.d, lam), gauss_piecewise(volume_function(pieces)) / float(t) ** 2)
         worst = max(worst, err)
         assert err < 1e-6, (spec.id, row.d, "S(E)")
         for point in ("generic", "EL"):
             if point == "EL" and "L" not in model.curves:
                 continue
             h = flag_integrand(spec.id, row.d, lam, point)
-            err = rel_err(s_flag_point(spec.id, row.d, lam, point), 2 * midpoint_piecewise(h) / float(t) ** 2)
+            err = rel_err(s_flag_point(spec.id, row.d, lam, point), 2 * gauss_piecewise(h) / float(t) ** 2)
             worst = max(worst, err)
             assert err < 1e-6, (spec.id, row.d, point)
-    print(f"\nACCEPTANCE 7 PASS: 10^6-panel quadrature agrees with exact S values (worst rel err {worst:.2e})")
+    print(f"\nACCEPTANCE 7 PASS: Gauss-Legendre quadrature agrees with exact S values (worst rel err {worst:.2e})")
 
 
 def test_criterion_8_threefold_suite():

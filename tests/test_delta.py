@@ -13,11 +13,14 @@ from logfano.catalog import CASES
 from logfano.delta import (
     NotExactOnInterval,
     PointRow,
+    Ratio,
+    RatioTable,
     UnknownPoint,
     _minimizer_names,
     _unit_constants,
     a_divisor,
     a_flag_point,
+    binding,
     delta_closed_form,
     delta_point,
     expected_closed_form,
@@ -31,7 +34,7 @@ from logfano.exact import RationalFunction, fit_rational_function, integrate_pie
 from logfano.surface import volume_function, zariski_decompose
 from logfano.catalog import DegreeNotAdmissible, build_case
 
-from conftest import midpoint_piecewise, rel_err
+from conftest import gauss_piecewise, rel_err
 
 ROWS = [(spec.id, row.d) for spec in sorted(CASES.values(), key=lambda s: s.order) for row in spec.rows]
 # lambda = 0 and the ends of each stated validity interval, wherever they lie in [0, 3/d)
@@ -151,6 +154,28 @@ class TestFlagPoints:
 def test_minimizer_names_drop_the_variant_once_and_put_generic_last():
     labels = ["E", "v1:P", "generic", "v2:P", "v2:Q", "generic"]
     assert _minimizer_names(labels) == ("E", "P", "Q", "generic")
+
+
+class TestBinding:
+    @staticmethod
+    def _table(p2_b):
+        # lines A/s: E = 3, generic = 2 - l, v1:P = 1, v2:P = 1 + p2_b*l; one curve bound 3e(1 - l) = 3 - 3l
+        e, gen = Ratio("E", F(3), F(0), F(1)), Ratio("generic", F(2), F(-1), F(1))
+        p1, p2 = Ratio("v1:P", F(1), F(0), F(1)), Ratio("v2:P", F(1), p2_b, F(1))
+        rows = (("v1", "P", p1), ("v1", "generic", gen), ("v2", "P", p2), ("v2", "generic", gen))
+        return RatioTable(F(1), e, rows, (Ratio("curve(e=1,l=1)", F(1), F(-1), F(1, 3)),), {})
+
+    def test_shared_point_binding_in_two_variants_is_named_once(self):
+        assert binding(self._table(F(0)), F(0), F(1, 2)) == ((F(1), F(0)), (F(3), F(-3)), ("P",))
+
+    def test_ties_at_one_end_and_no_line_least_at_both_ends(self):
+        # on [0, 1/2] v2:P = 1 - l ties v1:P at 0 and alone is least at 1/2
+        assert binding(self._table(F(-1)), F(0), F(1, 2)) == ((F(1), F(-1)), (F(3), F(-3)), ("P",))
+        # on [-1/2, 1/2] v2:P = 1 + l is least at -1/2 only, v1:P at 1/2 only; E and the curve bound likewise
+        assert binding(self._table(F(1)), F(-1, 2), F(1, 2)) == (None, None, ())
+
+    def test_at_one_point_every_least_line_binds(self):
+        assert binding(self._table(F(1)), F(0), F(0)) == ((F(1), F(0)), (F(3), F(0)), ("P",))
 
 
 class TestPlaneCurveBounds:
@@ -370,12 +395,12 @@ class TestNumericOracle:
                     pieces = zariski_decompose(model, factory(lam), t * spec.tau_factor)
                     vol = volume_function(pieces)
                     s_exact = s_divisor(spec.id, row.d, lam)
-                    s_quad = midpoint_piecewise(vol) / float(t) ** 2
+                    s_quad = gauss_piecewise(vol) / float(t) ** 2
                     assert rel_err(s_exact, s_quad) < 1e-6, (spec.id, row.d, lam, "S(E)")
                     for point in ("generic", "EL"):
                         if point == "EL" and "L" not in model.curves:
                             continue
                         h = flag_integrand(spec.id, row.d, lam, point)
                         f_exact = s_flag_point(spec.id, row.d, lam, point)
-                        f_quad = 2 * midpoint_piecewise(h) / float(t) ** 2
+                        f_quad = 2 * gauss_piecewise(h) / float(t) ** 2
                         assert rel_err(f_exact, f_quad) < 1e-6, (spec.id, row.d, lam, point)

@@ -25,7 +25,7 @@ from logfano.exact import (
     roots_in_interval,
 )
 
-from conftest import midpoint_poly, rel_err
+from conftest import gauss_poly, rel_err
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=40)
 
@@ -95,7 +95,7 @@ class TestIntegrate:
         # checked against the float oracle before being frozen here
         p = Poly.of(9, 0, F(-1, 2))
         assert integrate(p, 0, 3) == F(45, 2)
-        assert rel_err(F(45, 2), midpoint_poly(p, 0, 3)) < 1e-9
+        assert rel_err(F(45, 2), gauss_poly(p, 0, 3)) < 1e-9
 
     def test_zero_integrand(self):
         assert integrate(Poly(), F(-2), F(7)) == 0
@@ -118,7 +118,7 @@ class TestIntegrate:
         p = Poly(tuple(coeffs))
         exact = integrate(p, a, b)
         assume(abs(exact) > F(1, 1000))
-        assert rel_err(exact, midpoint_poly(p, a, b)) < 1e-6
+        assert rel_err(exact, gauss_poly(p, a, b)) < 1e-6
 
 
 class TestPiecewise:
@@ -132,7 +132,7 @@ class TestPiecewise:
             (Poly.of(9, 0, F(-1, 2)), Poly.of(18, -6, F(1, 2))),
         )
         assert integrate_piecewise(f) == 27
-        assert rel_err(27, midpoint_poly(f.pieces[0], 0, 3) + midpoint_poly(f.pieces[1], 3, 6)) < 1e-9
+        assert rel_err(27, gauss_poly(f.pieces[0], 0, 3) + gauss_poly(f.pieces[1], 3, 6)) < 1e-9
 
     def test_split_invariance(self):
         p = Poly.of(2, -3, 5)

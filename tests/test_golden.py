@@ -8,7 +8,10 @@ re-pinned once, when ``delta --lambda 0`` stopped exiting 2: only the 54
 lambda = 0 calls changed (exact delta = 1 on 50 rows, lower bound 1/2 on
 A4-A7).  The verify digest was re-pinned when verify went from six sampled
 lambda per row to one set of identity checks per row: only check names,
-count and order changed, every verdict stayed a pass.
+count and order changed, every verdict stayed a pass.  It was re-pinned again
+when the lower-bound regime became one identity on the least lines: on
+A4-A7 the three "lower-bound regime at l=..." checks became one "lower-bound
+regime" check (748 -> 740 checks), every check still a pass.
 
 The delta grid covers every case/degree at 0, the stated interval ends, the
 midpoint, ``lower_regime_hi`` and every multiple of 1/24 in [0, 3/d); it
@@ -35,7 +38,7 @@ GOLDEN = {
     "delta": "cfca223e909d46694862909e27c43cb613a1ec2517cf3c4f4cf9a8f78cafff56",
     "closed-form": "d5ded809b41042eda6c47284f26b8ecc3c734cace12e3117608fdc1aa4d19f9f",
     "table": "32d4e8424fa2daf1d9b66045e7c3c5042f9d75e62c30427dbee75b55610c71c2",
-    "verify": "410d0875ab238e8995dc037f9e690662cabf1b2cab6f1de113f2affc862de444",
+    "verify": "42cdcbde79df1c7ee22662760797f75239068f249038dd52ea6f6a8f5309e016",
 }
 
 

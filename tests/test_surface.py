@@ -17,6 +17,7 @@ from logfano.surface import (
     ModelMismatch,
     NotPseudoEffective,
     SurfaceModel,
+    ZariskiPieces,
     invariant_violations,
     pair,
     pseudo_effective_threshold,
@@ -201,6 +202,22 @@ class TestInvariants:
             (z.supports[1], z.supports[0]),
         )
         assert invariant_violations(bad)
+
+    def test_volume_rising_between_samples_is_flagged(self):
+        # P = (v - 19/20)*H - E/20 on [0, 1] of the single-E model: (P . E) = 1/20, the volume
+        # (v - 19/20)^2 - 1/400 is zero at 1 and falls at every multiple of 1/6 and 1/5, yet
+        # rises on (19/20, 1]; its slope at the piece end decides
+        model = SurfaceModel(("E",), ((F(-1),),), F(1), (F(0),))
+        p = DivisorExpr.build(model, Poly.affine(F(-19, 20), 1), {"E": Poly.const(F(-1, 20))})
+        z = ZariskiPieces(model, (F(0), F(1)), (p,), (DivisorExpr.zero(model),), ((),))
+        assert volume_function(z)(F(1)) == 0 and pair(model, p, DivisorExpr.build(model, Poly(), {"E": Poly.const(1)})) == Poly.const(F(1, 20))
+        assert invariant_violations(z) == ["piece 0: volume increasing on [0, 1]"]
+
+    def test_piece_not_affine_in_v_is_reported(self):
+        model = SurfaceModel(("E",), ((F(-1),),), F(1), (F(0),))
+        p = DivisorExpr.build(model, Poly.const(1), {"E": Poly.of(0, 0, -1)})
+        z = ZariskiPieces(model, (F(0), F(1)), (p,), (DivisorExpr.zero(model),), ((),))
+        assert invariant_violations(z) == ["piece 0: P or N not affine in v"]
 
 
 def brute_force_negative_part(model, d, v):

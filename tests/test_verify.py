@@ -7,6 +7,8 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction as F
 
+import pytest
+
 import logfano.verify as verify
 from logfano.catalog import CASES
 from logfano.exact import Poly
@@ -105,6 +107,20 @@ class TestReferenceDecomposition:
         assert ok and n_rows == 54
         assert len(calls) == 2 * n_rows
 
+    def test_one_delta_point_per_row(self, monkeypatch):
+        calls = []
+        real = verify.delta_point
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verify, "delta_point", counted)
+        _, ok = verify_all()
+        assert ok and len(calls) == 54
+        assert sorted((spec.id, d) for spec, d, _ in calls) == sorted(
+            (spec.id, row.d) for spec in CASES.values() for row in spec.rows)
+
     def test_t_1_is_not_one_on_any_row(self):
         rows = [(spec, row) for spec in CASES.values() for row in spec.rows]
         assert len(rows) == 54
@@ -148,6 +164,59 @@ def test_every_printed_datum_fault_is_detected():
             assert not ok, f"{spec.id}: {name} fault survived"
             injected += 1
     assert injected == 512
+
+
+class TestRegimeAndNormalization:
+    """The lower-bound regime and delta(0) = 1 as identities on the least lines of delta.binding."""
+
+    REGIME = (F(3, 2), F(0))
+
+    def _with_regime_lines(self, monkeypatch, spec, low, up):
+        real = verify.binding
+
+        def crafted(table, lo, hi):
+            if (lo, hi) == (0, spec.lower_regime_hi):
+                return low, up, ()
+            return real(table, lo, hi)
+
+        monkeypatch.setattr(verify, "binding", crafted)
+        return _failing(verify_case(spec, 4))
+
+    def test_stated_regimes_hold(self):
+        for case_id in ("A4", "A5", "A6", "A7"):
+            spec = CASES[case_id]
+            low, up, _ = verify.binding(spec.ratio_table, F(0), spec.lower_regime_hi)
+            assert low == self.REGIME and up[0] > F(3, 2) and up[0] + up[1] * spec.lower_regime_hi >= F(3, 2)
+            (regime,) = _named(verify_case(spec, 4), "lower-bound regime")
+            assert regime.ok
+
+    @pytest.mark.parametrize("low,up", [
+        ((F(3, 2), F(1, 100)), (F(42, 13), F(-60, 13))),  # the least lower line is not 3/2
+        ((F(3, 2), F(0)), (F(3, 2), F(4))),  # exact at 0: the upper line meets 3/2 there
+        ((F(3, 2), F(0)), (F(3), F(-8))),  # the upper line falls below 3/2 before 3/8
+        ((F(3, 2), F(0)), None),  # no single least upper line
+        (None, (F(42, 13), F(-60, 13))),  # no single least lower line
+    ], ids=["lower_not_three_halves", "upper_meets_it_at_0", "upper_below_it_at_hi", "no_upper_line", "no_lower_line"])
+    def test_regime_off_its_lines_fails_the_regime_check_only(self, monkeypatch, low, up):
+        (bad,) = self._with_regime_lines(monkeypatch, CASES["A4"], low, up)
+        assert bad.name == "lower-bound regime" and bad.detail.startswith("least lines on [0, 3/8]")
+
+    def test_regime_stated_where_delta_is_exact_fails(self):
+        # A3 is exact from 0 on: a stated regime ending at its lo = 0 has 3 as its least line
+        spec = dataclasses.replace(CASES["A3"], lower_regime_hi=F(0))
+        checks = verify_case(spec, 4)
+        assert [c.name for c in _failing(checks)] == ["lower-bound regime"]
+
+    def test_normalization_reads_the_lines_at_0(self, monkeypatch):
+        real = verify.binding
+
+        def off_at_0(table, lo, hi):
+            low, up, names = real(table, lo, hi)
+            return (low if (lo, hi) != (0, 0) else (low[0] + 1, low[1])), up, names
+
+        monkeypatch.setattr(verify, "binding", off_at_0)
+        (bad,) = _failing(verify_case(CASES["A2"], 4))
+        assert bad.name == "normalization at l=0" and "lower 4-" in bad.detail
 
 
 class TestScopedValidation:
@@ -211,12 +280,13 @@ def test_stated_tau_fault_fails_the_closed_form_and_the_line_checks_still_run():
     spec = CASES["A2"]
     bad = dataclasses.replace(spec, tau_factor=spec.tau_factor + F(1, 13))
     checks, ok = verify_all(catalog={"A2": bad}, case_ids=["A2"])
-    assert not ok
+    assert not ok and not _named(checks, "computation")
     for d in spec.degrees:
         scoped = {c.name: c for c in checks if c.scope == f"A2/d={d}"}
         assert not scoped["breakpoints at t=1"].ok
         ratios = [f"ratio default:{pt.label}" for pt in spec.variants[0].points] + ["ratio generic"]
-        for name in ("S(E)", "A(E)", *ratios, "minimizer"):
+        for name in ("S(E)", "A(E)", *ratios, "minimizer", "normalization at l=0"):
             assert scoped[name].ok, (d, name)
-        closed = scoped["closed-form reconstruction"]
-        assert not closed.ok and "pseudo-effective threshold" in closed.detail
+        report = scoped[f"report at l={verify._probe_lambda(spec.row(d))}"]
+        for check in (scoped["closed-form reconstruction"], report):
+            assert not check.ok and "pseudo-effective threshold" in check.detail
