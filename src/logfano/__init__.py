@@ -35,6 +35,7 @@ from .surface import (
     SurfaceModel,
     ZariskiPieces,
     pair,
+    pair_curve,
     pseudo_effective_threshold,
     volume_function,
     zariski_decompose,
@@ -77,6 +78,7 @@ __all__ = [
     "integrate_piecewise",
     "list_cases",
     "pair",
+    "pair_curve",
     "pseudo_effective_threshold",
     "rat",
     "rat_str",

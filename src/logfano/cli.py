@@ -251,7 +251,7 @@ def cmd_closed_form(args, out) -> int:
         print(f"mismatch: {exc}", file=sys.stderr)
         return 1
     if rf.num.degree > args.num_deg or rf.den.degree > args.den_deg:
-        raise InputError(f"no fit with bounds ({args.num_deg},{args.den_deg}): derived {rf.format('λ')}")
+        raise InputError(f"derived form {rf.format('λ')} exceeds the degree bounds ({args.num_deg},{args.den_deg})")
     stated = expected_closed_form(spec, args.degree)
     row = spec.row(args.degree)
     record = {
@@ -309,6 +309,9 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_threefold(args, out) -> int:
+    unused = {"smooth": "m", "quadric": "s"}.get(args.kind)  # the bound of the kind has no such parameter
+    if unused and getattr(args, unused) is not None:
+        raise InputError(f"kind {args.kind!r} does not use --{unused}")
     lam = parse_rational(args.lam)
     cone = get_case(args.cone)
     cone_degree = args.m if args.kind in ("blowup", "quadric") else args.s

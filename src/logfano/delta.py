@@ -23,7 +23,7 @@ delta_closed_form takes the least line A/s over t on the validity interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -34,14 +34,14 @@ from .exact import (
     PiecewisePoly,
     Poly,
     RationalFunction,
+    _integers,
     integrate_piecewise,
     rat,
 )
 from .surface import (
-    DivisorExpr,
     SurfaceModel,
     ZariskiPieces,
-    pair,
+    pair_curve,
     volume_function,
     zariski_decompose,
 )
@@ -117,14 +117,42 @@ class Ratio:
 
 
 @dataclass(frozen=True)
+class Lines:
+    """Ratio lines A/s = a + b*lambda (each ratio times t), by label.
+
+    ints holds (label, a*den, b*den) with den the least common denominator of
+    the set, so the lines compare at lambda = p/q as the integers a*q + b*p.
+    """
+
+    by_label: Mapping[str, Affine]
+    ints: tuple[tuple[str, int, int], ...]
+
+
+def _lines(ratios: Iterable[Ratio]) -> Lines:
+    by_label = {r.label: (r.a / r.s, r.b / r.s) for r in ratios}
+    ints, _ = _integers([x for line in by_label.values() for x in line])
+    return Lines(MappingProxyType(by_label), tuple(zip(by_label, ints[::2], ints[1::2])))
+
+
+@dataclass(frozen=True)
 class RatioTable:
-    """Every ratio delta compares for one case; lambda-free, built by ratio_table."""
+    """Every ratio delta compares for one case; lambda-free, built by ratio_table.
+
+    Its lines are computed once, when the table is built: lower for "E", each
+    "variant:point" and "generic", upper for "E" and each curve bound.
+    """
 
     tau: Fraction  # the model's pseudo-effective threshold at t = 1
     e: Ratio  # A(E)/S(E), in both envelopes
     rows: tuple[tuple[str, str, Ratio], ...]  # (variant, point, ratio): each variant's points, then "generic"
     curves: tuple[Ratio, ...]  # the plane-curve upper bounds
     points: Mapping[str, Ratio]  # by point label, "generic" and "EL" included; read-only, the table is shared
+    lower: Lines = field(init=False, repr=False, compare=False)
+    upper: Lines = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "lower", _lines((self.e, *(ratio for _, _, ratio in self.rows))))
+        object.__setattr__(self, "upper", _lines((self.e, *self.curves)))
 
 
 @lru_cache(maxsize=64)
@@ -214,14 +242,13 @@ def _flag_integrands(pieces: ZariskiPieces, on_l: bool) -> tuple[PiecewisePoly, 
     (P.E) is paired once per piece and shared by both integrands.
     """
     model = pieces.model
-    e_unit = DivisorExpr.build(model, Poly(), {"E": Poly.const(1)})
     generic, at_l = [], []
     for p_expr, n_expr in zip(pieces.positives, pieces.negatives):
-        pe = pair(model, p_expr, e_unit)
+        pe = pair_curve(model, p_expr, "E")
         h = pe * pe * F(1, 2)
         generic.append(h)
         if on_l:
-            at_l.append(h + pe * pair(model, n_expr, e_unit))
+            at_l.append(h + pe * pair_curve(model, n_expr, "E"))
     on_l_integrand = PiecewisePoly(pieces.breakpoints, tuple(at_l)) if on_l else None
     return PiecewisePoly(pieces.breakpoints, tuple(generic)), on_l_integrand
 
@@ -353,30 +380,22 @@ def interior_samples(lo: Fraction, hi: Fraction, n: int) -> list[Fraction]:
     return [lo + (hi - lo) * F(k, n + 1) for k in range(1, n + 1)]
 
 
-def _ratio_lines(table: RatioTable) -> tuple[dict[str, Affine], dict[str, Affine]]:
-    """The ratio table's lines A/s (each ratio times t) by label, as (lower, upper): lower for
-    "E", each "variant:point" and "generic", upper for "E" and each curve bound.  No tau check.
-    """
-
-    def lines(ratios: Iterable[Ratio]) -> dict[str, Affine]:
-        return {r.label: (r.a / r.s, r.b / r.s) for r in ratios}
-
-    return lines((table.e, *(ratio for _, _, ratio in table.rows))), lines((table.e, *table.curves))
-
-
 def binding(table: RatioTable, lo: Fraction, hi: Fraction) -> tuple[Affine | None, Affine | None, tuple[str, ...]]:
     """(least lower line, least upper line, minimizer names) of a ratio table on [lo, hi]; no tau check.
 
     A line is least on [lo, hi] when it is least at both ends; None when no line
-    is.  The minimizers name every least lower line.
+    is.  The minimizers name every least lower line.  The ends are compared on
+    the table's integer lines, each value times its end's denominator.
     """
 
-    def least(lines: dict[str, Affine]) -> list[str]:
-        at_lo, at_hi = (min(a + b * x for a, b in lines.values()) for x in (lo, hi))
-        return [label for label, (a, b) in lines.items() if a + b * lo == at_lo and a + b * hi == at_hi]
+    def least(lines: Lines) -> list[str]:
+        at_lo = [a * lo.denominator + b * lo.numerator for _, a, b in lines.ints]
+        at_hi = [a * hi.denominator + b * hi.numerator for _, a, b in lines.ints]
+        min_lo, min_hi = min(at_lo), min(at_hi)
+        return [line[0] for line, x, y in zip(lines.ints, at_lo, at_hi) if x == min_lo and y == min_hi]
 
-    lower, upper = _ratio_lines(table)
-    low, up = least(lower), least(upper)
+    low, up = least(table.lower), least(table.upper)
+    lower, upper = table.lower.by_label, table.upper.by_label
     return lower[low[0]] if low else None, upper[up[0]] if up else None, _minimizer_names(low)
 
 

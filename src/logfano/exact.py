@@ -5,6 +5,11 @@ Every quantity in the engine is a ``fractions.Fraction`` (arbitrary precision,
 always in lowest terms with positive denominator) or is built out of them.  No
 floating point ever enters the computation path; floats appear only in external
 test oracles.
+
+The inner loops of evaluation, multiplication and integration run on integer
+numerators over one common denominator, and each result value or coefficient
+is built as a single Fraction at the end, so the results are Fractions as
+before, with one reduction each instead of one per operation.
 """
 
 from __future__ import annotations
@@ -101,10 +106,16 @@ class Poly:
 
     def __call__(self, x: int | str | Fraction) -> Fraction:
         x = rat(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if not self.coeffs:
+            return Fraction(0)
+        # Horner's rule on x = p/q: sum of c_k p^k q^(n-k) over the common denominator den*q^n
+        p, q = x.numerator, x.denominator
+        ints, den = _integers(self.coeffs)
+        acc, scale = ints[-1], 1
+        for c in reversed(ints[:-1]):
+            scale *= q
+            acc = acc * p + c * scale
+        return Fraction(acc, den * scale)
 
     def __add__(self, other: Poly) -> Poly:
         n = max(len(self.coeffs), len(other.coeffs))
@@ -120,11 +131,16 @@ class Poly:
     def __mul__(self, other: Poly | int | Fraction) -> Poly:
         if isinstance(other, (int, Fraction)):
             return _canonical([c * other for c in self.coeffs])
-        out = [Fraction(0)] * max(0, len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return _canonical(out)
+        if not self.coeffs or not other.coeffs:
+            return _canonical([])
+        a, da = _integers(self.coeffs)
+        b, db = _integers(other.coeffs)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _from_integers(out, da * db)
 
     __rmul__ = __mul__
 
@@ -160,6 +176,19 @@ class Poly:
         return "".join(parts)
 
 
+def _integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(numerators, den): values[k] = numerators[k] / den, den the least common denominator."""
+    den = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _from_integers(numerators: list[int], den: int) -> Poly:
+    """The Poly with coefficients numerators[k] / den, one Fraction per nonzero coefficient."""
+    while numerators and not numerators[-1]:
+        numerators.pop()
+    return _canonical([Fraction(n, den) for n in numerators])
+
+
 def _canonical(coeffs: list[Fraction]) -> Poly:
     """A Poly from coefficients that are already Fractions, as the results of
     arithmetic on Polys are: strips trailing zeros and skips the coercion."""
@@ -175,8 +204,20 @@ def integrate(p: Poly, a: int | str | Fraction, b: int | str | Fraction) -> Frac
     a, b = rat(a), rat(b)
     if a > b:
         raise ValueError(f"integrate: empty interval [{a}, {b}]")
-    anti = p.antiderivative()
-    return anti(b) - anti(a)
+    if not p.coeffs:
+        return Fraction(0)
+    # sum of c_k (b^(k+1) - a^(k+1))/(k+1); with b = u/Q and a = w/Q its numerator over den*Q^n
+    # is, by Horner's rule in Q, the sum of c_k*den/(k+1) (u^(k+1) - w^(k+1)) Q^(n-1-k)
+    dens = [c.denominator * (k + 1) for k, c in enumerate(p.coeffs)]
+    den = math.lcm(*dens)
+    ints = [c.numerator * (den // d) for c, d in zip(p.coeffs, dens)]
+    q = a.denominator * b.denominator
+    u, w = b.numerator * a.denominator, a.numerator * b.denominator
+    acc, up, wp = 0, 1, 1
+    for c in ints:
+        up, wp = up * u, wp * w
+        acc = acc * q + c * (up - wp)
+    return Fraction(acc, den * q ** len(ints))
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,16 @@ threshold).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exact import (
     PiecewisePoly,
     Poly,
-    _canonical,
+    _from_integers,
+    _integers,
     is_negative_definite,
     rat,
     rational_roots,
@@ -81,6 +84,15 @@ class SurfaceModel:
     def pairing(self, a: str, b: str) -> Fraction:
         return self.gram[self.index(a)][self.index(b)]
 
+    @cached_property
+    def _integer_table(self) -> tuple[list[list[int]], int]:
+        """(table, den): the symmetric Gram matrix of (ambient class, *curves) as integers over one denominator."""
+        rows = [(self.ambient_self, *self.ambient_pairings)]
+        rows += [(p, *row) for p, row in zip(self.ambient_pairings, self.gram)]
+        ints, den = _integers([x for row in rows for x in row])
+        n = len(rows)
+        return [ints[i * n : (i + 1) * n] for i in range(n)], den
+
 
 @dataclass(frozen=True)
 class DivisorExpr:
@@ -128,35 +140,57 @@ class DivisorExpr:
 def pair(model: SurfaceModel, d1: DivisorExpr, d2: DivisorExpr) -> Poly:
     """Bilinear extension of the intersection table; a polynomial in v of degree <= 2.
 
-    The terms are summed on the coefficient tuples, with no Poly per term.
+    The terms are summed as integers over the common denominator of the table
+    and of both divisors, one Fraction per result coefficient.
     """
     if d1.model != model or d2.model != model:
         raise ModelMismatch("divisor expressions do not belong to the model")
-    acc: list[Fraction] = []
-    amb1, amb2 = d1.ambient.coeffs, d2.ambient.coeffs
-    _add_product(acc, amb1, amb2, model.ambient_self)
-    for i, p in enumerate(model.ambient_pairings):
-        if p != 0:
-            _add_product(acc, amb1, d2.coeffs[i].coeffs, p)
-            _add_product(acc, amb2, d1.coeffs[i].coeffs, p)
-    for i, row in enumerate(model.gram):
-        a = d1.coeffs[i].coeffs
+    table, den = model._integer_table
+    rows1, den1 = _integer_rows(d1)
+    rows2, den2 = _integer_rows(d2)
+    acc: list[int] = []
+    for a, table_row in zip(rows1, table):
         if a:
-            for j, g in enumerate(row):
-                if g != 0:
-                    _add_product(acc, a, d2.coeffs[j].coeffs, g)
-    result = _canonical(acc)
+            for b, g in zip(rows2, table_row):
+                if g:
+                    _add_product(acc, a, b, g)
+    return _checked_pairing(acc, den * den1 * den2)
+
+
+def pair_curve(model: SurfaceModel, d: DivisorExpr, name: str) -> Poly:
+    """(D . C) for the model curve C called name, which is pair with C's unit divisor: one table column."""
+    if d.model != model:
+        raise ModelMismatch("divisor expressions do not belong to the model")
+    table, den = model._integer_table
+    column = table[model.index(name) + 1]  # the table is symmetric
+    rows, den_d = _integer_rows(d)
+    acc: list[int] = []
+    for a, g in zip(rows, column):
+        if g:
+            _add_product(acc, a, [1], g)
+    return _checked_pairing(acc, den * den_d)
+
+
+def _integer_rows(d: DivisorExpr) -> tuple[list[list[int]], int]:
+    """(rows, den): the ambient coefficients, then each curve's, as integers over one common denominator."""
+    polys = (d.ambient, *d.coeffs)
+    den = math.lcm(*[c.denominator for p in polys for c in p.coeffs])  # exact._integers, kept per polynomial
+    return [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys], den
+
+
+def _checked_pairing(acc: list[int], den: int) -> Poly:
+    result = _from_integers(acc, den)
     if result.degree > 2:
         raise AssertionError("pairing of affine families must have degree <= 2")
     return result
 
 
-def _add_product(acc: list[Fraction], a: tuple[Fraction, ...], b: tuple[Fraction, ...], g: Fraction) -> None:
+def _add_product(acc: list[int], a: list[int], b: list[int], g: int) -> None:
     """acc += a * b * g, with a, b and acc coefficient sequences indexed by degree."""
     if not a or not b:
         return
     if len(acc) < len(a) + len(b) - 1:
-        acc.extend([Fraction(0)] * (len(a) + len(b) - 1 - len(acc)))
+        acc.extend([0] * (len(a) + len(b) - 1 - len(acc)))
     for j, y in enumerate(b):
         yg = y * g
         for i, x in enumerate(a):
@@ -188,7 +222,7 @@ def _solve_support(
     gram = [[model.gram[i][j] for j in idx] for i in idx]
     if not is_negative_definite(gram):
         raise IndefiniteSupport(f"support {support} has non negative-definite Gram matrix")
-    rhs = [pair(model, d, _unit(model, name)) for name in support]
+    rhs = [pair_curve(model, d, name) for name in support]
     if any(r.degree > 1 for r in rhs):
         raise AssertionError("support system must be affine in v")
     c0 = solve_linear(gram, [r.coeff(0) for r in rhs])
@@ -198,13 +232,9 @@ def _solve_support(
     return d - n, n
 
 
-def _unit(model: SurfaceModel, name: str) -> DivisorExpr:
-    return DivisorExpr.build(model, Poly(), {name: Poly.const(1)})
-
-
 def _grow(model: SurfaceModel, d: DivisorExpr) -> ZariskiPieces:
     for name in model.curves:
-        if pair(model, d, _unit(model, name))(0) < 0:
+        if pair_curve(model, d, name).coeff(0) < 0:
             raise NotPseudoEffective(f"D(0) pairs negatively with {name}")
     v = Fraction(0)
     support: tuple[str, ...] = ()
@@ -215,7 +245,7 @@ def _grow(model: SurfaceModel, d: DivisorExpr) -> ZariskiPieces:
     for _ in range(len(model.curves) + 1):
         p, n = _solve_support(model, d, support)
         # (P . C) for every curve outside the support, shared by both tests below
-        outside = {name: pair(model, p, _unit(model, name)) for name in model.curves if name not in support}
+        outside = {name: pair_curve(model, p, name) for name in model.curves if name not in support}
         # absorb curves whose pairing is already zero and strictly decreasing at v
         entering = [name for name, f in outside.items() if f(v) == 0 and f.coeff(1) < 0]
         if entering:
@@ -291,7 +321,7 @@ def invariant_violations(z: ZariskiPieces) -> list[str]:
     vol = volume_function(z)
     for i, (p, n, support, volume) in enumerate(zip(z.positives, z.negatives, z.supports, vol.pieces)):
         lo, hi = z.breakpoints[i], z.breakpoints[i + 1]
-        pairings = {name: pair(model, p, _unit(model, name)) for name in model.curves}
+        pairings = {name: pair_curve(model, p, name) for name in model.curves}
         for name in support:
             if not pairings[name].is_zero:
                 problems.append(f"piece {i}: (P . {name}) not identically zero on support")

@@ -24,7 +24,6 @@ from typing import Callable
 from . import threefold
 from .catalog import CASES, Affine, CaseSpec, DegreeRow, flag_family, validate_catalog
 from .delta import (
-    _ratio_lines,
     _unit_constants,
     binding,
     delta_closed_form,
@@ -111,7 +110,7 @@ def verify_case(spec: CaseSpec, d: int) -> list[Check]:
         add("S(E)", unit.s_e == spec.s_factor, lambda: f"computed {unit.s_e}, stated {spec.s_factor}")
 
         table = spec.ratio_table  # no tau gate: "breakpoints at t=1" compares tau
-        lower, upper = _ratio_lines(table)
+        lower, upper = table.lower.by_label, table.upper.by_label
         a_e = tuple(x / spec.s_factor for x in spec.printed_A)
         add("A(E)", lower["E"] == a_e, lambda: f"computed {_line(lower['E'])}, stated {_line(a_e)}")
         stated_ratios = [(f"{var.name}:{pt.label}", pt.ratio_num, pt.ratio_den)

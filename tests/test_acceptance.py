@@ -146,51 +146,51 @@ def _fails_verification(spec, **changes) -> bool:
     return not ok
 
 
+def criterion_9_faults(spec):
+    """(fault, changes) for each single-number fault of one catalog entry: the E.E and E.L
+    intersection entries, m_C, k_E, m_L, both parts of each different coefficient of the first
+    variant, and the constant terms of each row's stated closed form."""
+    # intersection entry: bend the self-intersection of E (stays symmetric)
+    gram = [list(r) for r in spec.model.gram]
+    gram[0][0] += F(1, 7)
+    yield "E.E", {"model": dataclasses.replace(spec.model, gram=tuple(tuple(r) for r in gram))}
+    if "L" in spec.model.curves:
+        gram = [list(r) for r in spec.model.gram]
+        gram[0][1] += F(1, 9)
+        gram[1][0] += F(1, 9)
+        yield "E.L", {"model": dataclasses.replace(spec.model, gram=tuple(tuple(r) for r in gram))}
+    # multiplicities
+    yield "m_C", {"m_C": spec.m_C + 1}
+    yield "k_E", {"k_E": spec.k_E + 1}
+    if spec.m_L is not None:
+        yield "m_L", {"m_L": spec.m_L + 1}
+    # different coefficients: both the constant and the lambda part
+    var = spec.variants[0]
+    for idx, pt in enumerate(var.points):
+        for part in (0, 1):
+            coeff = list(pt.coeff)
+            coeff[part] += F(1, 8)
+            pts = list(var.points)
+            pts[idx] = dataclasses.replace(pt, coeff=tuple(coeff))
+            yield f"different at {pt.label}[{part}]", {"variants": (dataclasses.replace(var, points=tuple(pts)),) + spec.variants[1:]}
+    # stated closed form: the constant term of the numerator, then of the denominator
+    for k, row in enumerate(spec.rows):
+        for field in ("delta_num", "delta_den"):
+            coeffs = list(getattr(row, field))
+            coeffs[0] += F(1, 11)
+            rows = spec.rows[:k] + (dataclasses.replace(row, **{field: tuple(coeffs)}),) + spec.rows[k + 1 :]
+            yield f"{field}[0] at d={row.d}", {"rows": rows}
+
+
 def test_criterion_9_fault_injection():
     injected = 0
     for spec in CASES.values():
-        # intersection entry: bend the self-intersection of E (stays symmetric)
-        gram = [list(r) for r in spec.model.gram]
-        gram[0][0] += F(1, 7)
-        model = dataclasses.replace(spec.model, gram=tuple(tuple(r) for r in gram))
-        assert _fails_verification(spec, model=model), f"{spec.id}: E.E fault survived"
-        injected += 1
-        if "L" in spec.model.curves:
-            gram = [list(r) for r in spec.model.gram]
-            gram[0][1] += F(1, 9)
-            gram[1][0] += F(1, 9)
-            model = dataclasses.replace(spec.model, gram=tuple(tuple(r) for r in gram))
-            assert _fails_verification(spec, model=model), f"{spec.id}: E.L fault survived"
+        for fault, changes in criterion_9_faults(spec):
+            assert _fails_verification(spec, **changes), f"{spec.id}: {fault} fault survived"
             injected += 1
-        # multiplicities
-        assert _fails_verification(spec, m_C=spec.m_C + 1), f"{spec.id}: m_C fault survived"
-        assert _fails_verification(spec, k_E=spec.k_E + 1), f"{spec.id}: k_E fault survived"
-        injected += 2
-        if spec.m_L is not None:
-            assert _fails_verification(spec, m_L=spec.m_L + 1), f"{spec.id}: m_L fault survived"
-            injected += 1
-        # different coefficients: both the constant and the lambda part
-        var = spec.variants[0]
-        for idx, pt in enumerate(var.points):
-            for part in (0, 1):
-                coeff = list(pt.coeff)
-                coeff[part] += F(1, 8)
-                pts = list(var.points)
-                pts[idx] = dataclasses.replace(pt, coeff=tuple(coeff))
-                variants = (dataclasses.replace(var, points=tuple(pts)),) + spec.variants[1:]
-                assert _fails_verification(spec, variants=variants), (
-                    f"{spec.id}: different fault at {pt.label}[{part}] survived"
-                )
-                injected += 1
-        # stated closed form: the constant term of the numerator, then of the denominator
-        for k, row in enumerate(spec.rows):
-            for field in ("delta_num", "delta_den"):
-                coeffs = list(getattr(row, field))
-                coeffs[0] += F(1, 11)
-                rows = spec.rows[:k] + (dataclasses.replace(row, **{field: tuple(coeffs)}),) + spec.rows[k + 1 :]
-                assert _fails_verification(spec, rows=rows), f"{spec.id}: {field}[0] fault at d={row.d} survived"
-                injected += 1
-            # the faulty row is a different cache key: the genuine one still matches
+        # the faulty rows are different cache keys: the genuine ones still match
+        for row in spec.rows:
             mid = (row.lo + row.hi) / 2
             assert delta_point(spec, row.d, mid).matches_expected is True, (spec.id, row.d)
+    assert injected == 494
     print(f"\nACCEPTANCE 9 PASS: all {injected} single-number catalog faults detected")

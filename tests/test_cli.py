@@ -172,7 +172,7 @@ class TestClosedFormCommand:
         argv = ["closed-form", "--case", "A2", "--degree", "4", "--format", "json"]
         code, out = run(argv + ["--num-deg", "0", "--den-deg", "0"])
         assert code == 2 and out == ""
-        assert "no fit with bounds (0,0)" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: derived form (15-18λ)/(15-20λ) exceeds the degree bounds (0,0)\n"
         code, out = run(argv + ["--num-deg", "1", "--den-deg", "1"])
         assert code == 0 and (code, out) == run(argv)
 
@@ -205,6 +205,20 @@ class TestThreefoldCommand:
         code, _ = run(["threefold", "blowup", "--s", "4", "--m", "3", "--lambda", "1/2",
                        "--cone", "smooth_conic"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv, option", [
+        (["smooth", "--s", "3", "--m", "7", "--lambda", "2/3", "--cone", "smooth_cubic_tangent2"], "m"),
+        (["quadric", "--m", "2", "--s", "9", "--lambda", "2/3", "--cone", "smooth_conic"], "s"),
+    ])
+    def test_option_the_bound_does_not_use_is_refused(self, capsys, argv, option):
+        code, out = run(["threefold", *argv])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: kind {argv[0]!r} does not use --{option}\n"
+        # without it the same command answers
+        i = argv.index(f"--{option}")
+        code, out = run(["threefold", *argv[:i], *argv[i + 2 :], "--format", "json"])
+        rec = json.loads(out)["records"][0]
+        assert code == 0 and rec[option] == ""
 
 
 class TestVerifyCommand:

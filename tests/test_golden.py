@@ -17,11 +17,19 @@ The delta grid covers every case/degree at 0, the stated interval ends, the
 midpoint, ``lower_regime_hi`` and every multiple of 1/24 in [0, 3/d); it
 includes the exact-negative reports past the klt threshold and the exit-2
 rejections of lambda = 3/d.
+
+The faults digest pins the verdicts of fault injection: for each of the 494
+single-number faults of acceptance criterion 9, in order, the fault and the
+(scope, name, ok, detail) of every check of ``verify_all(catalog={id:
+faulty}, case_ids=[id])``.  A change of the engine that alters a fault's
+verdict or failure detail fails here, so equal fault verdicts need no
+comparison by hand.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import sys
@@ -33,12 +41,15 @@ if __name__ == "__main__":  # run as a script from a checkout: import logfano fr
 
 from logfano.catalog import CASES
 from logfano.cli import main
+from logfano.verify import verify_all
+from test_acceptance import criterion_9_faults
 
 GOLDEN = {
     "delta": "cfca223e909d46694862909e27c43cb613a1ec2517cf3c4f4cf9a8f78cafff56",
     "closed-form": "d5ded809b41042eda6c47284f26b8ecc3c734cace12e3117608fdc1aa4d19f9f",
     "table": "32d4e8424fa2daf1d9b66045e7c3c5042f9d75e62c30427dbee75b55610c71c2",
     "verify": "42cdcbde79df1c7ee22662760797f75239068f249038dd52ea6f6a8f5309e016",
+    "faults": "83fda2aab53efe11857cba99a17f04221e8c1b061ab3b175b87c1996627e12e9",
 }
 
 
@@ -72,12 +83,24 @@ def _argvs(command: str) -> list[list[str]]:
 
 
 def digest(command: str) -> str:
+    if command == "faults":
+        return fault_digest()
     h = hashlib.sha256()
     for argv in _argvs(command):
         out = io.StringIO()
         with contextlib.redirect_stderr(io.StringIO()):  # exit-2 messages; stderr is not hashed
             code = main(argv, out=out)
         h.update(f"{' '.join(argv)}\n{code}\n{out.getvalue()}\n".encode())
+    return h.hexdigest()
+
+
+def fault_digest() -> str:
+    h = hashlib.sha256()
+    for spec in CASES.values():
+        for fault, changes in criterion_9_faults(spec):
+            checks, _ = verify_all(catalog={spec.id: dataclasses.replace(spec, **changes)}, case_ids=[spec.id])
+            records = [(c.scope, c.name, c.ok, c.detail) for c in checks]
+            h.update(f"{spec.id} {fault}\n{records!r}\n".encode())
     return h.hexdigest()
 
 
@@ -95,6 +118,10 @@ def test_table_golden():
 
 def test_verify_golden():
     assert digest("verify") == GOLDEN["verify"]
+
+
+def test_fault_verdicts_golden():
+    assert digest("faults") == GOLDEN["faults"]
 
 
 if __name__ == "__main__":
