@@ -52,8 +52,9 @@ def bilinear_pair(model, d1, d2):
     out = []
     for x, row in zip((d1.ambient, *d1.coeffs), table):
         for y, g in zip((d2.ambient, *d2.coeffs), row):
-            product = [c * g for c in convolution(x.coeffs, y.coeffs)]
-            out = [u + w for u, w in zip(out + [F(0)] * len(product), product + [F(0)] * len(out))]
+            for k, c in enumerate(convolution(x.coeffs, y.coeffs)):
+                out += [F(0)] * (k + 1 - len(out))
+                out[k] += c * g
     while out and out[-1] == 0:
         out.pop()
     if len(out) > 3:
@@ -132,7 +133,8 @@ def models(draw):
 
 def divisors(model, max_degree):
     poly = st.lists(rationals, max_size=max_degree + 1).map(lambda cs: Poly(tuple(cs)))
-    return st.builds(lambda amb, cs: DivisorExpr(model, amb, tuple(cs)), poly, st.lists(poly, min_size=len(model.curves), max_size=len(model.curves)))
+    curves = st.lists(poly, min_size=len(model.curves), max_size=len(model.curves))
+    return st.builds(lambda amb, cs: DivisorExpr(model, amb, tuple(cs)), poly, curves)
 
 
 class TestPairKernels:
