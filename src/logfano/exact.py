@@ -144,10 +144,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def antiderivative(self) -> Poly:
-        """Antiderivative with zero constant term."""
-        return _canonical([Fraction(0)] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
-
     def format(self, var: str = "v", power: str = "^") -> str:
         """Human-readable form, constant term first: e.g. ``3-4v`` or ``9-v^2/2``."""
         if self.is_zero:

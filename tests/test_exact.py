@@ -54,7 +54,7 @@ class TestRationalStrings:
 
 
 class TestPolyArithmetic:
-    """Sums, differences, products and antiderivatives skip the public
+    """Sums, differences and products skip the public
     constructor's coercion; each must equal what that constructor builds from
     the same coefficients."""
 
@@ -77,7 +77,6 @@ class TestPolyArithmetic:
             (p * s, Poly(tuple(c * s for c in p.coeffs))),
             (s * p, Poly(tuple(c * s for c in p.coeffs))),
             (p * q, Poly(tuple(product))),
-            (p.antiderivative(), Poly((F(0),) + tuple(c / (k + 1) for k, c in enumerate(p.coeffs)))),
             (p - p, Poly()),
         ]
         for got, want in cases:
