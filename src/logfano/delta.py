@@ -35,6 +35,7 @@ from .exact import (
     Poly,
     RationalFunction,
     _integers,
+    _reduced,
     integrate_piecewise,
     rat,
 )
@@ -409,7 +410,18 @@ def delta_closed_form(case: str | CaseSpec, d: int) -> RationalFunction:
     line, upper, _ = binding(_checked_table(spec), row.lo, row.hi)
     if line is None or line != upper:
         raise NotExactOnInterval(f"{spec.id} (d={d}): delta is not one certified ratio on [{row.lo}, {row.hi}]")
-    return RationalFunction(Poly.affine(*line), Poly.affine(3, -d))
+    return _over_t(line, d)
+
+
+def _over_t(line: Affine, d: int) -> RationalFunction:
+    """(a + b*lambda)/(3 - d*lambda) in lowest terms with a monic denominator.
+
+    The two lines share a factor exactly when a*d + 3*b = 0, and the ratio is then the constant a/3.
+    """
+    a, b = line
+    if a * d + 3 * b == 0:
+        return _reduced(Poly.const(a / 3), Poly.const(1))
+    return _reduced(Poly.affine(-a / d, -b / d), Poly.affine(F(-3, d), 1))
 
 
 def expected_closed_form(spec: CaseSpec, d: int) -> RationalFunction:

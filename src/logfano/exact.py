@@ -9,7 +9,9 @@ test oracles.
 The inner loops of evaluation, multiplication and integration run on integer
 numerators over one common denominator, and each result value or coefficient
 is built as a single Fraction at the end, so the results are Fractions as
-before, with one reduction each instead of one per operation.
+before, with one reduction each instead of one per operation.  Root finding
+tests the integer discriminant of the numerators for a square with
+``math.isqrt``.
 """
 
 from __future__ import annotations
@@ -268,17 +270,6 @@ def integrate_piecewise(f: PiecewisePoly) -> Fraction:
     return total
 
 
-def sqrt_rational(x: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if x < 0:
-        raise ValueError("sqrt of negative rational")
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def rational_roots(p: Poly) -> list[Fraction]:
     """All rational roots of ``p`` (degree <= 2), ascending, without multiplicity.
 
@@ -293,14 +284,16 @@ def rational_roots(p: Poly) -> list[Fraction]:
         return []
     if p.degree == 1:
         return [-p.coeff(0) / p.coeff(1)]
-    c, b, a = p.coeff(0), p.coeff(1), p.coeff(2)
+    # the quadratic formula on the integer numerators: the roots are rational iff the
+    # integer discriminant is a perfect square
+    (c, b, a), _ = _integers(p.coeffs)
     disc = b * b - 4 * a * c
     if disc < 0:
         return []
-    root = sqrt_rational(disc)
-    if root is None:
+    root = math.isqrt(disc)
+    if root * root != disc:
         raise IrrationalRoot(f"irrational roots of {p.format()}")
-    return sorted({(-b - root) / (2 * a), (-b + root) / (2 * a)})
+    return sorted({Fraction(-b - root, 2 * a), Fraction(-b + root, 2 * a)})
 
 
 def roots_in_interval(p: Poly, a: int | str | Fraction, b: int | str | Fraction) -> list[Fraction]:
@@ -510,6 +503,14 @@ class RationalFunction:
         ns = f"({ns})" if num.degree > 0 else ns
         ds = f"({ds})" if den.degree > 0 else ds
         return f"{ns}/{ds}"
+
+
+def _reduced(num: Poly, den: Poly) -> RationalFunction:
+    """A RationalFunction from parts that are already coprime with a monic den: skips the gcd."""
+    rf = object.__new__(RationalFunction)
+    object.__setattr__(rf, "num", num)
+    object.__setattr__(rf, "den", den)
+    return rf
 
 
 def fit_rational_function(

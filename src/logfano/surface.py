@@ -13,6 +13,11 @@ and let a new curve enter the support at the exact parameter value where its
 pairing with the running positive part crosses zero.  The run ends where the
 self-intersection of the positive part reaches zero (the pseudo-effective
 threshold).
+
+The growth runs on integers: D, P and N are integer vectors over one common
+denominator, the support system is solved by one fraction-free (Bareiss)
+elimination whose pivots also decide negative-definiteness, and DivisorExpr
+and Poly values are built only for the pieces returned.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .exact import (
     PiecewisePoly,
@@ -31,7 +37,6 @@ from .exact import (
     rat,
     rational_roots,
     roots_in_interval,
-    solve_linear,
 )
 
 
@@ -136,6 +141,13 @@ class DivisorExpr:
             out[name] = c(v)
         return out
 
+    @cached_property
+    def _integer_rows(self) -> tuple[list[list[int]], int]:
+        """(rows, den): the ambient coefficients, then each curve's, as integers over one common denominator."""
+        polys = (self.ambient, *self.coeffs)
+        den = math.lcm(*[c.denominator for p in polys for c in p.coeffs])  # exact._integers, kept per polynomial
+        return [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys], den
+
 
 def pair(model: SurfaceModel, d1: DivisorExpr, d2: DivisorExpr) -> Poly:
     """Bilinear extension of the intersection table; a polynomial in v of degree <= 2.
@@ -146,8 +158,8 @@ def pair(model: SurfaceModel, d1: DivisorExpr, d2: DivisorExpr) -> Poly:
     if d1.model != model or d2.model != model:
         raise ModelMismatch("divisor expressions do not belong to the model")
     table, den = model._integer_table
-    rows1, den1 = _integer_rows(d1)
-    rows2, den2 = _integer_rows(d2)
+    rows1, den1 = d1._integer_rows
+    rows2, den2 = d2._integer_rows
     acc: list[int] = []
     for a, table_row in zip(rows1, table):
         if a:
@@ -163,19 +175,12 @@ def pair_curve(model: SurfaceModel, d: DivisorExpr, name: str) -> Poly:
         raise ModelMismatch("divisor expressions do not belong to the model")
     table, den = model._integer_table
     column = table[model.index(name) + 1]  # the table is symmetric
-    rows, den_d = _integer_rows(d)
+    rows, den_d = d._integer_rows
     acc: list[int] = []
     for a, g in zip(rows, column):
         if g:
             _add_product(acc, a, [1], g)
     return _checked_pairing(acc, den * den_d)
-
-
-def _integer_rows(d: DivisorExpr) -> tuple[list[list[int]], int]:
-    """(rows, den): the ambient coefficients, then each curve's, as integers over one common denominator."""
-    polys = (d.ambient, *d.coeffs)
-    den = math.lcm(*[c.denominator for p in polys for c in p.coeffs])  # exact._integers, kept per polynomial
-    return [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys], den
 
 
 def _checked_pairing(acc: list[int], den: int) -> Poly:
@@ -212,29 +217,78 @@ class ZariskiPieces:
         return self.breakpoints[-1]
 
 
+# An affine divisor (c + s*v)/den on integers: c and s hold the ambient coefficient, then each curve's.
+IntegerDivisor = tuple[list[int], list[int], int]
+
+
+def _dot(a: list[int], b: list[int]) -> int:
+    return sum(map(mul, a, b))
+
+
+def _integer_divisor(d: DivisorExpr) -> IntegerDivisor:
+    """d as (c, s, den), read from its integer rows; ValueError unless d is affine in v."""
+    rows, den = d._integer_rows
+    if any(len(r) > 2 for r in rows):
+        raise ValueError("D(v) must be affine in v")
+    return [r[0] if r else 0 for r in rows], [r[1] if len(r) > 1 else 0 for r in rows], den
+
+
+def _divisor(model: SurfaceModel, d: IntegerDivisor) -> DivisorExpr:
+    """The DivisorExpr of (c, s, den): one Fraction per nonzero coefficient."""
+    c, s, den = d
+    polys = [_from_integers([a, b], den) for a, b in zip(c, s)]
+    return DivisorExpr(model, polys[0], tuple(polys[1:]))
+
+
 def _solve_support(
-    model: SurfaceModel, d: DivisorExpr, support: tuple[str, ...]
-) -> tuple[DivisorExpr, DivisorExpr]:
-    """Solve (P . C) = 0 for C in the support; N-coefficients come out affine in v."""
+    model: SurfaceModel, d: IntegerDivisor, support: tuple[str, ...]
+) -> tuple[IntegerDivisor, IntegerDivisor]:
+    """(P, N) with (P . C) = 0 for C in the support; N-coefficients come out affine in v.
+
+    One fraction-free (Bareiss) elimination of the support's integer Gram matrix,
+    without row swaps, carries both right-hand sides, the constant and the v part
+    of (D . C).  Its k-th pivot is the k-th leading principal minor, so the same
+    pass is Sylvester's test: the support is negative definite iff that pivot has
+    the sign of (-1)^k.  Back substitution gives det*N on integers (Cramer's rule).
+    """
+    c, s, den = d
     if not support:
-        return d, DivisorExpr.zero(model)
-    idx = [model.index(name) for name in support]
-    gram = [[model.gram[i][j] for j in idx] for i in idx]
-    if not is_negative_definite(gram):
-        raise IndefiniteSupport(f"support {support} has non negative-definite Gram matrix")
-    rhs = [pair_curve(model, d, name) for name in support]
-    if any(r.degree > 1 for r in rhs):
-        raise AssertionError("support system must be affine in v")
-    c0 = solve_linear(gram, [r.coeff(0) for r in rhs])
-    c1 = solve_linear(gram, [r.coeff(1) for r in rhs])
-    coeffs = {name: Poly.affine(c0[k], c1[k]) for k, name in enumerate(support)}
-    n = DivisorExpr.build(model, Poly(), coeffs)
-    return d - n, n
+        return d, ([0] * len(c), [0] * len(c), 1)
+    table, _ = model._integer_table
+    idx = [model.index(name) + 1 for name in support]
+    k = len(idx)
+    m = [[table[i][j] for j in idx] + [_dot(table[i], c), _dot(table[i], s)] for i in idx]
+    det = 1
+    for col in range(k):
+        pivot = m[col][col]
+        if pivot == 0 or (pivot < 0) != (col % 2 == 0):
+            raise IndefiniteSupport(f"support {support} has non negative-definite Gram matrix")
+        for r in range(col + 1, k):
+            f = m[r][col]
+            m[r] = [(x * pivot - f * y) // det for x, y in zip(m[r], m[col])]  # exact: Bareiss
+        det = pivot
+    x0, x1 = [0] * k, [0] * k
+    for i in reversed(range(k)):
+        row = m[i]
+        x0[i] = (det * row[k] - _dot(row[i + 1 : k], x0[i + 1 :])) // row[i]
+        x1[i] = (det * row[k + 1] - _dot(row[i + 1 : k], x1[i + 1 :])) // row[i]
+    if det < 0:
+        det, x0, x1 = -det, [-x for x in x0], [-x for x in x1]
+    nc, ns = [0] * len(c), [0] * len(c)
+    for i, a, b in zip(idx, x0, x1):
+        nc[i], ns[i] = a, b
+    # N = X/(det*den) and P = D - N over the same denominator
+    p = ([det * a - b for a, b in zip(c, nc)], [det * a - b for a, b in zip(s, ns)], det * den)
+    return p, (nc, ns, det * den)
 
 
 def _grow(model: SurfaceModel, d: DivisorExpr) -> ZariskiPieces:
-    for name in model.curves:
-        if pair_curve(model, d, name).coeff(0) < 0:
+    if d.model != model:
+        raise ModelMismatch("divisor expressions do not belong to the model")
+    table, den_t = model._integer_table
+    dd = _integer_divisor(d)
+    for name, g in zip(model.curves, table[1:]):
+        if _dot(g, dd[0]) < 0:
             raise NotPseudoEffective(f"D(0) pairs negatively with {name}")
     v = Fraction(0)
     support: tuple[str, ...] = ()
@@ -243,21 +297,19 @@ def _grow(model: SurfaceModel, d: DivisorExpr) -> ZariskiPieces:
     negatives: list[DivisorExpr] = []
     supports: list[tuple[str, ...]] = []
     for _ in range(len(model.curves) + 1):
-        p, n = _solve_support(model, d, support)
-        # (P . C) for every curve outside the support, shared by both tests below
-        outside = {name: pair_curve(model, p, name) for name in model.curves if name not in support}
+        p, n = _solve_support(model, dd, support)
+        pc, ps, den_p = p
+        tc, ts = [_dot(g, pc) for g in table], [_dot(g, ps) for g in table]
+        # (P . C) = (f0 + f1*v) / (den_t*den_p) for every curve outside the support, shared by both tests below
+        outside = [(name, tc[i], ts[i]) for i, name in enumerate(model.curves, 1) if name not in support]
         # absorb curves whose pairing is already zero and strictly decreasing at v
-        entering = [name for name, f in outside.items() if f(v) == 0 and f.coeff(1) < 0]
+        entering = tuple(name for name, f0, f1 in outside if f1 < 0 and f0 * v.denominator + f1 * v.numerator == 0)
         if entering:
-            support = support + tuple(entering)
+            support = support + entering
             continue
-        vol = pair(model, p, p)
-        crossings: list[tuple[Fraction, str]] = []
-        for name, f in outside.items():
-            if f.degree == 1:
-                root = -f.coeff(0) / f.coeff(1)
-                if f.coeff(1) < 0 and root > v:
-                    crossings.append((root, name))
+        vol = _from_integers([_dot(pc, tc), 2 * _dot(pc, ts), _dot(ps, ts)], den_t * den_p * den_p)
+        roots = [(Fraction(-f0, f1), name) for name, f0, f1 in outside if f1 < 0]
+        crossings = [(r, name) for r, name in roots if r > v]
         cross_v = min((r for r, _ in crossings), default=None)
         # volume roots matter only before the next support change; an irrational
         # root beyond it belongs to a regime with a different volume polynomial
@@ -267,16 +319,13 @@ def _grow(model: SurfaceModel, d: DivisorExpr) -> ZariskiPieces:
                 raise Unbounded("volume never reaches zero and no curve enters the support")
         else:
             vol_hits = roots_in_interval(vol, v, cross_v)
+        positives.append(_divisor(model, p))
+        negatives.append(_divisor(model, n))
+        supports.append(support)
         if vol_hits:
             breakpoints.append(min(vol_hits))
-            positives.append(p)
-            negatives.append(n)
-            supports.append(support)
             return ZariskiPieces(model, tuple(breakpoints), tuple(positives), tuple(negatives), tuple(supports))
         breakpoints.append(cross_v)
-        positives.append(p)
-        negatives.append(n)
-        supports.append(support)
         support = support + tuple(name for r, name in crossings if r == cross_v)
         v = cross_v
     raise AssertionError("support grew beyond the curve count")

@@ -32,7 +32,7 @@ from .delta import (
     integrated_s_invariants,
     interior_samples,
 )
-from .exact import Poly
+from .exact import Poly, _canonical
 from .surface import DivisorExpr, ZariskiPieces, invariant_violations, zariski_decompose
 
 F = Fraction
@@ -55,7 +55,7 @@ def _scaled(z: ZariskiPieces, s: Fraction) -> ZariskiPieces:
     """z with t and v scaled by s: breakpoints times s, c_j*v^j of P and N becomes c_j*s^(1-j)*v^j."""
 
     def expr(e: DivisorExpr) -> DivisorExpr:
-        polys = [Poly(tuple(c * s ** (1 - j) for j, c in enumerate(p.coeffs))) for p in (e.ambient, *e.coeffs)]
+        polys = [_canonical([c * s ** (1 - j) for j, c in enumerate(p.coeffs)]) for p in (e.ambient, *e.coeffs)]
         return DivisorExpr(e.model, polys[0], tuple(polys[1:]))
 
     scaled = (tuple(b * s for b in z.breakpoints), tuple(map(expr, z.positives)), tuple(map(expr, z.negatives)))

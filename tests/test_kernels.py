@@ -1,24 +1,55 @@
 """The integer inner loops of the exact core against plain-Fraction references.
 
-Poly evaluation, multiplication and integration, pair, pair_curve and
-delta.binding sum or compare on integers over a common denominator.  Each
-reference below is the Fraction loop they replace, kept here as the oracle:
-Horner's rule, the convolution, the antiderivative, the naive bilinear sum
-and the per-end minimum of the ratio lines.
+Poly evaluation, multiplication and integration, pair, pair_curve,
+delta.binding, the quadratic formula, the support solve and support growth
+of the Zariski decomposition, and the closed form's reduction run on integers
+over a common denominator.  Each reference below is the Fraction loop they
+replace, kept here as the oracle: Horner's rule, the convolution, the
+antiderivative, the naive bilinear sum, the per-end minimum of the ratio
+lines, the quadratic formula with a rational square root, Gaussian
+elimination with Sylvester's minors, the Fraction support growth and the
+polynomial gcd.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logfano.catalog import CASES
-from logfano.delta import Ratio, RatioTable, _minimizer_names, binding
-from logfano.exact import Poly, integrate
-from logfano.surface import DivisorExpr, ModelMismatch, SurfaceModel, pair, pair_curve
+from logfano.catalog import CASES, flag_family
+from logfano.delta import Ratio, RatioTable, _minimizer_names, _over_t, binding
+from logfano.exact import (
+    IrrationalRoot,
+    Poly,
+    RationalFunction,
+    UnsupportedDegree,
+    _quadratic_has_root_in,
+    integrate,
+    is_negative_definite,
+    rational_roots,
+    roots_in_interval,
+    solve_linear,
+)
+from logfano.surface import (
+    DivisorExpr,
+    IndefiniteSupport,
+    ModelMismatch,
+    NotPseudoEffective,
+    SurfaceModel,
+    Unbounded,
+    ZariskiPieces,
+    _divisor,
+    _grow,
+    _integer_divisor,
+    _solve_support,
+    pair,
+    pair_curve,
+)
+from logfano.verify import _probe_lambda
 
 # ---------------------------------------------------------------------------
 # Plain-Fraction references
@@ -77,6 +108,101 @@ def per_end_binding(table, lo, hi):
     return lower[low[0]] if low else None, upper[up[0]] if up else None, _minimizer_names(low)
 
 
+def quadratic_formula_roots(p):
+    """rational_roots with the quadratic formula on Fractions and a rational square root."""
+    if p.is_zero:
+        raise ValueError("zero polynomial has no isolated roots")
+    if p.degree > 2:
+        raise UnsupportedDegree(f"degree {p.degree} > 2")
+    if p.degree == 0:
+        return []
+    if p.degree == 1:
+        return [-p.coeff(0) / p.coeff(1)]
+    c, b, a = p.coeff(0), p.coeff(1), p.coeff(2)
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    rn, rd = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
+    if rn * rn != disc.numerator or rd * rd != disc.denominator:
+        raise IrrationalRoot(f"irrational roots of {p.format()}")
+    root = F(rn, rd)
+    return sorted({(-b - root) / (2 * a), (-b + root) / (2 * a)})
+
+
+def quadratic_formula_roots_in(p, a, b):
+    """roots_in_interval over quadratic_formula_roots."""
+    try:
+        roots = quadratic_formula_roots(p)
+    except IrrationalRoot:
+        if _quadratic_has_root_in(p, a, b):
+            raise
+        return []
+    return [r for r in roots if a <= r <= b]
+
+
+def fraction_solve_support(model, d, support):
+    """The support solve on Fractions: Sylvester's minors, then one elimination per right-hand side."""
+    if not support:
+        return d, DivisorExpr.zero(model)
+    idx = [model.index(name) for name in support]
+    gram = [[model.gram[i][j] for j in idx] for i in idx]
+    if not is_negative_definite(gram):
+        raise IndefiniteSupport(f"support {support} has non negative-definite Gram matrix")
+    rhs = [pair_curve(model, d, name) for name in support]
+    c0 = solve_linear(gram, [r.coeff(0) for r in rhs])
+    c1 = solve_linear(gram, [r.coeff(1) for r in rhs])
+    n = DivisorExpr.build(model, Poly(), {name: Poly.affine(c0[k], c1[k]) for k, name in enumerate(support)})
+    return d - n, n
+
+
+def fraction_grow(model, d):
+    """Support growth on Polys over Fractions, the roots by the quadratic formula."""
+    for name in model.curves:
+        if pair_curve(model, d, name).coeff(0) < 0:
+            raise NotPseudoEffective(f"D(0) pairs negatively with {name}")
+    v, support = F(0), ()
+    breakpoints, positives, negatives, supports = [F(0)], [], [], []
+    for _ in range(len(model.curves) + 1):
+        p, n = fraction_solve_support(model, d, support)
+        outside = {name: pair_curve(model, p, name) for name in model.curves if name not in support}
+        entering = [name for name, f in outside.items() if f(v) == 0 and f.coeff(1) < 0]
+        if entering:
+            support = support + tuple(entering)
+            continue
+        vol = pair(model, p, p)
+        crossings = []
+        for name, f in outside.items():
+            if f.degree == 1:
+                root = -f.coeff(0) / f.coeff(1)
+                if f.coeff(1) < 0 and root > v:
+                    crossings.append((root, name))
+        cross_v = min((r for r, _ in crossings), default=None)
+        if cross_v is None:
+            vol_hits = [r for r in quadratic_formula_roots(vol) if r >= v]
+            if not vol_hits:
+                raise Unbounded("volume never reaches zero and no curve enters the support")
+        else:
+            vol_hits = quadratic_formula_roots_in(vol, v, cross_v)
+        positives.append(p)
+        negatives.append(n)
+        supports.append(support)
+        if vol_hits:
+            breakpoints.append(min(vol_hits))
+            return ZariskiPieces(model, tuple(breakpoints), tuple(positives), tuple(negatives), tuple(supports))
+        breakpoints.append(cross_v)
+        support = support + tuple(name for r, name in crossings if r == cross_v)
+        v = cross_v
+    raise AssertionError("support grew beyond the curve count")
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the exception it raises."""
+    try:
+        return f(*args)
+    except (ValueError, ArithmeticError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
 # ---------------------------------------------------------------------------
 # Strategies: zeros, negatives and large denominators
 # ---------------------------------------------------------------------------
@@ -117,11 +243,14 @@ class TestPolyKernels:
             integrate(Poly.of(1, 2), F(1, 3), F(1, 4))
 
 
+catalog_models = sorted({spec.model for spec in CASES.values()}, key=repr)
+
+
 @st.composite
 def models(draw):
     """A catalog model, or a random symmetric table of 1-4 curves with E first."""
     if draw(st.booleans()):
-        return draw(st.sampled_from(sorted({spec.model for spec in CASES.values()}, key=repr)))
+        return draw(st.sampled_from(catalog_models))
     n = draw(st.integers(1, 4))
     gram = [[F(0)] * n for _ in range(n)]
     for i in range(n):
@@ -209,3 +338,143 @@ class TestBindingKernel:
             for row in spec.rows:
                 for lo, hi in ((row.lo, row.hi), (F(0), F(0)), (F(0), row.hi), (row.hi, row.hi)):
                     assert binding(spec.ratio_table, lo, hi) == per_end_binding(spec.ratio_table, lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# Zariski decomposition: roots, the support solve, support growth
+# ---------------------------------------------------------------------------
+
+small_ints = st.integers(-12, 12)
+small_rationals = st.builds(F, small_ints, st.integers(1, 12))
+
+
+@st.composite
+def quadratics(draw):
+    """A polynomial of degree <= 3, often k*(x - r1)*(x - r2) so that rational roots are common."""
+    if draw(st.booleans()):
+        k, r1, r2 = draw(st.one_of(small_rationals, huge).filter(bool)), draw(small_rationals), draw(rationals)
+        return Poly.of(k * r1 * r2, -k * (r1 + r2), k)
+    return Poly(tuple(draw(st.lists(st.one_of(small_rationals, rationals), max_size=4))))
+
+
+class TestRootKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(quadratics(), small_rationals, small_rationals)
+    @example(Poly.of(1, 0, F(-6, 7)), F(0), F(2))  # the pinned fault detail "irrational roots of 1-6v^2/7"
+    @example(Poly.of(F(9, 4), -3, 1), F(0), F(1))  # a double root
+    @example(Poly(), F(0), F(1))
+    def test_rational_roots_is_the_quadratic_formula(self, p, a, b):
+        a, b = min(a, b), max(a, b)
+        assert outcome(rational_roots, p) == outcome(quadratic_formula_roots, p)
+        assert outcome(roots_in_interval, p, a, b) == outcome(quadratic_formula_roots_in, p, a, b)
+
+    def test_irrational_root_names_the_fraction_polynomial(self):
+        with pytest.raises(IrrationalRoot, match=r"^irrational roots of 1-6v\^2/7$"):
+            rational_roots(Poly.of(1, 0, F(-6, 7)))
+
+
+# small Gram entries, biased so that negative-definite supports and rational breakpoints are common
+self_intersections = st.sampled_from([F(-1), F(-2), F(-1, 2), F(-1, 3), F(-1, 6), F(-3), F(0), F(1)])
+definite_self_intersections = st.sampled_from([F(-3), F(-4), F(-7, 2)])
+meets = st.sampled_from([F(0), F(1), F(1, 2), F(1, 3), F(2, 3), F(2), F(-1)])
+
+
+@st.composite
+def small_models(draw, selfs=self_intersections):
+    n = draw(st.integers(1, 4))
+    gram = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = draw(selfs)
+        for j in range(i + 1, n):
+            gram[i][j] = gram[j][i] = draw(meets)
+    names = ("E", "L", "M", "N")[:n]
+    pairings = (F(0), *(draw(st.sampled_from([F(0), F(1), F(2)])) for _ in names[1:]))
+    return SurfaceModel(names, tuple(map(tuple, gram)), draw(st.sampled_from([F(1), F(2)])), pairings)
+
+
+def line_model(gram):
+    """E and lines through it: H.H = 1, H.E = 0, H.C = 1 for every other curve."""
+    gram = tuple(tuple(map(F, row)) for row in gram)
+    names = ("E", "L", "M", "N")[: len(gram)]
+    return SurfaceModel(names, gram, F(1), (F(0), *(F(1) for _ in names[1:])))
+
+
+# t*H - v*E on these has three pieces, the last with a two-curve support
+THREE_PIECES = (
+    line_model([["-1/6", "1/3", "2/3"], ["1/3", "-1", "1"], ["2/3", "1", "-3"]]),
+    line_model([["-1/4", "1/2", "2/3", "2/5"], ["1/2", "-1/3", "0", "1/2"], ["2/3", "0", "-2", "1/2"], ["2/5", "1/2", "1/2", "-3"]]),
+)
+decomposable = st.one_of(small_models(), st.sampled_from(THREE_PIECES + tuple(catalog_models)))
+
+
+def divisors_of(model, poly):
+    curves = st.lists(poly, min_size=len(model.curves), max_size=len(model.curves))
+    return st.builds(lambda amb, cs: DivisorExpr(model, amb, tuple(cs)), poly, curves)
+
+
+def affine_divisors(model):
+    """t*H - v*E, or a*H + v*(a random combination of the curves): both nef at v = 0 when H is."""
+    positive = st.builds(F, st.integers(1, 9), st.integers(1, 4))
+    slopes = st.lists(small_rationals, min_size=len(model.curves), max_size=len(model.curves))
+    return st.one_of(
+        st.builds(lambda t: flag_family(model, t), positive),
+        st.builds(lambda a, s: DivisorExpr(model, Poly.const(a), tuple(Poly.affine(0, x) for x in s)), positive, slopes),
+    )
+
+
+def solve(model, d, support):
+    p, n = _solve_support(model, _integer_divisor(d), support)
+    return _divisor(model, p), _divisor(model, n)
+
+
+class TestDecompositionKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_solve_support_is_the_fraction_solve(self, data):
+        model = data.draw(st.one_of(small_models(), small_models(definite_self_intersections), models()))
+        d = data.draw(st.one_of(affine_divisors(model), divisors_of(model, st.builds(Poly.affine, small_rationals, small_rationals))))
+        support = tuple(data.draw(st.permutations(model.curves))[: data.draw(st.integers(0, len(model.curves)))])
+        assert outcome(solve, model, d, support) == outcome(fraction_solve_support, model, d, support)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_grow_is_the_fraction_growth(self, data):
+        model = data.draw(decomposable)
+        d = data.draw(affine_divisors(model))
+        assert outcome(_grow, model, d) == outcome(fraction_grow, model, d)
+
+    def test_catalog_models_at_t_1_and_lambda_1(self):
+        for spec in CASES.values():
+            for row in spec.rows:
+                for t in (1, 3 - row.d * _probe_lambda(row)):
+                    d = flag_family(spec.model, t)
+                    z = _grow(spec.model, d)
+                    assert z == fraction_grow(spec.model, d), (spec.id, row.d, t)
+                    for support in {*z.supports, tuple(reversed(spec.model.curves))}:
+                        assert outcome(solve, spec.model, d, support) == outcome(fraction_solve_support, spec.model, d, support)
+
+    @pytest.mark.parametrize("model", THREE_PIECES)
+    def test_three_pieces(self, model):
+        for t in (1, F(7, 3)):
+            d = flag_family(model, t)
+            z = _grow(model, d)
+            assert len(z.supports) == 3 and len(z.supports[-1]) == 2
+            assert z == fraction_grow(model, d)
+
+    def test_non_affine_family_is_refused(self):
+        model = SurfaceModel(("E",), ((F(-1),),), F(1), (F(0),))
+        d = DivisorExpr.build(model, Poly.const(1), {"E": Poly.of(0, 0, -1)})
+        with pytest.raises(ValueError, match="affine"):
+            _grow(model, d)
+
+
+class TestClosedFormKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(rationals, rationals, st.integers(1, 4), st.booleans())
+    @example(F(0), F(0), 2, False)
+    def test_over_t_is_the_gcd_reduction(self, a, b, d, proportional):
+        if proportional:  # a multiple of 3 - d*lambda
+            b = -a * d / 3
+        got = _over_t((a, b), d)
+        assert got == RationalFunction(Poly.affine(a, b), Poly.affine(3, -d))
+        assert got.format() == RationalFunction(Poly.affine(a, b), Poly.affine(3, -d)).format()

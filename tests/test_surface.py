@@ -17,6 +17,7 @@ from logfano.surface import (
     ModelMismatch,
     NotPseudoEffective,
     SurfaceModel,
+    Unbounded,
     ZariskiPieces,
     invariant_violations,
     pair,
@@ -181,6 +182,19 @@ class TestDecomposition:
         d = DivisorExpr.build(model, Poly.const(3), {"E": Poly.affine(0, -1)})
         with pytest.raises(IrrationalRoot):
             _grow(model, d)
+
+    def test_constant_volume_is_unbounded(self):
+        # E.E = 0 and H.E = 0: (P . E) is 0 for every v and the volume stays 9
+        model = SurfaceModel(("E",), ((F(0),),), F(1), (F(0),))
+        d = DivisorExpr.build(model, Poly.const(3), {"E": Poly.affine(0, -1)})
+        with pytest.raises(Unbounded, match=r"^volume never reaches zero and no curve enters the support$"):
+            _grow(model, d)
+
+    def test_family_of_another_model_is_refused(self):
+        model, _, _ = conic_setup()
+        _, factory, _ = build_case("A2", 4)
+        with pytest.raises(ModelMismatch):
+            zariski_decompose(model, factory(F(0)))
 
 
 class TestInvariants:
