@@ -44,7 +44,10 @@ class InputError(ValueError):
 def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.match(text.strip()):
         raise InputError(f"expected an exact rational 'p/q', got {text!r}")
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise InputError(f"zero denominator in {text!r}") from None
 
 
 # ---------------------------------------------------------------------------

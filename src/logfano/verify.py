@@ -7,12 +7,14 @@ t = 3 - d*lambda, D(v) = t*H - v*E is homogeneous, and A(E), S(E)*t, every
 stated ratio and the closed form are lines a + b*lambda over t, equal for all
 lambda exactly when their coefficients are; the minimizers, a lower-bound
 regime and delta(0) = 1 are read off the least lines (delta.binding).  The
-row's decomposition at t = 1 is the reference, its breakpoints, invariants
-and S-integrals checked in full;
-a fresh one at lambda_1 must equal it scaled by t_1 (breakpoints times t_1,
-c_j*v^j of P and N becomes c_j*t_1^(1-j)*v^j), so homogeneity is tested, not
-assumed.  Structural validation covers the cases being verified, plus the
-catalog-wide order and alias checks.
+model's decomposition at t = 1 is the reference, its breakpoints, invariants
+and S-integrals checked in full.  It depends on the model alone, so one
+verify_all call computes it once per model (10 for the catalog's 54 rows) and
+every row of that model reads it; nothing is kept between calls.  Each row gets one fresh
+decomposition at lambda_1, which must equal the reference scaled by t_1
+(breakpoints times t_1, c_j*v^j of P and N becomes c_j*t_1^(1-j)*v^j), so
+homogeneity is tested, not assumed.  Structural validation covers the cases
+being verified, plus the catalog-wide order and alias checks.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .delta import (
     interior_samples,
 )
 from .exact import Poly, _canonical
-from .surface import DivisorExpr, ZariskiPieces, invariant_violations, zariski_decompose
+from .surface import DivisorExpr, SurfaceModel, ZariskiPieces, invariant_violations, zariski_decompose
 
 F = Fraction
 
@@ -62,6 +64,23 @@ def _scaled(z: ZariskiPieces, s: Fraction) -> ZariskiPieces:
     return ZariskiPieces(z.model, *scaled, z.supports)
 
 
+_Reference = tuple[list, Exception | None]
+
+
+def _reference(model: SurfaceModel) -> _Reference:
+    """The t = 1 reference of a model: its decomposition, that decomposition's
+    invariant defects and its S-integrals, in this order and as far as they
+    were computed, with the exception that stopped them (None if none did)."""
+    done: list = []
+    try:
+        done.append(zariski_decompose(model, flag_family(model, 1)))
+        done.append(invariant_violations(done[0]))
+        done.append(integrated_s_invariants(done[0]))
+    except Exception as exc:
+        return done, exc
+    return done, None
+
+
 def _probe_lambda(row: DegreeRow) -> Fraction:
     """lo + (hi - lo)/7, where t_1 = 3 - d*lambda_1 is 1 on no row (at the midpoint A7/d=4 has t = 1)."""
     return row.lo + (row.hi - row.lo) / 7
@@ -71,17 +90,18 @@ def _line(line: Affine | None) -> str:
     return "none" if line is None else Poly.affine(*line).format("l")
 
 
-def verify_case(spec: CaseSpec, d: int) -> list[Check]:
+def verify_case(spec: CaseSpec, d: int, reference: _Reference | None = None) -> list[Check]:
     """All checks of one case at one degree, each made once as an identity in lambda.
 
-    Against the t = 1 reference: the stated breakpoints, its invariants, the
-    cached S-invariants that delta_point scales and a fresh decomposition at
-    lambda_1.  Against the engine's ratio lines: the stated S(E), A(E) and
-    ratios, the closed form, the minimizers, the lower-bound regime and
-    delta(0) = 1; one delta_point at lambda_1 must report the lines' values
-    over t_1.  A closed form that is not exact on the interval, or a stated
-    tau_factor that is not the model's, fails the closed-form and the report
-    check, and the checks after them still run.
+    Against the t = 1 reference of spec.model (computed here unless verify_all
+    passes the one it shares among the cases of that model): the stated
+    breakpoints, its invariants, the cached S-invariants that delta_point
+    scales and a fresh decomposition at lambda_1.  Against the engine's ratio
+    lines: the stated S(E), A(E) and ratios, the closed form, the minimizers,
+    the lower-bound regime and delta(0) = 1; one delta_point at lambda_1 must
+    report the lines' values over t_1.  A closed form that is not exact on the
+    interval, or a stated tau_factor that is not the model's, fails the
+    closed-form and the report check, and the checks after them still run.
     """
     scope = f"{spec.id}/d={d}"
     checks: list[Check] = []
@@ -90,20 +110,27 @@ def verify_case(spec: CaseSpec, d: int) -> list[Check]:
         checks.append(_check(scope, name, ok, detail))
 
     row = spec.row(d)
+    model = spec.model
+    done, error = _reference(model) if reference is None else reference
+
+    def stage(i: int):  # value i, or the exception that stopped the reference: where a fresh computation raises it
+        if i < len(done):
+            return done[i]
+        raise error
+
     try:
-        model = spec.model
-        ref = zariski_decompose(model, flag_family(model, 1))
+        ref = stage(0)
         stated_bps = (F(0), *spec.break_factors, spec.tau_factor)
         add("breakpoints at t=1", ref.breakpoints == stated_bps,
             lambda: f"computed {ref.breakpoints}, stated {stated_bps}")
-        defects = invariant_violations(ref)
+        defects = stage(1)
         add("decomposition invariants at t=1", not defects, lambda: "; ".join(defects))
         lam1 = _probe_lambda(row)
         t1 = 3 - d * lam1
         add(f"homogeneity at l={lam1}", zariski_decompose(model, flag_family(model, t1)) == _scaled(ref, t1),
             lambda: f"not the t=1 decomposition scaled by {t1}")
 
-        integrated = integrated_s_invariants(ref)
+        integrated = stage(2)
         unit = _unit_constants(model)
         cached = (unit.s_e, unit.s_generic, unit.s_on_l)
         add("S scaling", cached == integrated, lambda: f"cached {cached}, integrated {integrated}")
@@ -176,8 +203,8 @@ def verify_all(
 ) -> tuple[list[Check], bool]:
     """Run the whole verification; returns (checks in catalog order, all_ok).
 
-    Each case/degree row is checked by verify_case, and a full run adds the
-    threefold volume identities.
+    Each case/degree row is checked by verify_case, with one t = 1 reference
+    per model, and a full run adds the threefold volume identities.
 
     With case_ids, only those cases are verified and structurally validated;
     the catalog-wide order and alias checks still cover the whole mapping.
@@ -188,9 +215,16 @@ def verify_all(
     specs = sorted(cat.values(), key=lambda s: s.order)
     if case_ids is not None:
         specs = [s for s in specs if s.id in case_ids]
+    # Keyed by the model object, not its value: the catalog builds each model value once, so the
+    # two agree there, and hashing a model's Fractions costs about 3 us a case, 0.5% of a one-row
+    # case.  The specs hold their models for the whole call, so no id is reused.
+    references: dict[int, _Reference] = {}
     for spec in specs:
+        key = id(spec.model)
+        if key not in references:
+            references[key] = _reference(spec.model)
         for d in spec.degrees:
-            checks.extend(verify_case(spec, d))
+            checks.extend(verify_case(spec, d, references[key]))
     if case_ids is None:
         checks.extend(verify_threefold_section())
     return checks, all(c.ok for c in checks)

@@ -35,6 +35,16 @@ class TestParsing:
             with pytest.raises(ValueError):
                 parse_rational(bad)
 
+    @pytest.mark.parametrize("argv", [
+        ["delta", "--case", "A2", "--degree", "4", "--lambda", "1/0"],
+        ["scan", "--case", "A2", "--degree", "4", "--from", "0", "--to", "1/0"],
+        ["threefold", "smooth", "--s", "3", "--lambda", "1/0", "--cone", "smooth_cubic_tangent2"],
+    ], ids=["delta", "scan", "threefold"])
+    def test_zero_denominator_is_invalid_input(self, capsys, argv):
+        code, out = run(argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: zero denominator in '1/0'\n"
+
 
 class TestDelta:
     def test_json_record(self):

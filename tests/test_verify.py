@@ -1,6 +1,6 @@
-"""verify: the per-row reference decomposition and identity checks, scoped
-structural validation and closed-form failures that leave the later checks
-running."""
+"""verify: the per-model reference decomposition shared by the rows of one
+run, the identity checks, scoped structural validation and closed-form
+failures that leave the later checks running."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 import logfano.verify as verify
-from logfano.catalog import CASES
+from logfano.catalog import CASES, flag_family
 from logfano.exact import Poly
 from logfano.verify import verify_all, verify_case
 
@@ -21,6 +21,24 @@ def _named(checks, name):
 
 def _failing(checks):
     return [c for c in checks if not c.ok]
+
+
+def _counted_decompositions(monkeypatch):
+    """The (model, family) of every zariski_decompose call verify makes from now on."""
+    calls = []
+    real = verify.zariski_decompose
+
+    def counted(model, family, *args):
+        calls.append((model, family))
+        return real(model, family, *args)
+
+    monkeypatch.setattr(verify, "zariski_decompose", counted)
+    return calls
+
+
+def _standalone(catalog, specs):
+    """The records of verify_case run on its own, row by row, with its own reference."""
+    return [c for spec in specs for d in spec.degrees for c in verify_case(catalog[spec.id], d)]
 
 
 class TestReferenceDecomposition:
@@ -93,19 +111,15 @@ class TestReferenceDecomposition:
         (bad,) = _failing(verify_case(spec, d))
         assert bad.name == f"report at l={lam1}"
 
-    def test_two_decompositions_per_row(self, monkeypatch):
-        calls = []
-        real = verify.zariski_decompose
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(verify, "zariski_decompose", counted)
+    def test_one_reference_per_model_and_one_fresh_decomposition_per_row(self, monkeypatch):
+        calls = _counted_decompositions(monkeypatch)
         checks, ok = verify_all()
         n_rows = sum(len(spec.rows) for spec in CASES.values())
-        assert ok and n_rows == 54
-        assert len(calls) == 2 * n_rows
+        models = {spec.model for spec in CASES.values()}
+        assert ok and n_rows == 54 and len(models) == 10
+        at_1 = [model for model, family in calls if family == flag_family(model, 1)]
+        assert len(calls) - len(at_1) == n_rows
+        assert len(at_1) == len(set(at_1)) == len(models)
 
     def test_one_delta_point_per_row(self, monkeypatch):
         calls = []
@@ -128,6 +142,67 @@ class TestReferenceDecomposition:
             lam1 = verify._probe_lambda(row)
             assert row.lo < lam1 < row.hi and 3 - row.d * lam1 != 1, (spec.id, row.d)
             assert _named(verify_case(spec, row.d), f"homogeneity at l={lam1}"), (spec.id, row.d)
+
+
+class TestSharedReference:
+    """verify_all shares one t = 1 reference among the rows of a model; the records stay
+    those of verify_case run on its own for each row."""
+
+    def _rows_equal_standalone(self, catalog=None, case_ids=None):
+        cat = CASES if catalog is None else catalog
+        checks, _ = verify_all(catalog=catalog, case_ids=case_ids)
+        specs = sorted(cat.values(), key=lambda s: s.order)
+        specs = [s for s in specs if case_ids is None or s.id in case_ids]
+        rows = [c for c in checks if c.scope not in ("catalog", "threefold")]
+        assert rows == _standalone(cat, specs)
+        return rows
+
+    def test_every_row_matches_its_standalone_records(self):
+        rows = self._rows_equal_standalone()
+        assert len(rows) == 740 - 1 - 15 and all(c.ok for c in rows)  # less structural and threefold checks
+
+    @pytest.mark.parametrize("stage,checks_before", [
+        ("zariski_decompose", 0), ("invariant_violations", 1), ("integrated_s_invariants", 3),
+    ])
+    def test_a_raising_reference_replays_for_every_row(self, monkeypatch, stage, checks_before):
+        real = getattr(verify, stage)
+        raised = []
+
+        def raising(first, *args):
+            family = args[0] if args else None
+            if family is None or family == flag_family(first, 1):  # only the t = 1 reference raises
+                raised.append(first)
+                raise ArithmeticError(f"{stage} refused")
+            return real(first, *args)
+
+        monkeypatch.setattr(verify, stage, raising)
+        rows = self._rows_equal_standalone(case_ids=["line_component_smooth_point", "A1", "D4", "A2", "D5", "E7"])
+        bad = [c for c in rows if c.name == "computation"]
+        assert len(bad) == 4 + 3 + 2 + 2 + 1 + 1
+        assert {c.detail for c in bad} == {f"ArithmeticError: {stage} refused"}
+        for c in bad:  # where a fresh computation raises: before the breakpoints, invariants or S scaling check
+            scoped = [r for r in rows if r.scope == c.scope]
+            assert scoped[checks_before:] == [c] and all(r.ok for r in scoped[:checks_before])
+        raised.clear()
+        verify_all(case_ids=["line_component_smooth_point", "A1", "D4", "A2", "D5", "E7"])
+        assert len(raised) == 2  # once per model value: the first three cases share one model, A2/D5/E7 another
+
+    def test_faulted_model_beside_its_healthy_model_gets_its_own_reference(self, monkeypatch):
+        spec = CASES["A2"]
+        gram = [list(row) for row in spec.model.gram]
+        gram[0][0] += F(1, 7)
+        bad_model = dataclasses.replace(spec.model, gram=tuple(map(tuple, gram)))
+        catalog = dict(CASES, A2=dataclasses.replace(spec, model=bad_model))
+        ids = ["A2", "D5", "E7"]
+        assert CASES["D5"].model == CASES["E7"].model == spec.model != bad_model
+        rows = self._rows_equal_standalone(catalog, ids)
+        assert [c.name for c in rows if c.scope.startswith("A2/")] == ["computation"] * 2
+        assert all(c.ok for c in rows if not c.scope.startswith("A2/"))
+        calls = _counted_decompositions(monkeypatch)
+        verify_all(catalog=catalog, case_ids=ids)
+        at_1 = [model for model, family in calls if family == flag_family(model, 1)]
+        assert at_1 == [bad_model, spec.model]  # in catalog order: A2, then D5 and E7 on one reference
+        assert len(calls) - len(at_1) == 2  # the faulted rows stop at their reference
 
 
 def _printed_data_faults(spec):
