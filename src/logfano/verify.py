@@ -10,11 +10,12 @@ regime and delta(0) = 1 are read off the least lines (delta.binding).  The
 model's decomposition at t = 1 is the reference, its breakpoints, invariants
 and S-integrals checked in full.  It depends on the model alone, so one
 verify_all call computes it once per model (10 for the catalog's 54 rows) and
-every row of that model reads it; nothing is kept between calls.  Each row gets one fresh
-decomposition at lambda_1, which must equal the reference scaled by t_1
-(breakpoints times t_1, c_j*v^j of P and N becomes c_j*t_1^(1-j)*v^j), so
-homogeneity is tested, not assumed.  Structural validation covers the cases
-being verified, plus the catalog-wide order and alias checks.
+every row of that model reads it; nothing is kept between calls.  Each row
+gets one fresh decomposition at lambda_1, which must equal the reference
+scaled by t_1 (breakpoints times t_1, c_j*v^j of P and N becomes
+c_j*t_1^(1-j)*v^j), so homogeneity is tested, not assumed.  Structural
+validation covers the cases being verified, plus the catalog-wide order and
+alias checks.
 """
 
 from __future__ import annotations

@@ -36,11 +36,6 @@ def _counted_decompositions(monkeypatch):
     return calls
 
 
-def _standalone(catalog, specs):
-    """The records of verify_case run on its own, row by row, with its own reference."""
-    return [c for spec in specs for d in spec.degrees for c in verify_case(catalog[spec.id], d)]
-
-
 class TestReferenceDecomposition:
     def test_perturbed_decomposition_at_lambda_1_fails_homogeneity_only(self, monkeypatch):
         spec, d = CASES["A2"], 4
@@ -154,7 +149,7 @@ class TestSharedReference:
         specs = sorted(cat.values(), key=lambda s: s.order)
         specs = [s for s in specs if case_ids is None or s.id in case_ids]
         rows = [c for c in checks if c.scope not in ("catalog", "threefold")]
-        assert rows == _standalone(cat, specs)
+        assert rows == [c for spec in specs for d in spec.degrees for c in verify_case(spec, d)]
         return rows
 
     def test_every_row_matches_its_standalone_records(self):
@@ -176,7 +171,8 @@ class TestSharedReference:
             return real(first, *args)
 
         monkeypatch.setattr(verify, stage, raising)
-        rows = self._rows_equal_standalone(case_ids=["line_component_smooth_point", "A1", "D4", "A2", "D5", "E7"])
+        two_models = ["line_component_smooth_point", "A1", "D4", "A2", "D5", "E7"]  # the first three share one
+        rows = self._rows_equal_standalone(case_ids=two_models)
         bad = [c for c in rows if c.name == "computation"]
         assert len(bad) == 4 + 3 + 2 + 2 + 1 + 1
         assert {c.detail for c in bad} == {f"ArithmeticError: {stage} refused"}
@@ -184,8 +180,8 @@ class TestSharedReference:
             scoped = [r for r in rows if r.scope == c.scope]
             assert scoped[checks_before:] == [c] and all(r.ok for r in scoped[:checks_before])
         raised.clear()
-        verify_all(case_ids=["line_component_smooth_point", "A1", "D4", "A2", "D5", "E7"])
-        assert len(raised) == 2  # once per model value: the first three cases share one model, A2/D5/E7 another
+        verify_all(case_ids=two_models)
+        assert len(raised) == 2  # once per model
 
     def test_faulted_model_beside_its_healthy_model_gets_its_own_reference(self, monkeypatch):
         spec = CASES["A2"]
