@@ -205,7 +205,7 @@ def verify_all(
     """Run the whole verification; returns (checks in catalog order, all_ok).
 
     Each case/degree row is checked by verify_case, with one t = 1 reference
-    per model, and a full run adds the threefold volume identities.
+    per distinct model value, and a full run adds the threefold volume identities.
 
     With case_ids, only those cases are verified and structurally validated;
     the catalog-wide order and alias checks still cover the whole mapping.
@@ -216,16 +216,13 @@ def verify_all(
     specs = sorted(cat.values(), key=lambda s: s.order)
     if case_ids is not None:
         specs = [s for s in specs if s.id in case_ids]
-    # Keyed by the model object, not its value: the catalog builds each model value once, so the
-    # two agree there, and hashing a model's Fractions costs about 3 us a case, 0.5% of a one-row
-    # case.  The specs hold their models for the whole call, so no id is reused.
-    references: dict[int, _Reference] = {}
+    references: dict[SurfaceModel, _Reference] = {}
     for spec in specs:
-        key = id(spec.model)
-        if key not in references:
-            references[key] = _reference(spec.model)
+        ref = references.get(spec.model)
+        if ref is None:
+            ref = references[spec.model] = _reference(spec.model)
         for d in spec.degrees:
-            checks.extend(verify_case(spec, d, references[key]))
+            checks.extend(verify_case(spec, d, ref))
     if case_ids is None:
         checks.extend(verify_threefold_section())
     return checks, all(c.ok for c in checks)

@@ -4,12 +4,13 @@
 Usage, from anywhere inside the repository:
 
     python3 tools/bench_pairs.py --base REV --head REV --workload W --pairs N --seed0 S \\
-        [--seconds 30] [--prefix BENCH]
+        [--prefix BENCH]
 
 Each revision is exported with ``git archive`` into its own temporary
 directory, a clean checkout of its committed files that leaves no worktree
 registered in ``.git``.  Each side runs its own ``perfbench/run.py``,
-unchanged, with ``--trace 0``.  Pair i runs seed ``S + i`` on both sides,
+unchanged, with ``--trace 0`` and the run length ``run_seconds`` of the base
+revision's ``BENCHMARK.json``.  Pair i runs seed ``S + i`` on both sides,
 base first when i is even and head first when it is odd, so a drift of the
 machine's speed falls on both sides alike.  The record holds every run's
 metrics and, per end-to-end metric of ``BENCHMARK.json``, each side's median
@@ -46,7 +47,11 @@ def export(sha: str, into: Path) -> None:
     argv = ["git", "-C", str(ROOT), "archive", "--format=tar", sha]
     tar = subprocess.run(argv, check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(into, filter="data")
+        # The "data" filter exists from Python 3.12 and in the 3.10.12 and 3.11.4 backports.
+        if hasattr(tarfile, "data_filter"):
+            archive.extractall(into, filter="data")
+        else:
+            archive.extractall(into)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -104,7 +109,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True, choices=("scan", "verify", "cli"))
     parser.add_argument("--pairs", required=True, type=int)
     parser.add_argument("--seed0", required=True, type=int, help="pair i runs seed seed0 + i")
-    parser.add_argument("--seconds", type=int, default=30, help="run length of each run (default 30)")
     parser.add_argument("--prefix", default="BENCH", help="the record goes to <prefix>_<workload>.json")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -118,19 +122,20 @@ def main(argv: list[str] | None = None) -> int:
         for side, tree in trees.items():
             tree.mkdir()
             export(shas[side], tree)
-        end_to_end = json.loads((trees["base"] / "BENCHMARK.json").read_text())["end_to_end"]
+        benchmark = json.loads((trees["base"] / "BENCHMARK.json").read_text())
+        end_to_end, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
         for i in range(args.pairs):
             seed = args.seed0 + i
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_once(trees[side], args.workload, seed, args.seconds)
+                pair[side] = run_once(trees[side], args.workload, seed, seconds)
                 print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: "
                       + " ".join(f"{k}={v:.4g}" for k, v in pair[side]["metrics"].items()), file=sys.stderr)
             pairs.append(pair)
     record = {
         "workload": args.workload,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "pairs": args.pairs,
         "seeds": [p["seed"] for p in pairs],
         "base": {"rev": args.base, "sha": shas["base"]},
