@@ -200,6 +200,16 @@ class TestSharedReference:
         assert at_1 == [bad_model, spec.model]  # in catalog order: A2, then D5 and E7 on one reference
         assert len(calls) - len(at_1) == 2  # the faulted rows stop at their reference
 
+    def test_equal_models_built_apart_share_one_reference(self, monkeypatch):
+        ids = ["A2", "D5", "E7"]
+        catalog = dict(CASES, **{i: dataclasses.replace(CASES[i], model=dataclasses.replace(CASES[i].model))
+                                 for i in ids})
+        assert len({id(catalog[i].model) for i in ids}) == 3 and len({catalog[i].model for i in ids}) == 1
+        self._rows_equal_standalone(catalog, ids)
+        calls = _counted_decompositions(monkeypatch)
+        verify_all(catalog=catalog, case_ids=ids)
+        assert sum(family == flag_family(model, 1) for model, family in calls) == 1
+
 
 def _printed_data_faults(spec):
     """(name, faulty entry) for every redundant printed datum: 1/13 added to S(E), tau, A(E)'s
