@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
-from .exact import Poly, rat
+from .exact import Poly, RationalFunction, rat
 from .surface import DivisorExpr, SurfaceModel
 
 if TYPE_CHECKING:
@@ -95,6 +95,11 @@ class DegreeRow:
     hi: Fraction
     delta_num: tuple[Fraction, ...]
     delta_den: tuple[Fraction, ...]
+
+    @cached_property
+    def stated_form(self) -> RationalFunction:
+        """The stated closed form in lowest terms, built once per instance on first use."""
+        return RationalFunction.from_coeffs(self.delta_num, self.delta_den)
 
 
 @dataclass(frozen=True)
@@ -919,11 +924,10 @@ def get_case(case_id: str) -> CaseSpec:
         raise UnknownCase(f"unknown case id {case_id!r}") from None
 
 
-def list_cases(catalog: dict[str, CaseSpec] | None = None) -> list[tuple[str, str, tuple[int, ...], tuple[tuple[int, Fraction, Fraction], ...]]]:
+def list_cases() -> list[tuple[str, str, tuple[int, ...], tuple[tuple[int, Fraction, Fraction], ...]]]:
     """All entries in stable order: (id, label, degrees, per-degree validity)."""
-    cat = CASES if catalog is None else catalog
     out = []
-    for spec in sorted(cat.values(), key=lambda s: s.order):
+    for spec in sorted(CASES.values(), key=lambda s: s.order):
         out.append((spec.id, spec.label, spec.degrees, tuple((r.d, r.lo, r.hi) for r in spec.rows)))
     return out
 
@@ -961,8 +965,9 @@ def build_case(case_id: str, d: int, catalog: dict[str, CaseSpec] | None = None)
     return model, factory, spec
 
 
-def _affine_str(a: Fraction, b: Fraction) -> str:
-    return Poly.affine(a, b).format("l")
+def _affine_str(line: Affine | None) -> str:
+    """The line a + b*lambda as text, e.g. "5-6l"; "none" for no line."""
+    return "none" if line is None else Poly.affine(*line).format("l")
 
 
 def validate_catalog(catalog: dict[str, CaseSpec] | None = None, case_ids: list[str] | None = None) -> list[str]:
@@ -991,12 +996,7 @@ def validate_case(spec: CaseSpec) -> list[str]:
     """Structural consistency of one entry on its own."""
     pid = spec.id
     problems: list[str] = []
-    model = spec.model
-    n = len(model.curves)
-    for i in range(n):
-        for j in range(n):
-            if model.gram[i][j] != model.gram[j][i]:
-                problems.append(f"{pid}: gram not symmetric at ({i},{j})")
+    model = spec.model  # SurfaceModel refuses an asymmetric gram
     if "L" in model.curves:
         if spec.m_L is None:
             problems.append(f"{pid}: companion curve present but m_L missing")
@@ -1015,7 +1015,7 @@ def validate_case(spec: CaseSpec) -> list[str]:
             problems.append(f"{pid}: m_L given but model has no companion curve")
     derived_a = (1 + spec.k_E, -spec.m_C)
     if derived_a != spec.printed_A:
-        problems.append(f"{pid}: A(l) mismatch: got {_affine_str(*derived_a)}, stated {_affine_str(*spec.printed_A)}")
+        problems.append(f"{pid}: A(l) mismatch: got {_affine_str(derived_a)}, stated {_affine_str(spec.printed_A)}")
     if spec.s_factor <= 0 or spec.tau_factor <= 0:
         problems.append(f"{pid}: S/tau factors must be positive")
     prev = F(0)
@@ -1043,7 +1043,7 @@ def validate_case(spec: CaseSpec) -> list[str]:
             v_lo, v_hi = a + b * lo, a + b * hi
             # value 1 is tolerated at the upper validity endpoint only
             if v_lo < 0 or v_hi < 0 or v_lo >= 1 or v_hi > 1:
-                problems.append(f"{pid}/{var.name}: different coefficient {_affine_str(a, b)} out of [0,1) on validity")
+                problems.append(f"{pid}/{var.name}: different coefficient {_affine_str(pt.coeff)} out of [0,1) on validity")
             if pt.orbifold_order is not None and a != 1 - F(1, pt.orbifold_order):
                 problems.append(f"{pid}/{var.name}: point {pt.label} coefficient {a} != 1 - 1/{pt.orbifold_order}")
             if pt.location not in ("on_L", "on_C", "isolated"):

@@ -312,18 +312,11 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_threefold(args, out) -> int:
-    unused = {"smooth": "m", "quadric": "s"}.get(args.kind)  # the bound of the kind has no such parameter
-    if unused and getattr(args, unused) is not None:
-        raise InputError(f"kind {args.kind!r} does not use --{unused}")
     lam = parse_rational(args.lam)
     cone = get_case(args.cone)
-    cone_degree = args.m if args.kind in ("blowup", "quadric") else args.s
-    if cone_degree is None:
-        raise InputError("missing --s/--m for the requested kind")
-    if args.kind == "blowup" and args.s is None:
-        raise InputError("kind 'blowup' needs --s and --m")
-    # evaluate_corollary reads the cone at cone_degree through delta_point: CaseSpec.row checks the degree
-    config = threefold.CorollaryConfig(args.kind, args.kind, args.s, args.m, lam, cone.id, cone_degree)
+    # CorollaryConfig refuses a degree the kind does not take or a missing one (ValueError,
+    # exit 2); evaluate_corollary reads the cone at its degree: CaseSpec.row checks it
+    config = threefold.CorollaryConfig(args.kind, args.kind, args.s, args.m, lam, cone.id)
     result = threefold.evaluate_corollary(config)
     notes = ["bound not strict"] if result.bound == 1 else []
     if not result.delta2d_exact:

@@ -146,7 +146,7 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def format(self, var: str = "v", power: str = "^") -> str:
+    def format(self, var: str = "v") -> str:
         """Human-readable form, constant term first: e.g. ``3-4v`` or ``9-v^2/2``."""
         if self.is_zero:
             return "0"
@@ -158,7 +158,7 @@ class Poly:
             if k == 0:
                 term = str(mag)
             else:
-                vpart = var if k == 1 else f"{var}{power}{k}"
+                vpart = var if k == 1 else f"{var}^{k}"
                 if mag == 1:
                     term = vpart
                 elif mag.denominator == 1:
@@ -483,7 +483,7 @@ class RationalFunction:
             raise ZeroDivisionError(f"pole at {x}")
         return self.num(x) / d
 
-    def format(self, var: str = "l", power: str = "^") -> str:
+    def format(self, var: str = "l") -> str:
         """Display with jointly-primitive integer coefficients, e.g. ``(5-6l)/(5-5l)``."""
         num, den = self.num, self.den
         if num.is_zero:
@@ -497,9 +497,9 @@ class RationalFunction:
             scale = -scale
         num, den = num * scale, den * scale
         if den == Poly.const(1):
-            return num.format(var, power) if num.degree > 0 else str(num.coeff(0))
-        ns = num.format(var, power)
-        ds = den.format(var, power)
+            return num.format(var) if num.degree > 0 else str(num.coeff(0))
+        ns = num.format(var)
+        ds = den.format(var)
         ns = f"({ns})" if num.degree > 0 else ns
         ds = f"({ds})" if den.degree > 0 else ds
         return f"{ns}/{ds}"

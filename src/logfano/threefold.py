@@ -99,9 +99,19 @@ def verify_threefold_volumes(kind: str, params: dict, lam) -> bool:
     raise ValueError(f"unknown kind {kind!r}")
 
 
+# The degrees each kind's bound takes; the last is the degree of the plane
+# curve whose delta it reads (the hyperplane section at a smooth point, the
+# tangent cone at a singular one).
+KIND_DEGREES: dict[str, tuple[str, ...]] = {"smooth": ("s",), "blowup": ("s", "m"), "quadric": ("m",)}
+
+
 @dataclass(frozen=True)
 class CorollaryConfig:
-    """One threefold configuration whose bound certifies K-stability."""
+    """One threefold configuration whose bound certifies K-stability.
+
+    s is the surface degree in P^3 and m the point multiplicity; a kind takes
+    exactly the degrees KIND_DEGREES names, and ValueError refuses any other.
+    """
 
     name: str
     kind: str  # "smooth" | "blowup" | "quadric"
@@ -109,7 +119,19 @@ class CorollaryConfig:
     m: int | None
     lam: Fraction
     cone_case: str
-    cone_degree: int
+
+    def __post_init__(self) -> None:
+        takes = KIND_DEGREES.get(self.kind)
+        if takes is None:
+            raise ValueError(f"unknown kind {self.kind!r}")
+        for name in ("s", "m"):
+            if (getattr(self, name) is None) == (name in takes):
+                raise ValueError(f"kind {self.kind!r} {'needs' if name in takes else 'does not use'} --{name}")
+
+    @property
+    def cone_degree(self) -> int:
+        """The degree of the plane curve cone_case, at which its delta is read."""
+        return getattr(self, KIND_DEGREES[self.kind][-1])
 
 
 # Tangent cones: a surface node is a smooth conic, an A_n (n >= 2) point a pair
@@ -117,20 +139,20 @@ class CorollaryConfig:
 # quadruple point a smooth quartic (flex flag).  Smooth points use a general
 # plane section, whose tangent line meets it with multiplicity two.
 COROLLARY_CONFIGS: tuple[CorollaryConfig, ...] = (
-    CorollaryConfig("cubic surface, smooth point", "smooth", 3, None, F(2, 3), "smooth_cubic_tangent2", 3),
-    CorollaryConfig("cubic surface, node", "blowup", 3, 2, F(2, 3), "smooth_conic", 2),
-    CorollaryConfig("quartic double solid, smooth point", "smooth", 4, None, F(1, 2), "smooth_quartic_tangent2", 4),
-    CorollaryConfig("quartic double solid, node", "blowup", 4, 2, F(1, 2), "smooth_conic", 2),
-    CorollaryConfig("quartic double solid, A_n (n>=2) point", "blowup", 4, 2, F(1, 2), "A1", 2),
-    CorollaryConfig("quartic double solid, ordinary triple point", "blowup", 4, 3, F(1, 2), "smooth_cubic_flex", 3),
-    CorollaryConfig("quintic surface, node", "blowup", 5, 2, F(1, 2), "smooth_conic", 2),
-    CorollaryConfig("quintic surface, A_n (n>=2) point", "blowup", 5, 2, F(1, 2), "A1", 2),
-    CorollaryConfig("quintic surface, ordinary triple point", "blowup", 5, 3, F(1, 2), "smooth_cubic_flex", 3),
-    CorollaryConfig("sextic double solid, node", "blowup", 6, 2, F(1, 2), "smooth_conic", 2),
-    CorollaryConfig("sextic double solid, A_n (n>=2) point", "blowup", 6, 2, F(1, 2), "A1", 2),
-    CorollaryConfig("sextic double solid, ordinary triple point", "blowup", 6, 3, F(1, 2), "smooth_cubic_flex", 3),
-    CorollaryConfig("sextic double solid, ordinary quadruple point", "blowup", 6, 4, F(1, 2), "smooth_quartic_flex", 4),
-    CorollaryConfig("quadric threefold section, node", "quadric", None, 2, F(2, 3), "smooth_conic", 2),
+    CorollaryConfig("cubic surface, smooth point", "smooth", 3, None, F(2, 3), "smooth_cubic_tangent2"),
+    CorollaryConfig("cubic surface, node", "blowup", 3, 2, F(2, 3), "smooth_conic"),
+    CorollaryConfig("quartic double solid, smooth point", "smooth", 4, None, F(1, 2), "smooth_quartic_tangent2"),
+    CorollaryConfig("quartic double solid, node", "blowup", 4, 2, F(1, 2), "smooth_conic"),
+    CorollaryConfig("quartic double solid, A_n (n>=2) point", "blowup", 4, 2, F(1, 2), "A1"),
+    CorollaryConfig("quartic double solid, ordinary triple point", "blowup", 4, 3, F(1, 2), "smooth_cubic_flex"),
+    CorollaryConfig("quintic surface, node", "blowup", 5, 2, F(1, 2), "smooth_conic"),
+    CorollaryConfig("quintic surface, A_n (n>=2) point", "blowup", 5, 2, F(1, 2), "A1"),
+    CorollaryConfig("quintic surface, ordinary triple point", "blowup", 5, 3, F(1, 2), "smooth_cubic_flex"),
+    CorollaryConfig("sextic double solid, node", "blowup", 6, 2, F(1, 2), "smooth_conic"),
+    CorollaryConfig("sextic double solid, A_n (n>=2) point", "blowup", 6, 2, F(1, 2), "A1"),
+    CorollaryConfig("sextic double solid, ordinary triple point", "blowup", 6, 3, F(1, 2), "smooth_cubic_flex"),
+    CorollaryConfig("sextic double solid, ordinary quadruple point", "blowup", 6, 4, F(1, 2), "smooth_quartic_flex"),
+    CorollaryConfig("quadric threefold section, node", "quadric", None, 2, F(2, 3), "smooth_conic"),
 )
 
 
@@ -163,10 +185,8 @@ def evaluate_corollary(config: CorollaryConfig) -> CorollaryResult:
         bound = delta_bound_smooth(config.s, config.lam, delta2d)
     elif config.kind == "blowup":
         bound = delta_bound_blowup(config.s, config.m, config.lam, delta2d)
-    elif config.kind == "quadric":
+    else:  # "quadric", the last kind CorollaryConfig admits
         bound = delta_bound_quadric(config.m, config.lam, delta2d)
-    else:
-        raise ValueError(f"unknown kind {config.kind!r}")
     return CorollaryResult(config, delta2d, exact, bound)
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import threefold
-from .catalog import CASES, Affine, CaseSpec, DegreeRow, flag_family, validate_catalog
+from .catalog import CASES, CaseSpec, DegreeRow, _affine_str, flag_family, validate_catalog
 from .delta import (
     _unit_constants,
     binding,
@@ -35,7 +35,7 @@ from .delta import (
     integrated_s_invariants,
     interior_samples,
 )
-from .exact import Poly, _canonical
+from .exact import _canonical
 from .surface import DivisorExpr, SurfaceModel, ZariskiPieces, invariant_violations, zariski_decompose
 
 F = Fraction
@@ -87,10 +87,6 @@ def _probe_lambda(row: DegreeRow) -> Fraction:
     return row.lo + (row.hi - row.lo) / 7
 
 
-def _line(line: Affine | None) -> str:
-    return "none" if line is None else Poly.affine(*line).format("l")
-
-
 def verify_case(spec: CaseSpec, d: int, reference: _Reference | None = None) -> list[Check]:
     """All checks of one case at one degree, each made once as an identity in lambda.
 
@@ -140,12 +136,13 @@ def verify_case(spec: CaseSpec, d: int, reference: _Reference | None = None) -> 
         table = spec.ratio_table  # no tau gate: "breakpoints at t=1" compares tau
         lower, upper = table.lower.by_label, table.upper.by_label
         a_e = tuple(x / spec.s_factor for x in spec.printed_A)
-        add("A(E)", lower["E"] == a_e, lambda: f"computed {_line(lower['E'])}, stated {_line(a_e)}")
+        add("A(E)", lower["E"] == a_e, lambda: f"computed {_affine_str(lower['E'])}, stated {_affine_str(a_e)}")
         stated_ratios = [(f"{var.name}:{pt.label}", pt.ratio_num, pt.ratio_den)
                          for var in spec.variants for pt in var.points]
         for label, num, den in stated_ratios + [("generic", spec.gen_ratio_num, spec.gen_ratio_den)]:
             want = (num[0] / den, num[1] / den)
-            add(f"ratio {label}", lower[label] == want, lambda: f"computed {_line(lower[label])}, stated {_line(want)}")
+            add(f"ratio {label}", lower[label] == want,
+                lambda: f"computed {_affine_str(lower[label])}, stated {_affine_str(want)}")
 
         stated = expected_closed_form(spec, d)
         try:
@@ -177,12 +174,12 @@ def verify_case(spec: CaseSpec, d: int, reference: _Reference | None = None) -> 
             low, up, _ = binding(table, F(0), hi)
             above = up is not None and up[0] > F(3, 2) and up[0] + up[1] * hi >= F(3, 2)
             add("lower-bound regime", low == (F(3, 2), 0) and above,
-                lambda: f"least lines on [0, {hi}]: lower {_line(low)}, upper {_line(up)}, stated lower 3/2")
+                lambda: f"least lines on [0, {hi}]: lower {_affine_str(low)}, upper {_affine_str(up)}, stated lower 3/2")
 
         if row.lo == 0:
             low, up, _ = binding(table, F(0), F(0))
             add("normalization at l=0", low[0] == 3 and up[0] == 3,
-                lambda: f"least lines at 0: lower {_line(low)}, upper {_line(up)}; delta(0) = 1 needs 3")
+                lambda: f"least lines at 0: lower {_affine_str(low)}, upper {_affine_str(up)}; delta(0) = 1 needs 3")
     except Exception as exc:  # surfaced as a failing check, not a crash
         checks.append(Check(scope, "computation", False, f"{type(exc).__name__}: {exc}"))
     return checks

@@ -18,7 +18,6 @@ from logfano.delta import (
     delta_closed_form,
     delta_point,
     expected_closed_form,
-    flag_integrand,
     interior_samples,
     s_divisor,
     s_flag_point,
@@ -29,6 +28,7 @@ from logfano.threefold import corollary_suite, verify_threefold_volumes
 from logfano.verify import verify_all
 
 from conftest import gauss_piecewise, rel_err
+from oracles import flag_integrand
 
 
 def _all_rows():
@@ -119,7 +119,7 @@ def test_criterion_7_numeric_quadrature_oracle():
         for point in ("generic", "EL"):
             if point == "EL" and "L" not in model.curves:
                 continue
-            h = flag_integrand(spec.id, row.d, lam, point)
+            h = flag_integrand(spec, row.d, lam, point)
             err = rel_err(s_flag_point(spec.id, row.d, lam, point), 2 * gauss_piecewise(h) / float(t) ** 2)
             worst = max(worst, err)
             assert err < 1e-6, (spec.id, row.d, point)

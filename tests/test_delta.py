@@ -24,7 +24,6 @@ from logfano.delta import (
     delta_closed_form,
     delta_point,
     expected_closed_form,
-    flag_integrand,
     interior_samples,
     s_curve_on_plane,
     s_divisor,
@@ -35,6 +34,7 @@ from logfano.surface import volume_function, zariski_decompose
 from logfano.catalog import DegreeNotAdmissible, build_case
 
 from conftest import gauss_piecewise, rel_err
+from oracles import flag_integrand
 
 ROWS = [(spec.id, row.d) for spec in sorted(CASES.values(), key=lambda s: s.order) for row in spec.rows]
 # lambda = 0 and the ends of each stated validity interval, wherever they lie in [0, 3/d)
@@ -400,7 +400,7 @@ class TestNumericOracle:
                     for point in ("generic", "EL"):
                         if point == "EL" and "L" not in model.curves:
                             continue
-                        h = flag_integrand(spec.id, row.d, lam, point)
+                        h = flag_integrand(spec, row.d, lam, point)
                         f_exact = s_flag_point(spec.id, row.d, lam, point)
                         f_quad = 2 * gauss_piecewise(h) / float(t) ** 2
                         assert rel_err(f_exact, f_quad) < 1e-6, (spec.id, row.d, lam, point)
