@@ -13,6 +13,7 @@ from logfano.catalog import (
     UnknownCase,
     build_case,
     list_cases,
+    validate_case,
     validate_catalog,
 )
 
@@ -148,3 +149,45 @@ class TestFaultDetection:
         )
         msgs = validate_catalog(_mutated(spec, variants=(dataclasses.replace(var, points=pts),)))
         assert any("1 - 1/4" in m for m in msgs)
+
+
+def _first_point(spec, label, **changes):
+    var = spec.variants[0]
+    points = tuple(dataclasses.replace(pt, **changes) if pt.label == label else pt for pt in var.points)
+    return {"variants": (dataclasses.replace(var, points=points), *spec.variants[1:])}
+
+
+def _row(spec, d, **changes):
+    return {"rows": tuple(dataclasses.replace(row, **changes) if row.d == d else row for row in spec.rows)}
+
+
+def _gram(spec, gram):
+    return {"model": dataclasses.replace(spec.model, gram=gram)}
+
+
+# one crafted entry per violation that the tests above do not produce; each yields that violation alone
+CRAFTED_VIOLATIONS = [
+    ("A2", lambda s: {"m_L": None}, "A2: companion curve present but m_L missing"),
+    ("A2", lambda s: _gram(s, ((F(-1, 6), F(1, 2)), (F(1, 2), F(0)))),
+     "A2: pullback identity (L.L) + m_L*(L.E) = 3/2 != 1"),
+    ("A1", lambda s: _gram(s, ((F(-1, 2),),)), "A1: single-blowup model must have E.E = -1"),
+    ("A1", lambda s: {"m_L": F(1)}, "A1: m_L given but model has no companion curve"),
+    ("A2", lambda s: {"s_factor": F(0)}, "A2: S/tau factors must be positive"),
+    ("A2", lambda s: {"break_factors": (F(3),)}, "A2: breakpoint factor 3 out of order"),
+    ("A2", lambda s: _row(s, 3, lo=F(5, 6)), "A2: empty validity interval for d=3"),
+    ("A2", lambda s: _row(s, 4, hi=F(1)), "A2: validity for d=4 exceeds 3/d"),
+    ("A2", lambda s: _row(s, 3, delta_den=(F(0),)), "A2: zero denominator in closed form for d=3"),
+    ("A3", lambda s: _first_point(s, "P1", location="on_L"), "A3/tangent_not_component: more than one point at E.L"),
+    ("A1", lambda s: _first_point(s, "Q1", location="on_L"), "A1/default: on_L point but no companion curve"),
+    ("A2", lambda s: _first_point(s, "Q", location="elsewhere"), "A2/default: bad location 'elsewhere'"),
+    ("A2", lambda s: _first_point(s, "P1", ratio_den=F(0)), "A2/default: nonpositive ratio denominator factor"),
+    ("A2", lambda s: {"minimizers": ("E", "Z")}, "A2: minimizer 'Z' is not a declared point"),
+    ("A4", lambda s: {"lower_regime_hi": F(1, 4)}, "A4: lower-bound regime must end where validity starts"),
+]
+
+
+@pytest.mark.parametrize("case_id, changes, message", CRAFTED_VIOLATIONS, ids=[m for _, _, m in CRAFTED_VIOLATIONS])
+def test_each_violation_is_reported(case_id, changes, message):
+    spec = CASES[case_id]
+    assert validate_case(spec) == []
+    assert validate_case(dataclasses.replace(spec, **changes(spec))) == [message]

@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -46,7 +47,73 @@ class TestParsing:
         assert capsys.readouterr().err == "error: zero denominator in '1/0'\n"
 
 
+class TestList:
+    def test_plain_table(self):
+        code, out = run(["list"])
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 1 + len(CASES)
+        rows = [re.split(r"\s{2,}", line) for line in lines]
+        assert rows[0] == ["case", "label", "degrees", "validity"]
+        assert [row[0] for row in rows[1:]] == sorted(CASES, key=lambda case_id: CASES[case_id].order)
+        validity = "d=1:[0,1];d=2:[0,1];d=3:[0,1];d=4:[0,3/4]"
+        assert rows[1][1:] == ["smooth point on a line component", "1;2;3;4", validity]
+        assert ["A7", "A7 singularity", "4", "d=4:[3/8,5/8]"] in rows
+        # each column is padded to its widest cell, two spaces apart
+        width = max(map(len, CASES))
+        assert all(line[width : width + 2] == "  " and line[width + 2] != " " for line in lines)
+
+    def test_json_catalog(self):
+        code, out = run(["list", "--format", "json"])
+        payload = json.loads(out)
+        records = {rec["id"]: rec for rec in payload["records"]}
+        assert code == 0 and payload["schema_version"] == 1
+        assert list(records) == sorted(CASES, key=lambda case_id: CASES[case_id].order)
+        assert records["A2"] == {
+            "id": "A2", "label": "cusp (A2)", "order": 9, "degrees": [3, 4], "curves": ["E", "L"],
+            "gram": [["-1/6", "1/2"], ["1/2", "-1/2"]], "ambient_self": "1", "ambient_pairings": ["0", "1"],
+            "m_L": "3", "m_C": "6", "k_E": "4", "A": {"const": "5", "lambda": "-6"},
+            "s_factor": "5/3", "tau_factor": "3", "break_factors": ["2"],
+            "variants": [{"name": "default", "points": [
+                {"label": "P1", "coeff": {"const": "2/3", "lambda": "0"}, "location": "isolated", "orbifold_order": 3},
+                {"label": "P2", "coeff": {"const": "1/2", "lambda": "0"}, "location": "on_L", "orbifold_order": 2},
+                {"label": "Q", "coeff": {"const": "0", "lambda": "1"}, "location": "on_C", "orbifold_order": None},
+            ]}],
+            "extra_upper_bounds": [],
+            "rows": [
+                {"d": 3, "lo": "0", "hi": "5/6", "delta": "(5-6λ)/(5-5λ)",
+                 "delta_num": ["5", "-6"], "delta_den": ["5", "-5"]},
+                {"d": 4, "lo": "0", "hi": "3/4", "delta": "(15-18λ)/(15-20λ)",
+                 "delta_num": ["15", "-18"], "delta_den": ["15", "-20"]},
+            ],
+            "minimizers": ["E"], "lower_regime_hi": None, "alias_of": None,
+        }
+        assert records["double_line_plus_line_smooth"]["alias_of"] == "line_component_smooth_point"
+
+
 class TestDelta:
+    def test_plain_report(self):
+        code, out = run(["delta", "--case", "A2", "--degree", "4", "--lambda", "1/2"])
+        assert code == 0 and out == (
+            "case A2 (d=4) at lambda=1/2\n"
+            "  A(E) = 2   S(E) = 5/3   A/S = 6/5\n"
+            "  point P1                       A = 1/3      S = 1/9      A/S = 3\n"
+            "  point P2                       A = 1/2      S = 1/6      A/S = 3\n"
+            "  point Q                        A = 1/2      S = 1/9      A/S = 9/2\n"
+            "  point generic                  A = 1        S = 1/9      A/S = 9\n"
+            "  delta = 6/5 (exact), minimizer E\n"
+            "  stated closed form value: 6/5 (match: True)\n"
+        )
+
+    def test_plain_report_of_a_lower_bound_with_variants(self):
+        code, out = run(["delta", "--case", "A3", "--degree", "4", "--lambda", "1/4"])
+        assert code == 0 and "  point tangent_component:QL     A = 3/4      S = 1/3      A/S = 9/4\n" in out
+        code, out = run(["delta", "--case", "A4", "--degree", "4", "--lambda", "1/4"])
+        assert code == 0 and out.endswith(
+            "  point generic                  A = 1        S = 1/6      A/S = 6\n"
+            "  delta >= 3/4 (lower bound only; upper bound 27/26)\n"
+            "  note: lower bound only\n"
+        )
+
     def test_json_record(self):
         code, out = run(["delta", "--case", "A2", "--degree", "4", "--lambda", "1/2", "--format", "json"])
         assert code == 0
@@ -124,6 +191,21 @@ class TestScan:
     def test_bad_range(self):
         code, _ = run(["scan", "--case", "A2", "--degree", "4", "--from", "1/2", "--to", "1/2"])
         assert code == 2
+
+    def test_one_sample_is_refused(self, capsys):
+        code, out = run(["scan", "--case", "A2", "--degree", "4", "--from", "0", "--to", "1/2", "--samples", "1"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: need at least 2 samples\n"
+
+    def test_plain_table(self):
+        code, out = run(["scan", "--case", "A2", "--degree", "4", "--from", "0", "--to", "3/4", "--samples", "3"])
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 4
+        assert lines[0].split() == ["case", "d", "lambda", "delta", "exact", "lower", "upper", "minimizer",
+                                    "validity", "expected", "match", "line_clause", "note"]
+        assert lines[2].split() == ["A2", "4", "3/8", "11/10", "True", "11/10", "11/10", "E", "True", "11/10", "True"]
+        # an empty cell keeps its column's width, so the note of the last row starts under its header
+        assert lines[3].index("outside") == lines[0].index("note")
 
 
 class TestTable:
@@ -229,6 +311,18 @@ class TestThreefoldCommand:
         code, out = run(["threefold", *argv[:i], *argv[i + 2 :], "--format", "json"])
         rec = json.loads(out)["records"][0]
         assert code == 0 and rec[option] == ""
+
+
+    @pytest.mark.parametrize("argv, option", [
+        (["smooth", "--lambda", "2/3", "--cone", "smooth_cubic_tangent2"], "s"),
+        (["blowup", "--m", "2", "--lambda", "1/2", "--cone", "smooth_conic"], "s"),
+        (["blowup", "--s", "4", "--lambda", "1/2", "--cone", "smooth_conic"], "m"),
+        (["quadric", "--lambda", "2/3", "--cone", "smooth_conic"], "m"),
+    ])
+    def test_missing_option_the_bound_needs_is_refused(self, capsys, argv, option):
+        code, out = run(["threefold", *argv])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: kind {argv[0]!r} needs --{option}\n"
 
 
 class TestVerifyCommand:

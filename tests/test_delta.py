@@ -31,7 +31,7 @@ from logfano.delta import (
 )
 from logfano.exact import RationalFunction, fit_rational_function, integrate_piecewise
 from logfano.surface import volume_function, zariski_decompose
-from logfano.catalog import DegreeNotAdmissible, build_case
+from logfano.catalog import CurveBound, DegreeNotAdmissible, build_case
 
 from conftest import gauss_piecewise, rel_err
 from oracles import flag_integrand
@@ -236,6 +236,12 @@ class TestDeltaPoint:
                 for lam in interior_samples(row.lo, row.hi, 3):
                     rep = delta_point(spec.id, row.d, lam)
                     assert rep.a_e > 0 and rep.s_e > 0
+
+    def test_upper_bound_below_lower_bound_is_an_internal_error(self):
+        # a tenfold line in C: its bound (1 - 10*lambda)/(t/3) falls below every lower ratio
+        spec = dataclasses.replace(CASES["A2"], extra_upper_bounds=(CurveBound(1, F(10)),))
+        with pytest.raises(AssertionError, match=r"^A2: lower bound 6/5 exceeds upper bound -12$"):
+            delta_point(spec, 4, F(1, 2))
 
     def test_variant_reporting(self):
         rep = delta_point("A3", 4, F(1, 2))

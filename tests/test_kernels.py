@@ -267,20 +267,22 @@ def divisors(model, max_degree):
 
 
 class TestPairKernels:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_pair_is_the_bilinear_sum(self, data):
         model = data.draw(models())
         # degree-2 coefficients make some products of degree 3 or 4: both sides must refuse those
-        d1, d2 = data.draw(divisors(model, 2)), data.draw(divisors(model, 2))
-        try:
-            want = bilinear_pair(model, d1, d2)
-        except AssertionError:
-            with pytest.raises(AssertionError, match="degree <= 2"):
-                pair(model, d1, d2)
-        else:
-            got = pair(model, d1, d2)
-            assert got.coeffs == want and all(type(c) is F for c in got.coeffs)
+        degree = data.draw(st.integers(1, 2))
+        d1, d2 = data.draw(divisors(model, degree)), data.draw(divisors(model, degree))
+        for a, b in ((d1, d2), (d2, d1), (d1, d1)):
+            try:
+                want = bilinear_pair(model, a, b)
+            except AssertionError:
+                with pytest.raises(AssertionError, match="degree <= 2"):
+                    pair(model, a, b)
+            else:
+                got = pair(model, a, b)
+                assert got.coeffs == want and all(type(c) is F for c in got.coeffs)
 
     def test_pair_of_degree_above_2_raises(self):
         model = SurfaceModel(("E",), ((F(-1),),), F(1), (F(0),))

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from logfano.catalog import CASES, build_case
+from logfano.catalog import build_case
 from logfano.exact import IrrationalRoot, Poly, is_negative_definite, solve_linear
 from logfano.surface import (
     DivisorExpr,
@@ -58,59 +57,6 @@ class TestPair:
         model2, factory2, _ = build_case("A2", 4)
         with pytest.raises(ModelMismatch):
             pair(model1, d1, factory2(F(0)))
-
-
-def reference_pair(model, d1, d2):
-    """The pairing as a sum of Poly expressions, one Poly per term: the
-    reference for the coefficient-tuple accumulation in ``pair``."""
-    if d1.model != model or d2.model != model:
-        raise ModelMismatch("divisor expressions do not belong to the model")
-    result = d1.ambient * d2.ambient * model.ambient_self
-    for i, p in enumerate(model.ambient_pairings):
-        if p != 0:
-            result = result + (d1.ambient * d2.coeffs[i] + d2.ambient * d1.coeffs[i]) * p
-    for i in range(len(model.curves)):
-        for j in range(len(model.curves)):
-            g = model.gram[i][j]
-            if g != 0 and not d1.coeffs[i].is_zero and not d2.coeffs[j].is_zero:
-                result = result + d1.coeffs[i] * d2.coeffs[j] * g
-    if result.degree > 2:
-        raise AssertionError("pairing of affine families must have degree <= 2")
-    return result
-
-
-CATALOG_MODELS = sorted({spec.model for spec in CASES.values()}, key=repr)
-coefficient = st.one_of(st.just(F(0)), st.fractions(min_value=-10, max_value=10, max_denominator=40))
-affine = st.builds(Poly.affine, coefficient, coefficient)
-
-
-@st.composite
-def divisor_pairs(draw):
-    model = draw(st.sampled_from(CATALOG_MODELS))
-
-    def divisor():
-        return DivisorExpr(model, draw(affine), tuple(draw(affine) for _ in model.curves))
-
-    return model, divisor(), divisor()
-
-
-class TestPairReference:
-    @settings(max_examples=300, deadline=None)
-    @given(divisor_pairs())
-    def test_matches_poly_expression(self, drawn):
-        model, d1, d2 = drawn
-        for a, b in ((d1, d2), (d2, d1), (d1, d1)):
-            got = pair(model, a, b)
-            assert got == reference_pair(model, a, b)
-            assert all(type(c) is F for c in got.coeffs)
-
-    def test_degree_cap(self):
-        model, _, _ = conic_setup()
-        square = DivisorExpr.build(model, Poly.of(0, 0, 1))
-        with pytest.raises(AssertionError):
-            reference_pair(model, square, square)
-        with pytest.raises(AssertionError):
-            pair(model, square, square)
 
 
 class TestDecomposition:
@@ -226,6 +172,37 @@ class TestInvariants:
         z = ZariskiPieces(model, (F(0), F(1)), (p,), (DivisorExpr.zero(model),), ((),))
         assert volume_function(z)(F(1)) == 0 and pair(model, p, DivisorExpr.build(model, Poly(), {"E": Poly.const(1)})) == Poly.const(F(1, 20))
         assert invariant_violations(z) == ["piece 0: volume increasing on [0, 1]"]
+
+    def test_support_pairing_not_zero_is_reported(self):
+        model, d, _ = conic_setup()
+        z = zariski_decompose(model, d)
+        assert z.supports == ((), ("L",))
+        bad = dataclasses.replace(z, supports=(("L",), ("L",)))
+        assert invariant_violations(bad) == ["piece 0: (P . L) not identically zero on support"]
+
+    def test_decreasing_negative_part_is_reported(self):
+        model, d, _ = conic_setup()
+        z = zariski_decompose(model, d)
+        lo, hi = z.breakpoints[1:]
+        falling = DivisorExpr.build(model, Poly(), {"L": Poly.affine(hi, -1)})  # hi - v: nonnegative on [lo, hi]
+        bad = dataclasses.replace(z, negatives=(z.negatives[0], falling))
+        assert invariant_violations(bad) == ["piece 1: negative-part coefficient of L decreasing"]
+
+    def test_support_gram_not_negative_definite_is_reported(self):
+        # E.E = +1: P = (1 - v)*H has (P . E) = 0 and a volume that falls to zero at 1, yet E cannot be a support
+        model = SurfaceModel(("E",), ((F(1),),), F(1), (F(0),))
+        p = DivisorExpr.build(model, Poly.affine(1, -1))
+        z = ZariskiPieces(model, (F(0), F(1)), (p,), (DivisorExpr.zero(model),), (("E",),))
+        assert invariant_violations(z) == ["piece 0: support Gram not negative definite"]
+
+    def test_volume_discontinuous_at_a_breakpoint_is_reported(self):
+        # (1 - v)^2 on [0, 1/2], then (1 - v)^2 - 1/16 on [1/2, 3/4]: each falls, the second to zero at 3/4
+        model = SurfaceModel(("E",), ((F(-1),),), F(1), (F(0),))
+        p0 = DivisorExpr.build(model, Poly.affine(1, -1))
+        p1 = DivisorExpr.build(model, Poly.affine(1, -1), {"E": Poly.const(F(-1, 4))})
+        zero = DivisorExpr.zero(model)
+        z = ZariskiPieces(model, (F(0), F(1, 2), F(3, 4)), (p0, p1), (zero, zero), ((), ()))
+        assert invariant_violations(z) == ["volume discontinuous at 1/2"]
 
     def test_piece_not_affine_in_v_is_reported(self):
         model = SurfaceModel(("E",), ((F(-1),),), F(1), (F(0),))
