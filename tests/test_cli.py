@@ -288,6 +288,14 @@ class TestThreefoldCommand:
         rec = json.loads(out)["records"][0]
         assert code == 0 and rec["bound"] == "1" and "not strict" in rec["note"]
 
+    def test_bounded_plane_delta_is_flagged(self):
+        # A4 below 3/8 certifies only the lower bound 3/(2t) = 3/4
+        code, out = run(["threefold", "blowup", "--s", "6", "--m", "4", "--lambda", "1/4",
+                         "--cone", "A4", "--format", "json"])
+        rec = json.loads(out)["records"][0]
+        assert code == 0 and rec["delta2d"] == "3/4" and rec["bound"] == "4/5" and rec["k_stable_bound"] == "no"
+        assert rec["note"] == "plane delta used as a lower bound"
+
     def test_negative_lambda_reaches_domain_check(self, capsys):
         code, out = run(["threefold", "blowup", "--s", "4", "--m", "2", "--lambda", "-1/5", "--cone", "smooth_conic"])
         assert code == 2 and out == ""

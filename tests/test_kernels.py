@@ -271,7 +271,8 @@ class TestPairKernels:
     @given(st.data())
     def test_pair_is_the_bilinear_sum(self, data):
         model = data.draw(models())
-        # degree-2 coefficients make some products of degree 3 or 4: both sides must refuse those
+        # affine divisors always pair; degree-2 coefficients make some products of degree 3 or 4,
+        # which both sides must refuse
         degree = data.draw(st.integers(1, 2))
         d1, d2 = data.draw(divisors(model, degree)), data.draw(divisors(model, degree))
         for a, b in ((d1, d2), (d2, d1), (d1, d1)):

@@ -9,6 +9,7 @@ import pytest
 from logfano.delta import interior_samples
 from logfano.threefold import (
     COROLLARY_CONFIGS,
+    CorollaryConfig,
     corollary_suite,
     delta_bound_blowup,
     delta_bound_quadric,
@@ -105,6 +106,19 @@ class TestCorollaries:
         assert len(results) == len(COROLLARY_CONFIGS)
         for r in results:
             assert r.certifies, r.config.name
+
+    def test_cone_read_at_the_kinds_last_degree(self):
+        for config in COROLLARY_CONFIGS:
+            assert config.cone_degree == (config.s if config.kind == "smooth" else config.m), config.name
+
+    @pytest.mark.parametrize("kind, s, m, message", [
+        ("smooth", 3, 2, "kind 'smooth' does not use --m"),
+        ("quadric", None, None, "kind 'quadric' needs --m"),
+        ("cone", 3, 2, "unknown kind 'cone'"),
+    ])
+    def test_config_refuses_degrees_its_kind_does_not_take(self, kind, s, m, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CorollaryConfig("x", kind, s, m, F(1, 2), "smooth_conic")
 
     def test_reference_values(self):
         by_name = {r.config.name: r for r in corollary_suite()}
