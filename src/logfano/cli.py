@@ -55,6 +55,10 @@ def parse_rational(text: str) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+# the formats _render writes; argparse refuses any other (exit 2)
+_FORMATS = ["json", "csv", "md", "latex", "plain"]
+
+
 def _render(records: list[dict], columns: list[str], fmt: str, out) -> None:
     if fmt == "json":
         payload = {"schema_version": SCHEMA_VERSION, "records": records}
@@ -79,13 +83,11 @@ def _render(records: list[dict], columns: list[str], fmt: str, out) -> None:
         for row in rows:
             out.write(" & ".join(cell.replace("λ", "$\\lambda$") for cell in row) + " \\\\\n")
         out.write("\\hline\n\\end{tabular}\n")
-    elif fmt == "plain":
+    else:  # "plain"
         widths = [max(len(c), *(len(r[i]) for r in rows)) if rows else len(c) for i, c in enumerate(columns)]
         out.write("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip() + "\n")
         for row in rows:
             out.write("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n")
-    else:
-        raise InputError(f"unknown format {fmt!r}")
 
 
 def _report_record(rep: DeltaReport) -> dict:
@@ -318,7 +320,7 @@ def cmd_threefold(args, out) -> int:
     # exit 2); evaluate_corollary reads the cone at its degree: CaseSpec.row checks it
     config = threefold.CorollaryConfig(args.kind, args.kind, args.s, args.m, lam, cone.id)
     result = threefold.evaluate_corollary(config)
-    notes = ["bound not strict"] if result.bound == 1 else []
+    notes = ["bound not strict"] if result.certifies and not result.strict else []
     if not result.delta2d_exact:
         notes.append("plane delta used as a lower bound")
     record = {
@@ -344,15 +346,13 @@ def cmd_threefold(args, out) -> int:
 def build_parser() -> argparse.ArgumentParser:
     # --format is accepted both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=["json", "csv", "md", "latex", "plain"], default=argparse.SUPPRESS
-    )
+    common.add_argument("--format", choices=_FORMATS, default=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(
         prog="logfano",
         description="Exact delta invariants of log Fano pairs (P^2, lambda*C_d), d <= 4.",
     )
-    parser.add_argument("--format", choices=["json", "csv", "md", "latex", "plain"], default="plain")
+    parser.add_argument("--format", choices=_FORMATS, default="plain")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="enumerate catalog cases", parents=[common])
@@ -383,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table", help="emit the full delta table, one row per case and degree", parents=[common])
 
     p = sub.add_parser("threefold", help="threefold delta lower bounds from plane data", parents=[common])
-    p.add_argument("kind", choices=["smooth", "blowup", "quadric"])
+    p.add_argument("kind", choices=list(threefold.KIND_DEGREES))
     p.add_argument("--s", type=int, default=None, help="surface degree in P^3")
     p.add_argument("--m", type=int, default=None, help="point multiplicity")
     p.add_argument("--lambda", dest="lam", required=True, metavar="P/Q")

@@ -38,14 +38,18 @@ def s_blowup_flag(s: int, lam) -> Fraction:
     return 3 * _flag_base(s, rat(lam)) / 4
 
 
+def _s_quadric_flag(lam: Fraction) -> Fraction:
+    """S of the exceptional plane of a point blowup of the quadric threefold, boundary lam*(-K): 3*(1 - lam)."""
+    return 3 * (1 - lam)
+
+
 def delta_bound_smooth(s: int, lam, delta2d) -> Fraction:
     """Lower bound at a smooth surface point from a general plane flag."""
     lam, delta2d = rat(lam), rat(delta2d)
     if lam < 0 or lam * s >= 4:
         raise ValueError("need 0 <= lambda and lambda * s < 4")
-    first = 4 / (4 - lam * s)
-    second = delta2d * 4 * (3 - lam * s) / (3 * (4 - lam * s))
-    return min(first, second)
+    flag = s_plane_flag(s, lam)
+    return min(1 / flag, delta2d * (3 - lam * s) / (3 * flag))
 
 
 def delta_bound_blowup(s: int, m: int, lam, delta2d) -> Fraction:
@@ -55,7 +59,7 @@ def delta_bound_blowup(s: int, m: int, lam, delta2d) -> Fraction:
         raise ValueError("need multiplicity m >= 1")
     if lam < 0 or lam * s >= 4:
         raise ValueError("need 0 <= lambda and lambda * s < 4")
-    factor = 4 * (3 - lam * m) / (3 * (4 - lam * s))
+    factor = (3 - lam * m) / s_blowup_flag(s, lam)
     return min(factor, delta2d * factor)
 
 
@@ -66,37 +70,39 @@ def delta_bound_quadric(m: int, lam, delta2d) -> Fraction:
         raise ValueError("need multiplicity m >= 1")
     if lam < 0 or lam >= 1:
         raise ValueError("need 0 <= lambda < 1")
-    first = (3 - lam * m) / (3 * (1 - lam))
-    second = 4 * (3 - lam * m) / (15 - 9 * lam - 2 * lam * m)
-    third = delta2d * 4 * (3 - lam * m) / (9 * (1 - lam))
-    return min(first, second, third)
+    first = (3 - lam * m) / _s_quadric_flag(lam)
+    second = 4 * (3 - lam * m) / (15 - 9 * lam - 2 * lam * m)  # the one term no volume identity checks
+    return min(first, second, first * 4 * delta2d / 3)
+
+
+# The degree each flag's S-invariant takes.
+_FLAG_DEGREES: dict[str, tuple[str, ...]] = {"plane": ("s",), "blowup": ("s",), "quadric": ()}
 
 
 def verify_threefold_volumes(kind: str, params: dict, lam) -> bool:
     """Integrate the piecewise volume of the flag divisor and compare with the
-    closed form of its S-invariant (s_plane_flag, s_blowup_flag, 3*(1 - lam) on
-    the quadric); exact equality or bust."""
+    closed form of its S-invariant (s_plane_flag, s_blowup_flag, _s_quadric_flag);
+    exact equality or bust.  params holds exactly the degrees the flag takes."""
+    takes = _FLAG_DEGREES.get(kind)
+    if takes is None:
+        raise ValueError(f"unknown kind {kind!r}")
+    if sorted(params) != list(takes):
+        raise ValueError(f"flag {kind!r} takes the degrees {list(takes)}, not {sorted(params)}")
     lam = rat(lam)
-    if kind == "plane":
-        s = params["s"]
-        b = _flag_base(s, lam)
-        vol = PiecewisePoly((F(0), b), (Poly.of(b, -1) * Poly.of(b, -1) * Poly.of(b, -1),))
-        return integrate_piecewise(vol) / b**3 == s_plane_flag(s, lam)
-    if kind == "blowup":
-        s = params["s"]
-        b = _flag_base(s, lam)
-        vol = PiecewisePoly((F(0), b), (Poly.of(b**3, 0, 0, -1),))
-        return integrate_piecewise(vol) / b**3 == s_blowup_flag(s, lam)
     if kind == "quadric":
         a = 1 - lam
         if a <= 0:
             raise ValueError("need lambda < 1")
-        first = Poly.of(54 * a**3, 0, 0, -1)
         shifted = Poly.of(6 * a, -1)
-        second = shifted * shifted * shifted
-        vol = PiecewisePoly((F(0), 3 * a, 6 * a), (first, second))
-        return integrate_piecewise(vol) / (54 * a**3) == 3 * a
-    raise ValueError(f"unknown kind {kind!r}")
+        vol = PiecewisePoly((F(0), 3 * a, 6 * a), (Poly.of(54 * a**3, 0, 0, -1), shifted * shifted * shifted))
+        return integrate_piecewise(vol) / (54 * a**3) == _s_quadric_flag(lam)
+    s = params["s"]
+    b = _flag_base(s, lam)
+    if kind == "plane":
+        vol, flag = Poly.of(b, -1) * Poly.of(b, -1) * Poly.of(b, -1), s_plane_flag
+    else:
+        vol, flag = Poly.of(b**3, 0, 0, -1), s_blowup_flag
+    return integrate_piecewise(PiecewisePoly((F(0), b), (vol,))) / b**3 == flag(s, lam)
 
 
 # The degrees each kind's bound takes; the last is the degree of the plane

@@ -46,6 +46,16 @@ class TestParsing:
         assert code == 2 and out == ""
         assert capsys.readouterr().err == "error: zero denominator in '1/0'\n"
 
+    @pytest.mark.parametrize("argv", [["--format", "xml", "list"], ["list", "--format", "xml"]],
+                             ids=["before", "after"])
+    def test_unknown_format_is_refused_by_argparse(self, capsys, argv):
+        buf = io.StringIO()
+        with pytest.raises(SystemExit) as exc:
+            main(argv, out=buf)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and buf.getvalue() == "" and captured.out == ""
+        assert "invalid choice: 'xml'" in captured.err
+
 
 class TestList:
     def test_plain_table(self):

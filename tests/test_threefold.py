@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from logfano import threefold
 from logfano.delta import interior_samples
 from logfano.threefold import (
     COROLLARY_CONFIGS,
@@ -18,6 +19,7 @@ from logfano.threefold import (
     s_plane_flag,
     verify_threefold_volumes,
 )
+from logfano.verify import verify_threefold_section
 
 
 class TestFlagInvariants:
@@ -98,6 +100,34 @@ class TestVolumes:
     def test_flag_closed_forms_against_integrals(self, kind, s):
         for lam in interior_samples(F(0), F(4, s), 5):
             assert verify_threefold_volumes(kind, {"s": s}, lam), (kind, s, lam)
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("plane", {}, r"flag 'plane' takes the degrees \['s'\], not \[\]"),
+        ("blowup", {"s": 4, "m": 2}, r"flag 'blowup' takes the degrees \['s'\], not \['m', 's'\]"),
+        ("quadric", {"s": 9}, r"flag 'quadric' takes the degrees \[\], not \['s'\]"),
+        ("cone", {}, "unknown kind 'cone'"),
+    ], ids=["plane-missing", "blowup-unused", "quadric-unused", "unknown"])
+    def test_degrees_the_flag_does_not_take_are_refused(self, kind, params, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify_threefold_volumes(kind, params, F(1, 2))
+
+
+class TestBoundsReadTheCheckedFlags:
+    """Each bound reads the flag S-invariant whose volume identity verify checks."""
+
+    @pytest.mark.parametrize("flag, kind, bound", [
+        ("s_plane_flag", "plane", lambda: delta_bound_smooth(3, F(2, 3), F(5, 3))),
+        ("s_blowup_flag", "blowup", lambda: delta_bound_blowup(4, 2, F(1, 2), F(1))),
+        # the third term, first * 4 * delta2d / 3, binds at delta2d = 1/4
+        ("_s_quadric_flag", "quadric", lambda: delta_bound_quadric(2, F(2, 3), F(1, 4))),
+    ], ids=["plane", "blowup", "quadric"])
+    def test_scaled_flag_fails_its_volumes_and_moves_its_bound(self, monkeypatch, flag, kind, bound):
+        before = bound()
+        real = getattr(threefold, flag)
+        monkeypatch.setattr(threefold, flag, lambda *args: real(*args) * F(101, 100))
+        failed = [c.name for c in verify_threefold_section() if not c.ok]
+        assert len(failed) == 5 and all(name.startswith(f"{kind} volume") for name in failed)
+        assert bound() != before
 
 
 class TestCorollaries:
