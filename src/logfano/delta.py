@@ -106,15 +106,13 @@ class _UnitConstants:
 class Ratio:
     """One ratio A/S of a ratio table: A = a + b*lambda, S = s*t with t = 3 - d*lambda.
 
-    label is "E", "generic", "EL", "<variant>:<point>" or "curve(e=..,l=..)"; on_l
-    marks a point whose S is S(W;O) at the crossing of E with L.
+    label is "E", "generic", "EL", "<variant>:<point>" or "curve(e=..,l=..)".
     """
 
     label: str
     a: Fraction
     b: Fraction
     s: Fraction
-    on_l: bool = False
 
 
 @dataclass(frozen=True)
@@ -190,15 +188,14 @@ def ratio_table(spec: CaseSpec) -> RatioTable:
         for pt in var.points:
             a, b = pt.coeff
             on_l = pt.location == "on_L"
-            ratio = Ratio(f"{var.name}:{pt.label}", 1 - a, -b, unit.s_on_l if on_l else unit.s_generic, on_l)
+            ratio = Ratio(f"{var.name}:{pt.label}", 1 - a, -b, unit.s_on_l if on_l else unit.s_generic)
             rows.append((var.name, pt.label, ratio))
             points.setdefault(pt.label, ratio)
             if at_l is None and on_l:
                 at_l = ratio
         rows.append((var.name, "generic", generic))
     points["generic"] = generic
-    has_l = unit.s_on_l is not None
-    points["EL"] = at_l or Ratio("EL", F(1), F(0), unit.s_on_l if has_l else unit.s_generic, has_l)
+    points["EL"] = at_l or Ratio("EL", F(1), F(0), unit.s_generic if unit.s_on_l is None else unit.s_on_l)
     return RatioTable(
         unit.tau,
         Ratio("E", 1 + spec.k_E, -spec.m_C, unit.s_e),

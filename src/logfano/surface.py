@@ -282,7 +282,8 @@ def _solve_support(
     return p, (nc, ns, det * den)
 
 
-def _grow(model: SurfaceModel, d: DivisorExpr) -> ZariskiPieces:
+def zariski_decompose(model: SurfaceModel, d: DivisorExpr) -> ZariskiPieces:
+    """Full decomposition on [0, tau]."""
     if d.model != model:
         raise ModelMismatch("divisor expressions do not belong to the model")
     table, den_t = model._integer_table
@@ -333,15 +334,7 @@ def _grow(model: SurfaceModel, d: DivisorExpr) -> ZariskiPieces:
 
 def pseudo_effective_threshold(model: SurfaceModel, d: DivisorExpr) -> Fraction:
     """Smallest v >= 0 at which the running volume (P(v))^2 reaches zero."""
-    return _grow(model, d).tau
-
-
-def zariski_decompose(model: SurfaceModel, d: DivisorExpr, v_max: Fraction | None = None) -> ZariskiPieces:
-    """Full decomposition on [0, tau]; a given v_max must equal the computed threshold tau."""
-    pieces = _grow(model, d)
-    if v_max is not None and pieces.tau != rat(v_max):
-        raise ValueError(f"v_max {v_max} != computed pseudo-effective threshold {pieces.tau}")
-    return pieces
+    return zariski_decompose(model, d).tau
 
 
 def volume_function(z: ZariskiPieces) -> PiecewisePoly:

@@ -19,7 +19,8 @@ def flag_integrand(spec: CaseSpec, d: int, lam, point: str = "generic") -> Piece
     model, factory, _ = build_case(spec.id, d, {spec.id: spec})
     lam = F(lam)
     t = 3 - d * lam
-    pieces = zariski_decompose(model, factory(lam), t * spec.tau_factor)
+    pieces = zariski_decompose(model, factory(lam))
+    assert pieces.tau == t * spec.tau_factor
     located: dict[str, str] = {}
     for var in spec.variants:
         for pt in var.points:

@@ -97,7 +97,7 @@ def test_criterion_6_zariski_property_suite():
         model, factory, _ = build_case(spec.id, row.d)
         for lam in interior_samples(row.lo, row.hi, 5):
             t = 3 - row.d * lam
-            pieces = zariski_decompose(model, factory(lam), t * spec.tau_factor)
+            pieces = zariski_decompose(model, factory(lam))
             assert pieces.tau == t * spec.tau_factor, (spec.id, row.d, lam)
             declared = (F(0),) + tuple(b * t for b in spec.break_factors) + (pieces.tau,)
             assert pieces.breakpoints == declared, (spec.id, row.d, lam)
@@ -112,7 +112,8 @@ def test_criterion_7_numeric_quadrature_oracle():
         model, factory, _ = build_case(spec.id, row.d)
         lam = row.lo + (row.hi - row.lo) * F(1, 2)
         t = 3 - row.d * lam
-        pieces = zariski_decompose(model, factory(lam), t * spec.tau_factor)
+        pieces = zariski_decompose(model, factory(lam))
+        assert pieces.tau == t * spec.tau_factor, (spec.id, row.d)
         err = rel_err(s_divisor(spec.id, row.d, lam), gauss_piecewise(volume_function(pieces)) / float(t) ** 2)
         worst = max(worst, err)
         assert err < 1e-6, (spec.id, row.d, "S(E)")

@@ -56,7 +56,8 @@ def _fresh_s_invariants(spec, d, lam):
     """S(E) and every point's S(W;O), integrated from a decomposition made at this lambda."""
     model, factory, _ = build_case(spec.id, d, {spec.id: spec})
     t = 3 - d * lam
-    pieces = zariski_decompose(model, factory(lam), t * spec.tau_factor)
+    pieces = zariski_decompose(model, factory(lam))
+    assert pieces.tau == t * spec.tau_factor
     s_e = integrate_piecewise(volume_function(pieces)) / t**2
     points = ("generic", *(("EL",) if "L" in model.curves else ()), *spec.point_labels())
     return s_e, {p: 2 * integrate_piecewise(flag_integrand(spec, d, lam, p)) / t**2 for p in points}
@@ -398,7 +399,8 @@ class TestNumericOracle:
                 model, factory, _ = build_case(spec.id, row.d)
                 for lam in interior_samples(row.lo, row.hi, 3):
                     t = 3 - row.d * lam
-                    pieces = zariski_decompose(model, factory(lam), t * spec.tau_factor)
+                    pieces = zariski_decompose(model, factory(lam))
+                    assert pieces.tau == t * spec.tau_factor, (spec.id, row.d, lam)
                     vol = volume_function(pieces)
                     s_exact = s_divisor(spec.id, row.d, lam)
                     s_quad = gauss_piecewise(vol) / float(t) ** 2

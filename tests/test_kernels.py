@@ -43,11 +43,11 @@ from logfano.surface import (
     Unbounded,
     ZariskiPieces,
     _divisor,
-    _grow,
     _integer_divisor,
     _solve_support,
     pair,
     pair_curve,
+    zariski_decompose,
 )
 from logfano.verify import _probe_lambda
 
@@ -438,14 +438,14 @@ class TestDecompositionKernels:
     def test_grow_is_the_fraction_growth(self, data):
         model = data.draw(decomposable)
         d = data.draw(affine_divisors(model))
-        assert outcome(_grow, model, d) == outcome(fraction_grow, model, d)
+        assert outcome(zariski_decompose, model, d) == outcome(fraction_grow, model, d)
 
     def test_catalog_models_at_t_1_and_lambda_1(self):
         for spec in CASES.values():
             for row in spec.rows:
                 for t in (1, 3 - row.d * _probe_lambda(row)):
                     d = flag_family(spec.model, t)
-                    z = _grow(spec.model, d)
+                    z = zariski_decompose(spec.model, d)
                     assert z == fraction_grow(spec.model, d), (spec.id, row.d, t)
                     for support in {*z.supports, tuple(reversed(spec.model.curves))}:
                         assert outcome(solve, spec.model, d, support) == outcome(fraction_solve_support, spec.model, d, support)
@@ -454,7 +454,7 @@ class TestDecompositionKernels:
     def test_three_pieces(self, model):
         for t in (1, F(7, 3)):
             d = flag_family(model, t)
-            z = _grow(model, d)
+            z = zariski_decompose(model, d)
             assert len(z.supports) == 3 and len(z.supports[-1]) == 2
             assert z == fraction_grow(model, d)
 
@@ -462,7 +462,7 @@ class TestDecompositionKernels:
         model = SurfaceModel(("E",), ((F(-1),),), F(1), (F(0),))
         d = DivisorExpr.build(model, Poly.const(1), {"E": Poly.of(0, 0, -1)})
         with pytest.raises(ValueError, match="affine"):
-            _grow(model, d)
+            zariski_decompose(model, d)
 
 
 class TestClosedFormKernel:

@@ -23,7 +23,6 @@ from logfano.surface import (
     pseudo_effective_threshold,
     volume_function,
     zariski_decompose,
-    _grow,
 )
 
 
@@ -62,7 +61,8 @@ class TestPair:
 class TestDecomposition:
     def test_conic_breakpoints(self):
         model, d, _ = conic_setup()
-        z = zariski_decompose(model, d, F(6))
+        z = zariski_decompose(model, d)
+        assert z.tau == 6
         assert z.breakpoints == (0, 3, 6)
         assert z.supports == ((), ("L",))
         assert z.negatives[0].coeff("L") == Poly()
@@ -71,13 +71,14 @@ class TestDecomposition:
 
     def test_single_curve_case(self):
         model, factory, _ = build_case("A1", 4)
-        z = zariski_decompose(model, factory(F(0)), F(3))
+        z = zariski_decompose(model, factory(F(0)))
+        assert z.tau == 3
         assert z.breakpoints == (0, 3)
         assert z.supports == ((),)
 
     def test_nef_at_zero(self):
         model, d, _ = conic_setup(F(1, 4))
-        z = _grow(model, d)
+        z = zariski_decompose(model, d)
         assert z.positives[0].at(F(0)) == d.at(F(0))
         assert all(c.is_zero for c in z.negatives[0].coeffs)
 
@@ -91,23 +92,19 @@ class TestDecomposition:
 
     def test_volume_endpoints(self):
         model, factory, _ = build_case("A2", 4)
-        z = zariski_decompose(model, factory(F(1, 2)), F(3))
+        z = zariski_decompose(model, factory(F(1, 2)))
+        assert z.tau == 3
         vol = volume_function(z)
         assert vol(0) == 1  # (3 - d*lambda)^2 at lambda = 1/2, d = 4
         assert vol(z.tau) == 0
         assert vol.pieces[0] == Poly.of(1, 0, F(-1, 6))
         assert vol.pieces[1] == Poly.of(3, -2, F(1, 3))
 
-    def test_tau_mismatch_rejected(self):
-        model, d, _ = conic_setup()
-        with pytest.raises(ValueError):
-            zariski_decompose(model, d, F(5))
-
     def test_not_pseudo_effective(self):
         model = SurfaceModel(("E",), ((F(-1),),), F(1), (F(-1),))
         d = DivisorExpr.build(model, Poly.const(1), {"E": Poly.affine(0, -1)})
         with pytest.raises(NotPseudoEffective):
-            _grow(model, d)
+            zariski_decompose(model, d)
 
     def test_indefinite_support_detected(self):
         # a companion curve with nonnegative self-intersection whose pairing
@@ -120,21 +117,21 @@ class TestDecomposition:
         )
         d = DivisorExpr.build(model, Poly.const(3), {"E": Poly.affine(0, -1)})
         with pytest.raises(IndefiniteSupport):
-            _grow(model, d)
+            zariski_decompose(model, d)
 
     def test_irrational_breakpoint_surfaces(self):
         # E^2 = -2 on a single-curve model makes the volume vanish at 3/sqrt(2)
         model = SurfaceModel(("E",), ((F(-2),),), F(1), (F(0),))
         d = DivisorExpr.build(model, Poly.const(3), {"E": Poly.affine(0, -1)})
         with pytest.raises(IrrationalRoot):
-            _grow(model, d)
+            zariski_decompose(model, d)
 
     def test_constant_volume_is_unbounded(self):
         # E.E = 0 and H.E = 0: (P . E) is 0 for every v and the volume stays 9
         model = SurfaceModel(("E",), ((F(0),),), F(1), (F(0),))
         d = DivisorExpr.build(model, Poly.const(3), {"E": Poly.affine(0, -1)})
         with pytest.raises(Unbounded, match=r"^volume never reaches zero and no curve enters the support$"):
-            _grow(model, d)
+            zariski_decompose(model, d)
 
     def test_family_of_another_model_is_refused(self):
         model, _, _ = conic_setup()
@@ -148,12 +145,13 @@ class TestInvariants:
     def test_engine_output_clean(self, case_id, d):
         model, factory, spec = build_case(case_id, d)
         for lam in [F(0), F(1, 8), F(1, 3)]:
-            z = _grow(model, factory(lam))
+            z = zariski_decompose(model, factory(lam))
             assert invariant_violations(z) == []
 
     def test_violations_reported_for_corrupted_pieces(self):
         model, d, _ = conic_setup()
-        z = zariski_decompose(model, d, F(6))
+        z = zariski_decompose(model, d)
+        assert z.tau == 6
         bad = type(z)(
             model,
             z.breakpoints,
@@ -266,7 +264,7 @@ def brute_force_negative_part(model, d, v):
 def test_brute_force_oracle_equivalence(case_id, d, lam):
     model, factory, spec = build_case(case_id, d)
     div = factory(lam)
-    z = _grow(model, div)
+    z = zariski_decompose(model, div)
     for i in range(len(z.positives)):
         lo, hi = z.breakpoints[i], z.breakpoints[i + 1]
         for k in range(1, 6):

@@ -43,8 +43,8 @@ class TestReferenceDecomposition:
         real = verify.zariski_decompose
         calls = []
 
-        def perturb_second(model, family, v_max=None):
-            pieces = real(model, family, v_max)
+        def perturb_second(model, family):
+            pieces = real(model, family)
             calls.append(pieces)
             if len(calls) != 2:
                 return pieces
