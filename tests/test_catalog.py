@@ -69,6 +69,39 @@ class TestShippedCatalog:
                 assert spec.alias_of in CASES
 
 
+# Classical log canonical thresholds of the ADE curve singularities (Kollar,
+# "Singularities of pairs", 1997, section 8), from their closed formulas alone.
+_ADE_LCT = {f"A{n}": min(F(1), F(1, 2) + F(1, n + 1)) for n in range(1, 8)}
+_ADE_LCT.update({f"D{n}": F(n, 2 * n - 2) for n in (4, 5, 6)}, E6=F(7, 12), E7=F(5, 9), A5_line_in_C=_ADE_LCT["A5"])
+
+
+def _least_log_discrepancy_zero(spec, d):
+    """Least zero in (0, 3/d) of the lines A(E) and A(O) of the case's ratio table, or None."""
+    table = spec.ratio_table
+    lines = (table.e, *(ratio for _, _, ratio in table.rows))
+    zeros = [z for z in (-r.a / r.b for r in lines if r.b < 0) if 0 < z < F(3, d)]
+    return min(zeros, default=None)
+
+
+class TestLogCanonicalThresholds:
+    def test_ade_rows_vanish_at_the_classical_threshold(self):
+        rows = [(spec, row.d) for spec in CASES.values() if spec.id in _ADE_LCT for row in spec.rows]
+        assert len(rows) == 18
+        for spec, d in rows:
+            lct = _ADE_LCT[spec.id]
+            zero = _least_log_discrepancy_zero(spec, d)
+            if zero is None:
+                assert lct >= F(3, d), (spec.id, d)
+            else:
+                assert zero == lct, (spec.id, d, zero)
+
+    def test_every_row_ends_at_or_below_its_threshold(self):
+        for spec in CASES.values():
+            for row in spec.rows:
+                zero = _least_log_discrepancy_zero(spec, row.d)
+                assert row.hi <= (F(3, row.d) if zero is None else zero), (spec.id, row.d)
+
+
 class TestBuildCase:
     def test_cusp_data(self):
         model, factory, spec = build_case("A2", 4)
