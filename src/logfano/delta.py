@@ -213,7 +213,7 @@ def _checked_table(spec: CaseSpec, t: Fraction | int = 1) -> RatioTable:
     """The case's ratio table, once its stated threshold tau_factor is the model's."""
     table = spec.ratio_table
     if spec.tau_factor != table.tau:
-        raise ValueError(f"v_max {t * spec.tau_factor} != computed pseudo-effective threshold {t * table.tau}")
+        raise ValueError(f"stated tau {t * spec.tau_factor} != computed pseudo-effective threshold {t * table.tau}")
     return table
 
 
