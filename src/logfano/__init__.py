@@ -21,7 +21,6 @@ from .delta import (
 from .exact import (
     PiecewisePoly,
     Poly,
-    Rational,
     RationalFunction,
     fit_rational_function,
     integrate,
@@ -36,7 +35,6 @@ from .surface import (
     ZariskiPieces,
     pair,
     pair_curve,
-    pseudo_effective_threshold,
     volume_function,
     zariski_decompose,
 )
@@ -60,7 +58,6 @@ __all__ = [
     "DivisorExpr",
     "PiecewisePoly",
     "Poly",
-    "Rational",
     "RationalFunction",
     "SurfaceModel",
     "ZariskiPieces",
@@ -79,7 +76,6 @@ __all__ = [
     "list_cases",
     "pair",
     "pair_curve",
-    "pseudo_effective_threshold",
     "rat",
     "rat_str",
     "roots_in_interval",

@@ -27,7 +27,6 @@ from .delta import (
     NotExactOnInterval,
     delta_closed_form,
     delta_point,
-    expected_closed_form,
     s_curve_on_plane,
 )
 from .exact import rat_str
@@ -166,7 +165,7 @@ def _case_payload(spec) -> dict:
                 "d": row.d,
                 "lo": rat_str(row.lo),
                 "hi": rat_str(row.hi),
-                "delta": expected_closed_form(spec, row.d).format("λ"),
+                "delta": row.stated_form.format("λ"),
                 "delta_num": [rat_str(c) for c in row.delta_num],
                 "delta_den": [rat_str(c) for c in row.delta_den],
             }
@@ -235,15 +234,19 @@ def cmd_scan(args, out) -> int:
         raise InputError("scan range must satisfy start < stop")
     if args.samples < 2:
         raise InputError("need at least 2 samples")
+    lct = spec.ratio_table.lct
     records = []
     for k in range(args.samples):
         lam = lo + (hi - lo) * Fraction(k, args.samples - 1)
         if lam * args.degree >= 3:  # a negative lambda goes on to the domain check of delta_point
             note = "outside the log Fano range [0, 3/d)"
-            records.append({**dict.fromkeys(_REPORT_COLUMNS, ""), "case": spec.id, "d": args.degree,
-                            "lambda": rat_str(lam), "validity": False, "note": note})
+        elif lct is not None and lam > lct:
+            note = f"past the log canonical threshold {rat_str(lct)}"
+        else:
+            records.append(_report_record(delta_point(spec, args.degree, lam)))
             continue
-        records.append(_report_record(delta_point(spec, args.degree, lam)))
+        records.append({**dict.fromkeys(_REPORT_COLUMNS, ""), "case": spec.id, "d": args.degree,
+                        "lambda": rat_str(lam), "validity": False, "note": note})
     _render(records, _REPORT_COLUMNS, args.format, out)
     return 0
 
@@ -257,8 +260,8 @@ def cmd_closed_form(args, out) -> int:
         return 1
     if rf.num.degree > args.num_deg or rf.den.degree > args.den_deg:
         raise InputError(f"derived form {rf.format('λ')} exceeds the degree bounds ({args.num_deg},{args.den_deg})")
-    stated = expected_closed_form(spec, args.degree)
     row = spec.row(args.degree)
+    stated = row.stated_form
     record = {
         "case": spec.id,
         "d": args.degree,
@@ -283,7 +286,7 @@ def cmd_table(args, out) -> int:
                 "case": spec.id,
                 "label": spec.label,
                 "d": d,
-                "delta": expected_closed_form(spec, d).format("λ"),
+                "delta": row.stated_form.format("λ"),
                 "validity": f"[{rat_str(row.lo)},{rat_str(row.hi)}]"
                 + ("" if spec.lower_regime_hi is None else f" (>=3/(2(3-{d}λ)) on [0,{rat_str(spec.lower_regime_hi)}])"),
             }

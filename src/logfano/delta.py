@@ -138,7 +138,9 @@ class RatioTable:
     """Every ratio delta compares for one case; lambda-free, built by ratio_table.
 
     Its lines are computed once, when the table is built: lower for "E", each
-    "variant:point" and "generic", upper for "E" and each curve bound.
+    "variant:point" and "generic", upper for "E" and each curve bound.  So is
+    lct, the least positive zero of the A-lines of "E" and the points (None if
+    none has one): past it A(E) or an A(O) is negative, the pair not lc.
     """
 
     tau: Fraction  # the model's pseudo-effective threshold at t = 1
@@ -148,10 +150,14 @@ class RatioTable:
     points: Mapping[str, Ratio]  # by point label, "generic" and "EL" included; read-only, the table is shared
     lower: Lines = field(init=False, repr=False, compare=False)
     upper: Lines = field(init=False, repr=False, compare=False)
+    lct: Fraction | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lower", _lines((self.e, *(ratio for _, _, ratio in self.rows))))
+        lower = (self.e, *(ratio for _, _, ratio in self.rows))
+        zeros = [z for z in (-r.a / r.b for r in lower if r.b) if z > 0]
+        object.__setattr__(self, "lower", _lines(lower))
         object.__setattr__(self, "upper", _lines((self.e, *self.curves)))
+        object.__setattr__(self, "lct", min(zeros, default=None))
 
 
 @lru_cache(maxsize=64)
@@ -296,8 +302,10 @@ def _minimizer_names(labels: list[str]) -> tuple[str, ...]:
 
 
 def delta_point(case: str | CaseSpec, d: int, lam) -> DeltaReport:
-    """Local delta report at rational lambda in [0, 3/d): the ratio table at lambda."""
+    """Local delta report at rational lambda in [0, 3/d), refused past the case's lct: the ratio table at lambda."""
     spec, table, lam, t = _at(case, d, lam)
+    if table.lct is not None and lam > table.lct:
+        raise ValueError(f"lambda {lam} past the log canonical threshold {table.lct} of case {spec.id}")
     e = table.e
     a_e, s_e = e.a + e.b * lam, e.s * t
     ratio_e = a_e / s_e
@@ -394,8 +402,3 @@ def _over_t(line: Affine, d: int) -> RationalFunction:
     if a * d + 3 * b == 0:
         return _reduced(Poly.const(a / 3), Poly.const(1))
     return _reduced(Poly.affine(-a / d, -b / d), Poly.affine(F(-3, d), 1))
-
-
-def expected_closed_form(spec: CaseSpec, d: int) -> RationalFunction:
-    return spec.row(d).stated_form
-

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 
 class UnsupportedDegree(ValueError):
     """Root finding was requested for a polynomial of degree > 2."""

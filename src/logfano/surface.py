@@ -332,11 +332,6 @@ def zariski_decompose(model: SurfaceModel, d: DivisorExpr) -> ZariskiPieces:
     raise AssertionError("support grew beyond the curve count")
 
 
-def pseudo_effective_threshold(model: SurfaceModel, d: DivisorExpr) -> Fraction:
-    """Smallest v >= 0 at which the running volume (P(v))^2 reaches zero."""
-    return zariski_decompose(model, d).tau
-
-
 def volume_function(z: ZariskiPieces) -> PiecewisePoly:
     """v -> (P(v))^2 as an exact piecewise polynomial on [0, tau]."""
     return PiecewisePoly(z.breakpoints, tuple(pair(z.model, p, p) for p in z.positives))

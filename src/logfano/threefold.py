@@ -6,7 +6,8 @@ forms, and the remaining infimum is controlled by the delta invariant of the
 plane pair cut out by the flag (a hyperplane section for a smooth point, the
 projectivized tangent cone for a singular one).  All three combinators return
 certified lower bounds; a result >= 1 certifies K-stability of the
-corresponding polarized pair.
+corresponding polarized pair.  Each flag's S-invariant is the one gate of s
+and lambda, so a bound refuses exactly what its flag refuses.
 """
 
 from __future__ import annotations
@@ -14,18 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .delta import delta_point
+from .delta import delta_point, interior_samples
 from .exact import PiecewisePoly, Poly, integrate_piecewise, rat
 
 F = Fraction
 
 
 def _flag_base(s: int, lam: Fraction) -> Fraction:
-    """4 - lam*s, which the flags below need positive."""
-    b = 4 - lam * s
-    if b <= 0:
-        raise ValueError("need lambda * s < 4")
-    return b
+    """4 - lam*s, the gate of the flags below: s >= 1, 0 <= lam and lam*s < 4."""
+    if s < 1:
+        raise ValueError("need surface degree s >= 1")
+    if lam < 0 or lam * s >= 4:
+        raise ValueError("need 0 <= lambda and lambda * s < 4")
+    return 4 - lam * s
 
 
 def s_plane_flag(s: int, lam) -> Fraction:
@@ -40,14 +42,14 @@ def s_blowup_flag(s: int, lam) -> Fraction:
 
 def _s_quadric_flag(lam: Fraction) -> Fraction:
     """S of the exceptional plane of a point blowup of the quadric threefold, boundary lam*(-K): 3*(1 - lam)."""
+    if lam < 0 or lam >= 1:
+        raise ValueError("need 0 <= lambda < 1")
     return 3 * (1 - lam)
 
 
 def delta_bound_smooth(s: int, lam, delta2d) -> Fraction:
     """Lower bound at a smooth surface point from a general plane flag."""
     lam, delta2d = rat(lam), rat(delta2d)
-    if lam < 0 or lam * s >= 4:
-        raise ValueError("need 0 <= lambda and lambda * s < 4")
     flag = s_plane_flag(s, lam)
     return min(1 / flag, delta2d * (3 - lam * s) / (3 * flag))
 
@@ -57,9 +59,10 @@ def delta_bound_blowup(s: int, m: int, lam, delta2d) -> Fraction:
     lam, delta2d = rat(lam), rat(delta2d)
     if m < 1:
         raise ValueError("need multiplicity m >= 1")
-    if lam < 0 or lam * s >= 4:
-        raise ValueError("need 0 <= lambda and lambda * s < 4")
-    factor = (3 - lam * m) / s_blowup_flag(s, lam)
+    flag = s_blowup_flag(s, lam)
+    if m > s:
+        raise ValueError("need multiplicity m <= s: a point of a degree-s surface has multiplicity at most s")
+    factor = (3 - lam * m) / flag
     return min(factor, delta2d * factor)
 
 
@@ -68,8 +71,6 @@ def delta_bound_quadric(m: int, lam, delta2d) -> Fraction:
     lam, delta2d = rat(lam), rat(delta2d)
     if m < 1:
         raise ValueError("need multiplicity m >= 1")
-    if lam < 0 or lam >= 1:
-        raise ValueError("need 0 <= lambda < 1")
     first = (3 - lam * m) / _s_quadric_flag(lam)
     second = 4 * (3 - lam * m) / (15 - 9 * lam - 2 * lam * m)  # the one term no volume identity checks
     return min(first, second, first * 4 * delta2d / 3)
@@ -77,6 +78,10 @@ def delta_bound_quadric(m: int, lam, delta2d) -> Fraction:
 
 # The degree each flag's S-invariant takes.
 _FLAG_DEGREES: dict[str, tuple[str, ...]] = {"plane": ("s",), "blowup": ("s",), "quadric": ()}
+
+# The volume section verify.verify_threefold_section checks: each flag at each lambda.
+SECTION_FLAGS: tuple[tuple[str, dict], ...] = (("plane", {"s": 4}), ("blowup", {"s": 4}), ("quadric", {}))
+SECTION_LAMBDAS: tuple[Fraction, ...] = tuple(interior_samples(F(0), F(3, 4), 5))
 
 
 def verify_threefold_volumes(kind: str, params: dict, lam) -> bool:
@@ -90,12 +95,11 @@ def verify_threefold_volumes(kind: str, params: dict, lam) -> bool:
         raise ValueError(f"flag {kind!r} takes the degrees {list(takes)}, not {sorted(params)}")
     lam = rat(lam)
     if kind == "quadric":
+        flag = _s_quadric_flag(lam)  # first: it gates lambda
         a = 1 - lam
-        if a <= 0:
-            raise ValueError("need lambda < 1")
         shifted = Poly.of(6 * a, -1)
         vol = PiecewisePoly((F(0), 3 * a, 6 * a), (Poly.of(54 * a**3, 0, 0, -1), shifted * shifted * shifted))
-        return integrate_piecewise(vol) / (54 * a**3) == _s_quadric_flag(lam)
+        return integrate_piecewise(vol) / (54 * a**3) == flag
     s = params["s"]
     b = _flag_base(s, lam)
     if kind == "plane":

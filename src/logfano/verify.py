@@ -31,9 +31,7 @@ from .delta import (
     binding,
     delta_closed_form,
     delta_point,
-    expected_closed_form,
     integrated_s_invariants,
-    interior_samples,
 )
 from .exact import _canonical
 from .surface import DivisorExpr, SurfaceModel, ZariskiPieces, invariant_violations, zariski_decompose
@@ -144,7 +142,7 @@ def verify_case(spec: CaseSpec, d: int, reference: _Reference | None = None) -> 
             add(f"ratio {label}", lower[label] == want,
                 lambda: f"computed {_affine_str(lower[label])}, stated {_affine_str(want)}")
 
-        stated = expected_closed_form(spec, d)
+        stated = row.stated_form
         try:
             derived = delta_closed_form(spec, d)
         except ValueError as exc:  # NotExactOnInterval or a tau mismatch: a failing check, the checks after it run
@@ -186,13 +184,13 @@ def verify_case(spec: CaseSpec, d: int, reference: _Reference | None = None) -> 
 
 
 def verify_threefold_section() -> list[Check]:
-    checks = []
-    for kind, params in (("plane", {"s": 4}), ("blowup", {"s": 4}), ("quadric", {})):
-        for lam in interior_samples(F(0), F(3, 4), 5):
-            ok = threefold.verify_threefold_volumes(kind, params, lam)
-            checks.append(_check("threefold", f"{kind} volume at l={lam}", ok,
-                                 lambda: "integral differs from closed form"))
-    return checks
+    """The volume identity of each flag of threefold.SECTION_FLAGS at each of threefold.SECTION_LAMBDAS."""
+    return [
+        _check("threefold", f"{kind} volume at l={lam}", threefold.verify_threefold_volumes(kind, params, lam),
+               lambda: "integral differs from closed form")
+        for kind, params in threefold.SECTION_FLAGS
+        for lam in threefold.SECTION_LAMBDAS
+    ]
 
 
 def verify_all(

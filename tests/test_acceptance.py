@@ -17,15 +17,14 @@ from logfano.catalog import CASES, build_case
 from logfano.delta import (
     delta_closed_form,
     delta_point,
-    expected_closed_form,
     interior_samples,
     s_divisor,
     s_flag_point,
 )
 from logfano.exact import RationalFunction
 from logfano.surface import invariant_violations, volume_function, zariski_decompose
-from logfano.threefold import corollary_suite, verify_threefold_volumes
-from logfano.verify import verify_all
+from logfano.threefold import corollary_suite
+from logfano.verify import verify_all, verify_threefold_section
 
 from conftest import gauss_piecewise, rel_err
 from oracles import flag_integrand
@@ -42,7 +41,7 @@ def test_criterion_1_main_table_reproduction():
     start = time.perf_counter()
     checked = 0
     for spec, row in _all_rows():
-        stated = expected_closed_form(spec, row.d)
+        stated = row.stated_form
         for lam in interior_samples(row.lo, row.hi, 6):
             rep = delta_point(spec.id, row.d, lam)
             assert rep.exact, (spec.id, row.d, lam)
@@ -55,7 +54,7 @@ def test_criterion_1_main_table_reproduction():
 
 def test_criterion_2_closed_form_reconstruction():
     for spec, row in _all_rows():
-        assert delta_closed_form(spec.id, row.d) == expected_closed_form(spec, row.d), (spec.id, row.d)
+        assert delta_closed_form(spec.id, row.d) == row.stated_form, (spec.id, row.d)
     # spot values in the stated normal forms
     assert delta_closed_form("A2", 4) == RationalFunction.from_coeffs((15, -18), (15, -20))
     assert delta_closed_form("E6", 4) == RationalFunction.from_coeffs((21, -36), (21, -28))
@@ -128,9 +127,8 @@ def test_criterion_7_numeric_quadrature_oracle():
 
 
 def test_criterion_8_threefold_suite():
-    for kind, params in (("plane", {"s": 4}), ("blowup", {"s": 4}), ("quadric", {})):
-        for lam in interior_samples(F(0), F(3, 4), 5):
-            assert verify_threefold_volumes(kind, params, lam), (kind, lam)
+    volumes = verify_threefold_section()
+    assert len(volumes) == 15 and all(c.ok for c in volumes)
     results = {r.config.name: r for r in corollary_suite()}
     assert results["quartic double solid, node"].bound == F(4, 3)
     assert results["quadric threefold section, node"].bound == F(20, 19)

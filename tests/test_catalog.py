@@ -76,11 +76,9 @@ _ADE_LCT.update({f"D{n}": F(n, 2 * n - 2) for n in (4, 5, 6)}, E6=F(7, 12), E7=F
 
 
 def _least_log_discrepancy_zero(spec, d):
-    """Least zero in (0, 3/d) of the lines A(E) and A(O) of the case's ratio table, or None."""
-    table = spec.ratio_table
-    lines = (table.e, *(ratio for _, _, ratio in table.rows))
-    zeros = [z for z in (-r.a / r.b for r in lines if r.b < 0) if 0 < z < F(3, d)]
-    return min(zeros, default=None)
+    """The case's lct, the least positive zero of its ratio table's A-lines, when it is below 3/d; else None."""
+    lct = spec.ratio_table.lct
+    return lct if lct is not None and lct < F(3, d) else None
 
 
 class TestLogCanonicalThresholds:

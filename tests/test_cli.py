@@ -152,6 +152,15 @@ class TestDelta:
         assert code == 2 and out == ""
         assert capsys.readouterr().err == "error: lambda -1/5 outside [0, 3/4)\n"
 
+    def test_past_the_lct_refused(self, capsys):
+        # this printed "delta = -10/13 (exact)" with exit 0
+        code, out = run(["delta", "--case", "A4", "--degree", "4", "--lambda", "18/25"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: lambda 18/25 past the log canonical threshold 7/10 of case A4\n"
+        code, out = run(["delta", "--case", "A4", "--degree", "4", "--lambda", "7/10", "--format", "json"])
+        rec = json.loads(out)["records"][0]
+        assert code == 0 and rec["delta"] == "0" and rec["exact"] is True
+
     def test_lambda_zero_accepted(self):
         code, out = run(["delta", "--case", "A2", "--degree", "4", "--lambda", "0", "--format", "json"])
         rec = json.loads(out)["records"][0]
@@ -191,6 +200,16 @@ class TestScan:
         recs = json.loads(out)["records"]
         assert recs[0]["lambda"] == "0" and recs[0]["delta"] == "1"
         assert recs[-1]["note"].startswith("outside")
+
+    def test_marks_lambda_past_the_lct(self):
+        code, out = run(["scan", "--case", "quadruple_line", "--degree", "4", "--from", "0", "--to", "3/4",
+                         "--samples", "4", "--format", "json"])
+        recs = json.loads(out)["records"]
+        assert code == 0 and [r["lambda"] for r in recs] == ["0", "1/4", "1/2", "3/4"]
+        assert recs[1]["delta"] == "0" and recs[1]["exact"] is True
+        assert recs[2] == {**dict.fromkeys(recs[2], ""), "case": "quadruple_line", "d": 4, "lambda": "1/2",
+                           "validity": False, "note": "past the log canonical threshold 1/4"}
+        assert recs[3]["note"] == "outside the log Fano range [0, 3/d)"
 
     def test_negative_start_reaches_domain_check(self, capsys):
         for start in (["--from", "-1/5"], ["--from=-1/5"]):
@@ -311,6 +330,24 @@ class TestThreefoldCommand:
         assert code == 2 and out == ""
         assert capsys.readouterr().err == "error: lambda -1/5 outside [0, 3/2)\n"
 
+    def test_cone_past_its_lct_refused(self, capsys):
+        # this printed delta2d -3 and bound -4 with exit 0
+        code, out = run(["threefold", "blowup", "--s", "6", "--m", "4", "--lambda", "1/2", "--cone", "quadruple_line"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: lambda 1/2 past the log canonical threshold 1/4 of case quadruple_line\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--s", "-3", "--m", "2", "--cone", "smooth_conic"], "need surface degree s >= 1"),
+        (["--s", "0", "--m", "2", "--cone", "smooth_conic"], "need surface degree s >= 1"),
+        (["--s", "2", "--m", "3", "--cone", "smooth_cubic_flex"],
+         "need multiplicity m <= s: a point of a degree-s surface has multiplicity at most s"),
+    ], ids=["s-negative", "s-zero", "m-above-s"])
+    def test_degrees_no_surface_has_are_refused(self, capsys, argv, message):
+        # these printed the bounds 16/33, 2/3 and 2/3 with exit 0
+        code, out = run(["threefold", "blowup", *argv, "--lambda", "1/2"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_degree_mismatch(self):
         code, _ = run(["threefold", "blowup", "--s", "4", "--m", "3", "--lambda", "1/2",
                        "--cone", "smooth_conic"])
@@ -360,6 +397,20 @@ class TestVerifyCommand:
         env = {**os.environ, "PYTHONPATH": str(Path(logfano.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
         assert done.stdout == "[]\n"
+
+    def test_runtime_loads_only_the_standard_library(self):
+        # -S keeps out the modules that site .pth files import
+        script = (
+            "import io, sys\n"
+            "from logfano.cli import main\n"
+            "assert main(['verify', '--all'], out=io.StringIO()) == 0\n"
+            "argv = ['threefold', 'blowup', '--s', '4', '--m', '2', '--lambda', '1/2', '--cone', 'smooth_conic']\n"
+            "assert main(argv, out=io.StringIO()) == 0\n"
+            "print(sorted({name.partition('.')[0] for name in sys.modules} - set(sys.stdlib_module_names)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(logfano.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout == "['__main__', 'logfano']\n"  # __main__ is the script itself
 
     def test_json_one_record_per_check(self):
         code, out = run(["verify", "--case", "D5", "--format", "json"])

@@ -23,7 +23,6 @@ from logfano.delta import (
     binding,
     delta_closed_form,
     delta_point,
-    expected_closed_form,
     interior_samples,
     s_curve_on_plane,
     s_divisor,
@@ -37,13 +36,16 @@ from conftest import gauss_piecewise, rel_err
 from oracles import flag_integrand
 
 ROWS = [(spec.id, row.d) for spec in sorted(CASES.values(), key=lambda s: s.order) for row in spec.rows]
-# lambda = 0 and the ends of each stated validity interval, wherever they lie in [0, 3/d)
-END_EXAMPLES = [
-    ((case_id, d), lam)
-    for case_id, d in ROWS
-    for lam in sorted({F(0), CASES[case_id].row(d).lo, CASES[case_id].row(d).hi})
-    if lam * d < 3
-]
+
+
+def _ends(case_id, d):
+    """lambda = 0, the ends of the stated validity interval, the lct and 1/97 past it."""
+    row, lct = CASES[case_id].row(d), CASES[case_id].ratio_table.lct
+    return {F(0), row.lo, row.hi} | (set() if lct is None else {lct, lct + F(1, 97)})
+
+
+# each of _ends wherever it lies in [0, 3/d)
+END_EXAMPLES = [((case_id, d), lam) for case_id, d in ROWS for lam in sorted(_ends(case_id, d)) if lam * d < 3]
 
 
 def _with_end_examples(test):
@@ -218,7 +220,7 @@ class TestDeltaPoint:
     def test_sandwich_and_expected(self):
         for spec in CASES.values():
             for row in spec.rows:
-                stated = expected_closed_form(spec, row.d)
+                stated = row.stated_form
                 for lam in interior_samples(row.lo, row.hi, 10):
                     rep = delta_point(spec.id, row.d, lam)
                     assert rep.lower_bound <= rep.upper_bound
@@ -259,7 +261,7 @@ class TestDeltaPoint:
         assume(row.lo < lam < row.hi)
         rep = delta_point(case_id, row.d, lam)
         assert rep.lower_bound <= rep.upper_bound
-        assert rep.exact and rep.lower_bound == expected_closed_form(spec, row.d)(lam)
+        assert rep.exact and rep.lower_bound == row.stated_form(lam)
 
 
 class TestClosedForms:
@@ -282,7 +284,7 @@ class TestClosedForms:
     def test_every_case_matches_stated_form(self):
         for spec in CASES.values():
             for row in spec.rows:
-                assert delta_closed_form(spec.id, row.d) == expected_closed_form(spec, row.d), (spec.id, row.d)
+                assert delta_closed_form(spec.id, row.d) == row.stated_form, (spec.id, row.d)
 
     def test_derived_equals_fit_through_samples(self):
         # reference: the (2,2) rational function through delta at 7 interior samples
@@ -335,10 +337,20 @@ class TestUnitDecompositionMemo:
     )
     @_with_end_examples
     def test_report_equals_fresh_reference(self, row_lam):
+        # every lambda in [0, 3/d) is refused, exactly where a fresh decomposition gives a
+        # negative lower bound (past the lct), or certified: 0 <= lower <= upper, lower = 0
+        # only at the lct, exact iff the two are equal, and the report is the fresh one
         (case_id, d), lam = row_lam
+        want = _reference_report(CASES[case_id], d, lam)
+        if want[1] < 0:
+            with pytest.raises(ValueError, match=f"^lambda {lam} past the log canonical threshold "):
+                delta_point(case_id, d, lam)
+            return
         rep = delta_point(case_id, d, lam)
+        assert 0 <= rep.lower_bound <= rep.upper_bound and rep.exact == (rep.lower_bound == rep.upper_bound)
+        assert (rep.lower_bound == 0) == (lam == CASES[case_id].ratio_table.lct), (case_id, d, lam)
         got = (rep.rows, rep.lower_bound, rep.upper_bound, rep.exact, rep.minimizers)
-        assert got == _reference_report(CASES[case_id], d, lam), (case_id, d, lam)
+        assert got == want, (case_id, d, lam)
 
     def test_ratio_table_built_once_per_instance(self):
         spec = CASES["A2"]
@@ -376,6 +388,27 @@ class TestUnitDecompositionMemo:
         ):
             with pytest.raises(DegreeNotAdmissible):
                 call()
+
+    def test_refused_past_the_lct_and_certified_at_it(self):
+        # A4 (lct 7/10) at 18/25 reported delta = -10/13; the quadruple line (lct 1/4) at 1/2 reported -3
+        for case_id, lct, past in (("A4", F(7, 10), F(18, 25)), ("quadruple_line", F(1, 4), F(1, 2))):
+            assert CASES[case_id].ratio_table.lct == lct
+            rep = delta_point(case_id, 4, lct)
+            assert rep.exact and rep.value == 0, case_id
+            with pytest.raises(ValueError, match=f"^lambda {past} past the log canonical threshold {lct} of case {case_id}$"):
+                delta_point(case_id, 4, past)
+
+    def test_a6_exact_beyond_its_stated_interval_up_to_the_lct(self):
+        # A6 (d = 4) is stated on [3/8, 1/2]; its delta is the stated form up to lct(A6) = 9/14
+        spec = CASES["A6"]
+        row = spec.row(4)
+        assert (row.lo, row.hi) == (F(3, 8), F(1, 2)) and spec.ratio_table.lct == F(9, 14)
+        for lam in [*interior_samples(row.hi, F(9, 14), 5), F(9, 14)]:
+            rep = delta_point("A6", 4, lam)
+            assert rep.exact and rep.value == row.stated_form(lam) and not rep.validity_ok, lam
+        assert delta_point("A6", 4, F(9, 14)).value == 0
+        with pytest.raises(ValueError, match="past the log canonical threshold 9/14"):
+            delta_point("A6", 4, F(9, 14) + F(1, 97))
 
     def test_lambda_domain_still_checked(self):
         for lam in (F(-1, 5), F(3, 4), F(1)):

@@ -4,9 +4,12 @@ The digests pin every exact output, exit code and byte of formatting, so an
 optimisation that changes one of them fails here.  A change that alters outputs
 on purpose re-pins the digest and says so in CHANGES.md; ``python
 tests/test_golden.py`` prints the current digests.  The delta digest was
-re-pinned once, when ``delta --lambda 0`` stopped exiting 2: only the 54
-lambda = 0 calls changed (exact delta = 1 on 50 rows, lower bound 1/2 on
-A4-A7).  The verify digest was re-pinned when verify went from six sampled
+re-pinned when ``delta --lambda 0`` stopped exiting 2: only the 54 lambda = 0
+calls changed (exact delta = 1 on 50 rows, lower bound 1/2 on A4-A7).  It was
+re-pinned again when ``delta`` began to refuse lambda past the case's log
+canonical threshold: only the 264 calls there changed, each from an exact
+negative delta with exit 0 to exit 2 with nothing on stdout; the 35 calls at
+the threshold still report an exact 0.  The verify digest was re-pinned when verify went from six sampled
 lambda per row to one set of identity checks per row: only check names,
 count and order changed, every verdict stayed a pass.  It was re-pinned again
 when the lower-bound regime became one identity on the least lines: on
@@ -15,8 +18,8 @@ regime" check (748 -> 740 checks), every check still a pass.
 
 The delta grid covers every case/degree at 0, the stated interval ends, the
 midpoint, ``lower_regime_hi`` and every multiple of 1/24 in [0, 3/d); it
-includes the exact-negative reports past the klt threshold and the exit-2
-rejections of lambda = 3/d.
+includes the exit-2 rejections of lambda past the log canonical threshold and
+of lambda = 3/d.
 
 The faults digest pins the verdicts of fault injection: for each of the 494
 single-number faults of acceptance criterion 9, in order, the fault and the
@@ -47,7 +50,7 @@ from logfano.cli import main
 from test_acceptance import criterion_9_faults, fault_checks
 
 GOLDEN = {
-    "delta": "cfca223e909d46694862909e27c43cb613a1ec2517cf3c4f4cf9a8f78cafff56",
+    "delta": "11a45db955896c898e6c1ddc86d09a33da439ac0a96e3b5397102bb067d5bc26",
     "closed-form": "d5ded809b41042eda6c47284f26b8ecc3c734cace12e3117608fdc1aa4d19f9f",
     "table": "32d4e8424fa2daf1d9b66045e7c3c5042f9d75e62c30427dbee75b55610c71c2",
     "verify": "42cdcbde79df1c7ee22662760797f75239068f249038dd52ea6f6a8f5309e016",

@@ -20,7 +20,6 @@ from logfano.surface import (
     ZariskiPieces,
     invariant_violations,
     pair,
-    pseudo_effective_threshold,
     volume_function,
     zariski_decompose,
 )
@@ -84,11 +83,11 @@ class TestDecomposition:
 
     def test_thresholds(self):
         model, factory, _ = build_case("A2", 4)
-        assert pseudo_effective_threshold(model, factory(F(1, 2))) == 3
+        assert zariski_decompose(model, factory(F(1, 2))).tau == 3
         model, d, _ = conic_setup()
-        assert pseudo_effective_threshold(model, d) == 6
+        assert zariski_decompose(model, d).tau == 6
         model, factory, _ = build_case("A1", 4)
-        assert pseudo_effective_threshold(model, factory(F(0))) == 3
+        assert zariski_decompose(model, factory(F(0))).tau == 3
 
     def test_volume_endpoints(self):
         model, factory, _ = build_case("A2", 4)

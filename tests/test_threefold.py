@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -43,6 +44,32 @@ class TestFlagInvariants:
         with pytest.raises(ValueError):
             delta_bound_quadric(2, F(1), F(1))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: s_plane_flag(4, -1), "need 0 <= lambda and lambda * s < 4"),
+        (lambda: s_blowup_flag(4, -1), "need 0 <= lambda and lambda * s < 4"),
+        (lambda: verify_threefold_volumes("plane", {"s": 4}, -1), "need 0 <= lambda and lambda * s < 4"),
+        (lambda: verify_threefold_volumes("quadric", {}, -1), "need 0 <= lambda < 1"),
+        (lambda: verify_threefold_volumes("quadric", {}, 1), "need 0 <= lambda < 1"),
+        (lambda: s_plane_flag(0, F(1, 2)), "need surface degree s >= 1"),
+        (lambda: delta_bound_smooth(0, F(1, 2), 1), "need surface degree s >= 1"),
+        (lambda: delta_bound_blowup(-3, 2, F(1, 2), 1), "need surface degree s >= 1"),
+        (lambda: delta_bound_blowup(2, 3, F(1, 2), 1),
+         "need multiplicity m <= s: a point of a degree-s surface has multiplicity at most s"),
+    ], ids=["plane-negative-lambda", "blowup-negative-lambda", "plane-volume-negative-lambda",
+            "quadric-volume-negative-lambda", "quadric-volume-lambda-one", "plane-s-zero", "smooth-s-zero",
+            "blowup-s-negative", "blowup-m-above-s"])
+    def test_each_flag_gates_its_inputs(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_bounds_keep_their_lambda_messages(self):
+        for call in (lambda: delta_bound_smooth(4, -1, 1), lambda: delta_bound_blowup(4, 2, 1, 1)):
+            with pytest.raises(ValueError, match=r"^need 0 <= lambda and lambda \* s < 4$"):
+                call()
+        for lam in (-1, 1):
+            with pytest.raises(ValueError, match="^need 0 <= lambda < 1$"):
+                delta_bound_quadric(2, lam, 1)
+
 
 class TestBounds:
     def test_smooth_cubic_surface(self):
@@ -83,10 +110,10 @@ class TestBounds:
 
 
 class TestVolumes:
-    @pytest.mark.parametrize("kind,params", [("plane", {"s": 4}), ("blowup", {"s": 4}), ("quadric", {})])
-    def test_all_kinds(self, kind, params):
-        for lam in interior_samples(F(0), F(3, 4), 5):
-            assert verify_threefold_volumes(kind, params, lam)
+    def test_all_kinds(self):
+        checks = verify_threefold_section()
+        assert len(checks) == 15 and all(c.ok for c in checks)
+        assert {c.name.partition(" ")[0] for c in checks} == {"plane", "blowup", "quadric"}
 
     def test_quadric_value(self):
         assert verify_threefold_volumes("quadric", {}, F(1, 3))
