@@ -109,11 +109,18 @@ class TestBounds:
                 assert delta_bound_blowup(4, 2, lam, delta2d) == min(factor, delta2d * factor)
 
 
+@pytest.fixture(scope="module")
+def section():
+    return verify_threefold_section()
+
+
 class TestVolumes:
-    def test_all_kinds(self):
-        checks = verify_threefold_section()
-        assert len(checks) == 15 and all(c.ok for c in checks)
-        assert {c.name.partition(" ")[0] for c in checks} == {"plane", "blowup", "quadric"}
+    @pytest.mark.parametrize("kind,params", threefold.SECTION_FLAGS)
+    def test_all_kinds(self, section, kind, params):
+        checks = [c for c in section if c.name.partition(" ")[0] == kind]
+        assert [c.name for c in checks] == [f"{kind} volume at l={lam}" for lam in threefold.SECTION_LAMBDAS]
+        assert all(c.ok for c in checks)
+        assert len(section) == 15
 
     def test_quadric_value(self):
         assert verify_threefold_volumes("quadric", {}, F(1, 3))
