@@ -30,22 +30,8 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .catalog import Affine, CaseSpec, check_lambda, flag_family, get_case
-from .exact import (
-    PiecewisePoly,
-    Poly,
-    RationalFunction,
-    _integers,
-    _reduced,
-    integrate_piecewise,
-    rat,
-)
-from .surface import (
-    SurfaceModel,
-    ZariskiPieces,
-    pair_curve,
-    volume_function,
-    zariski_decompose,
-)
+from .exact import Poly, RationalFunction, _integral, _integers, _reduced, rat
+from .surface import SurfaceModel, ZariskiPieces, _dot, _integer_divisor, _pairings, zariski_decompose
 
 F = Fraction
 
@@ -235,23 +221,33 @@ def _at(case: str | CaseSpec, d: int, lam) -> tuple[CaseSpec, RatioTable, Fracti
 def integrated_s_invariants(pieces: ZariskiPieces) -> tuple[Fraction, Fraction, Fraction | None]:
     """(S(E), generic S(W;O), S(W;O) at the crossing with L) of a decomposition at t = 1.
 
-    S(W;O) integrates h(v) per piece: (P.E)^2/2 at a generic point and, at the
-    crossing point of E and the companion curve L, (P.E)^2/2 + (P.E)*(N.E at O);
-    (P.E) is paired once per piece and shared by both.  The last entry is None
-    when the model has no companion curve L.
+    S(E) integrates the volume (P.P).  S(W;O) integrates 2*h(v) per piece:
+    (P.E)^2 at a generic point and, at the crossing point of E and the
+    companion curve L, (P.E)^2 + 2*(P.E)*(N.E at O).  P and N are read once
+    per piece as integer rows, so each integrand is an integer quadratic over
+    one denominator and each integral one Fraction per piece.  The last entry
+    is None when the model has no companion curve L.
     """
     model = pieces.model
+    table, den_t = model._integer_table
+    e = model.index("E") + 1
     on_l = "L" in model.curves
-    generic, at_l = [], []
-    for p_expr, n_expr in zip(pieces.positives, pieces.negatives):
-        pe = pair_curve(model, p_expr, "E")
-        h = pe * pe * F(1, 2)
-        generic.append(h)
+    s_e = s_generic = s_on_l = F(0)
+    bps = pieces.breakpoints
+    for lo, hi, p_expr, n_expr in zip(bps, bps[1:], pieces.positives, pieces.negatives):
+        p = _integer_divisor(p_expr)
+        f0, f1, vol = _pairings(table, p)
+        e0, e1, dp = f0[e], f1[e], p[2]  # (P.E) = (e0 + e1*v)/(den_t*dp)
+        square = [e0 * e0, 2 * e0 * e1, e1 * e1]
+        s_e += _integral(vol, den_t * dp * dp, lo, hi)
+        s_generic += _integral(square, (den_t * dp) ** 2, lo, hi)
         if on_l:
-            at_l.append(h + pe * pair_curve(model, n_expr, "E"))
-    s_on_l = 2 * integrate_piecewise(PiecewisePoly(pieces.breakpoints, tuple(at_l))) if on_l else None
-    s_generic = 2 * integrate_piecewise(PiecewisePoly(pieces.breakpoints, tuple(generic)))
-    return integrate_piecewise(volume_function(pieces)), s_generic, s_on_l
+            nc, ns, dn = _integer_divisor(n_expr)
+            m0, m1 = _dot(table[e], nc), _dot(table[e], ns)  # (N.E) = (m0 + m1*v)/(den_t*dn)
+            cross = [2 * e0 * m0, 2 * (e0 * m1 + e1 * m0), 2 * e1 * m1]
+            at_l = [x * dn + y * dp for x, y in zip(square, cross)]
+            s_on_l += _integral(at_l, den_t * den_t * dp * dp * dn, lo, hi)
+    return s_e, s_generic, s_on_l if on_l else None
 
 
 def _point_ratio(spec: CaseSpec, table: RatioTable, point: str) -> Ratio:

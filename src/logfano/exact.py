@@ -202,18 +202,22 @@ def integrate(p: Poly, a: int | str | Fraction, b: int | str | Fraction) -> Frac
         raise ValueError(f"integrate: empty interval [{a}, {b}]")
     if not p.coeffs:
         return Fraction(0)
-    # sum of c_k (b^(k+1) - a^(k+1))/(k+1); with b = u/Q and a = w/Q its numerator over den*Q^n
-    # is, by Horner's rule in Q, the sum of c_k*den/(k+1) (u^(k+1) - w^(k+1)) Q^(n-1-k)
-    dens = [c.denominator * (k + 1) for k, c in enumerate(p.coeffs)]
-    den = math.lcm(*dens)
-    ints = [c.numerator * (den // d) for c, d in zip(p.coeffs, dens)]
+    return _integral(*_integers(p.coeffs), a, b)
+
+
+def _integral(ints: list[int], den: int, a: Fraction, b: Fraction) -> Fraction:
+    """The integral over [a, b] of sum_k ints[k]*v^k/den, as one Fraction."""
+    # sum of c_k (b^(k+1) - a^(k+1))/(k+1); with b = u/Q, a = w/Q and L = lcm(1..n) its numerator over
+    # den*L*Q^n is, by Horner's rule in Q, the sum of c_k*L/(k+1) (u^(k+1) - w^(k+1)) Q^(n-1-k)
+    n = len(ints)
+    scale = math.lcm(*range(1, n + 1))
     q = a.denominator * b.denominator
     u, w = b.numerator * a.denominator, a.numerator * b.denominator
     acc, up, wp = 0, 1, 1
-    for c in ints:
+    for k, c in enumerate(ints):
         up, wp = up * u, wp * w
-        acc = acc * q + c * (up - wp)
-    return Fraction(acc, den * q ** len(ints))
+        acc = acc * q + c * (scale // (k + 1)) * (up - wp)
+    return Fraction(acc, den * scale * q**n)
 
 
 @dataclass(frozen=True)
@@ -274,6 +278,31 @@ def rational_roots(p: Poly) -> list[Fraction]:
     Raises IrrationalRoot when a degree-2 polynomial has real irrational roots,
     and UnsupportedDegree above degree 2.  The zero polynomial is rejected.
     """
+    roots = _roots(p)
+    if roots is None:
+        raise IrrationalRoot(f"irrational roots of {p.format()}")
+    return roots
+
+
+def roots_in_interval(p: Poly, a: int | str | Fraction, b: int | str | Fraction) -> list[Fraction]:
+    """Rational roots of ``p`` (degree <= 2) inside ``[a, b]``, ascending.
+
+    Raises IrrationalRoot only when an irrational root actually lies in the
+    interval; irrational roots strictly outside [a, b] are ignored.
+    """
+    a, b = rat(a), rat(b)
+    if a > b:
+        raise ValueError("empty interval")
+    roots = _roots(p)
+    if roots is None:
+        if _quadratic_has_root_in(p, a, b):
+            raise IrrationalRoot(f"irrational roots of {p.format()}")
+        return []
+    return [r for r in roots if a <= r <= b]
+
+
+def _roots(p: Poly) -> list[Fraction] | None:
+    """rational_roots, with None where it raises IrrationalRoot."""
     if p.is_zero:
         raise ValueError("zero polynomial has no isolated roots")
     if p.degree > 2:
@@ -290,26 +319,8 @@ def rational_roots(p: Poly) -> list[Fraction]:
         return []
     root = math.isqrt(disc)
     if root * root != disc:
-        raise IrrationalRoot(f"irrational roots of {p.format()}")
+        return None
     return sorted({Fraction(-b - root, 2 * a), Fraction(-b + root, 2 * a)})
-
-
-def roots_in_interval(p: Poly, a: int | str | Fraction, b: int | str | Fraction) -> list[Fraction]:
-    """Rational roots of ``p`` (degree <= 2) inside ``[a, b]``, ascending.
-
-    Raises IrrationalRoot only when an irrational root actually lies in the
-    interval; irrational roots strictly outside [a, b] are ignored.
-    """
-    a, b = rat(a), rat(b)
-    if a > b:
-        raise ValueError("empty interval")
-    try:
-        roots = rational_roots(p)
-    except IrrationalRoot:
-        if _quadratic_has_root_in(p, a, b):
-            raise
-        return []
-    return [r for r in roots if a <= r <= b]
 
 
 def _quadratic_has_root_in(p: Poly, a: Fraction, b: Fraction) -> bool:

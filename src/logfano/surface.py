@@ -17,7 +17,9 @@ threshold).
 The growth runs on integers: D, P and N are integer vectors over one common
 denominator, the support system is solved by one fraction-free (Bareiss)
 elimination whose pivots also decide negative-definiteness, and DivisorExpr
-and Poly values are built only for the pieces returned.
+and Poly values are built only for the pieces returned.  invariant_violations
+reads those pieces back as integer rows (_pairings, shared with the growth),
+so each of its tests is an integer sign or equality.
 """
 
 from __future__ import annotations
@@ -233,11 +235,27 @@ def _integer_divisor(d: DivisorExpr) -> IntegerDivisor:
     return [r[0] if r else 0 for r in rows], [r[1] if len(r) > 1 else 0 for r in rows], den
 
 
+def _pairings(table: list[list[int]], d: IntegerDivisor) -> tuple[list[int], list[int], list[int]]:
+    """(f0, f1, vol) of d = (c + s*v)/den against the model's integer table over den_t.
+
+    (d . X) = (f0[j] + f1[j]*v)/(den_t*den) for X the ambient class (j = 0) or
+    the curve of table row j, and (d . d) = (vol[0] + vol[1]*v + vol[2]*v^2)/(den_t*den^2).
+    """
+    c, s, _ = d
+    f0, f1 = [_dot(g, c) for g in table], [_dot(g, s) for g in table]
+    return f0, f1, [_dot(c, f0), 2 * _dot(c, f1), _dot(s, f1)]
+
+
 def _divisor(model: SurfaceModel, d: IntegerDivisor) -> DivisorExpr:
-    """The DivisorExpr of (c, s, den): one Fraction per nonzero coefficient."""
+    """The DivisorExpr of (c, s, den): one Fraction per nonzero coefficient, its
+    integer rows those it is built from, so that the readers of the pieces do not
+    recompute them from the Fractions."""
     c, s, den = d
-    polys = [_from_integers([a, b], den) for a, b in zip(c, s)]
-    return DivisorExpr(model, polys[0], tuple(polys[1:]))
+    rows = [[a, b] for a, b in zip(c, s)]
+    polys = [_from_integers(row, den) for row in rows]  # strips each row's trailing zeros, as Poly does
+    expr = DivisorExpr(model, polys[0], tuple(polys[1:]))
+    expr.__dict__["_integer_rows"] = rows, den  # the cached_property's own slot
+    return expr
 
 
 def _solve_support(
@@ -299,8 +317,7 @@ def zariski_decompose(model: SurfaceModel, d: DivisorExpr) -> ZariskiPieces:
     supports: list[tuple[str, ...]] = []
     for _ in range(len(model.curves) + 1):
         p, n = _solve_support(model, dd, support)
-        pc, ps, den_p = p
-        tc, ts = [_dot(g, pc) for g in table], [_dot(g, ps) for g in table]
+        tc, ts, vol_ints = _pairings(table, p)
         # (P . C) = (f0 + f1*v) / (den_t*den_p) for every curve outside the support, shared by both tests below
         outside = [(name, tc[i], ts[i]) for i, name in enumerate(model.curves, 1) if name not in support]
         # absorb curves whose pairing is already zero and strictly decreasing at v
@@ -308,7 +325,7 @@ def zariski_decompose(model: SurfaceModel, d: DivisorExpr) -> ZariskiPieces:
         if entering:
             support = support + entering
             continue
-        vol = _from_integers([_dot(pc, tc), 2 * _dot(pc, ts), _dot(ps, ts)], den_t * den_p * den_p)
+        vol = _from_integers(vol_ints, den_t * p[2] * p[2])
         roots = [(Fraction(-f0, f1), name) for name, f0, f1 in outside if f1 < 0]
         crossings = [(r, name) for r, name in roots if r > v]
         cross_v = min((r for r, _ in crossings), default=None)
@@ -348,40 +365,60 @@ def invariant_violations(z: ZariskiPieces) -> list[str]:
     non-decreasing, support Gram negative definite, volume non-increasing;
     globally: volume continuity at breakpoints (which makes the volume
     non-increasing on all of [0, tau]) and volume zero at tau.
+
+    P and N are read once per piece as integer rows (c + s*v)/den: an affine
+    f0 + f1*v has the sign of f0*q + f1*p at v = p/q, and two pieces' volumes
+    meet at a breakpoint when their numerators there, each times the other's
+    den^2, agree.  The support Gram is re-tested by exact.is_negative_definite,
+    apart from the Bareiss pivots of the decomposition.
     """
-    curved = [i for i, parts in enumerate(zip(z.positives, z.negatives))
-              if any(c.degree > 1 for e in parts for c in (e.ambient, *e.coeffs))]
+    rows = [(*p._integer_rows[0], *n._integer_rows[0]) for p, n in zip(z.positives, z.negatives)]
+    curved = [i for i, piece in enumerate(rows) if any(len(r) > 2 for r in piece)]
     if curved:
         return [f"piece {i}: P or N not affine in v" for i in curved]
     problems: list[str] = []
     model = z.model
-    vol = volume_function(z)
-    for i, (p, n, support, volume) in enumerate(zip(z.positives, z.negatives, z.supports, vol.pieces)):
+    table, _ = model._integer_table
+    column = {name: k for k, name in enumerate(model.curves, 1)}  # a curve's row of the table
+    volumes = []  # per piece: the numerator coefficients of (P . P), and den_p^2
+
+    def at(f0: int, f1: int, v: Fraction) -> int:  # f0 + f1*v times the denominator of v
+        return f0 * v.denominator + f1 * v.numerator
+
+    for i, (p, n, support) in enumerate(zip(z.positives, z.negatives, z.supports)):
         lo, hi = z.breakpoints[i], z.breakpoints[i + 1]
-        pairings = {name: pair_curve(model, p, name) for name in model.curves}
+        p_int = _integer_divisor(p)
+        f0, f1, vol = _pairings(table, p_int)
+        volumes.append((vol, p_int[2] ** 2))
         for name in support:
-            if not pairings[name].is_zero:
+            if f0[column[name]] or f1[column[name]]:
                 problems.append(f"piece {i}: (P . {name}) not identically zero on support")
-        for name, f in pairings.items():
-            if f(lo) < 0 or f(hi) < 0:
+        for name, k in column.items():
+            if at(f0[k], f1[k], lo) < 0 or at(f0[k], f1[k], hi) < 0:
                 problems.append(f"piece {i}: (P . {name}) negative on [{lo}, {hi}]")
+        nc, ns, _ = _integer_divisor(n)
         for name in support:
-            c = n.coeff(name)
-            if c(lo) < 0 or c(hi) < 0:
+            c0, c1 = nc[column[name]], ns[column[name]]
+            if at(c0, c1, lo) < 0 or at(c0, c1, hi) < 0:
                 problems.append(f"piece {i}: negative-part coefficient of {name} below zero")
-            if c(hi) < c(lo):
+            if c1 < 0:  # falling, as lo < hi
                 problems.append(f"piece {i}: negative-part coefficient of {name} decreasing")
         if support:
             idx = [model.index(name) for name in support]
             if not is_negative_definite([[model.gram[a][b] for b in idx] for a in idx]):
                 problems.append(f"piece {i}: support Gram not negative definite")
-        slope = Poly.affine(volume.coeff(1), 2 * volume.coeff(2))
-        if slope(lo) > 0 or slope(hi) > 0:
+        if at(vol[1], 2 * vol[2], lo) > 0 or at(vol[1], 2 * vol[2], hi) > 0:
             problems.append(f"piece {i}: volume increasing on [{lo}, {hi}]")
+
+    def volume_at(i: int, v: Fraction) -> int:  # piece i's (P . P) at v times den_t*den_p^2*q^2, v = p/q
+        (a0, a1, a2), _ = volumes[i]
+        p, q = v.numerator, v.denominator
+        return (a0 * q + a1 * p) * q + a2 * p * p
+
     for i in range(1, len(z.breakpoints) - 1):
         b = z.breakpoints[i]
-        if vol.pieces[i - 1](b) != vol.pieces[i](b):
+        if volume_at(i - 1, b) * volumes[i][1] != volume_at(i, b) * volumes[i - 1][1]:
             problems.append(f"volume discontinuous at {b}")
-    if vol.pieces[-1](z.tau) != 0:
+    if volume_at(len(volumes) - 1, z.tau):
         problems.append("volume nonzero at tau")
     return problems

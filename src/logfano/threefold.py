@@ -7,7 +7,8 @@ plane pair cut out by the flag (a hyperplane section for a smooth point, the
 projectivized tangent cone for a singular one).  All three combinators return
 certified lower bounds; a result >= 1 certifies K-stability of the
 corresponding polarized pair.  Each flag's S-invariant is the one gate of s
-and lambda, so a bound refuses exactly what its flag refuses.
+and lambda, and a bound refuses what its flag refuses and lambda*d >= 3, d the
+degree of the plane curve it reads.
 """
 
 from __future__ import annotations
@@ -47,10 +48,18 @@ def _s_quadric_flag(lam: Fraction) -> Fraction:
     return 3 * (1 - lam)
 
 
+def _plane_gate(lam: Fraction, d: int) -> None:
+    """lam*d < 3 for the degree-d plane curve whose delta a bound reads, as delta_point requires of it.
+    Checked after the flag's gate; then 15 - 9*lam - 2*lam*m > 15 - 9 - 6 = 0 on the quadric's 0 <= lam < 1."""
+    if lam * d >= 3:
+        raise ValueError("need lambda * d < 3, with d the degree of the plane curve the bound reads")
+
+
 def delta_bound_smooth(s: int, lam, delta2d) -> Fraction:
     """Lower bound at a smooth surface point from a general plane flag."""
     lam, delta2d = rat(lam), rat(delta2d)
     flag = s_plane_flag(s, lam)
+    _plane_gate(lam, s)
     return min(1 / flag, delta2d * (3 - lam * s) / (3 * flag))
 
 
@@ -62,6 +71,7 @@ def delta_bound_blowup(s: int, m: int, lam, delta2d) -> Fraction:
     flag = s_blowup_flag(s, lam)
     if m > s:
         raise ValueError("need multiplicity m <= s: a point of a degree-s surface has multiplicity at most s")
+    _plane_gate(lam, m)
     factor = (3 - lam * m) / flag
     return min(factor, delta2d * factor)
 
@@ -71,7 +81,9 @@ def delta_bound_quadric(m: int, lam, delta2d) -> Fraction:
     lam, delta2d = rat(lam), rat(delta2d)
     if m < 1:
         raise ValueError("need multiplicity m >= 1")
-    first = (3 - lam * m) / _s_quadric_flag(lam)
+    flag = _s_quadric_flag(lam)
+    _plane_gate(lam, m)
+    first = (3 - lam * m) / flag
     second = 4 * (3 - lam * m) / (15 - 9 * lam - 2 * lam * m)  # the one term no volume identity checks
     return min(first, second, first * 4 * delta2d / 3)
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 from logfano.catalog import CaseSpec, build_case
-from logfano.exact import PiecewisePoly
-from logfano.surface import pair_curve, zariski_decompose
+from logfano.exact import PiecewisePoly, Poly, _canonical, integrate_piecewise, is_negative_definite
+from logfano.surface import DivisorExpr, ZariskiPieces, pair_curve, volume_function, zariski_decompose
 
 
 def flag_integrand(spec: CaseSpec, d: int, lam, point: str = "generic") -> PiecewisePoly:
@@ -32,3 +32,75 @@ def flag_integrand(spec: CaseSpec, d: int, lam, point: str = "generic") -> Piece
         h = pe * pe * F(1, 2)
         integrands.append(h + pe * pair_curve(model, n_expr, "E") if on_l else h)
     return PiecewisePoly(pieces.breakpoints, tuple(integrands))
+
+
+# The Poly versions of the decomposition's checks, which surface.invariant_violations,
+# delta.integrated_s_invariants and verify._is_scaled run on integer rows.
+
+
+def poly_invariant_violations(z: ZariskiPieces) -> list[str]:
+    """surface.invariant_violations with every pairing a Poly over Fractions, evaluated at the piece ends."""
+    curved = [i for i, parts in enumerate(zip(z.positives, z.negatives))
+              if any(c.degree > 1 for e in parts for c in (e.ambient, *e.coeffs))]
+    if curved:
+        return [f"piece {i}: P or N not affine in v" for i in curved]
+    problems: list[str] = []
+    model = z.model
+    vol = volume_function(z)
+    for i, (p, n, support, volume) in enumerate(zip(z.positives, z.negatives, z.supports, vol.pieces)):
+        lo, hi = z.breakpoints[i], z.breakpoints[i + 1]
+        pairings = {name: pair_curve(model, p, name) for name in model.curves}
+        for name in support:
+            if not pairings[name].is_zero:
+                problems.append(f"piece {i}: (P . {name}) not identically zero on support")
+        for name, f in pairings.items():
+            if f(lo) < 0 or f(hi) < 0:
+                problems.append(f"piece {i}: (P . {name}) negative on [{lo}, {hi}]")
+        for name in support:
+            c = n.coeff(name)
+            if c(lo) < 0 or c(hi) < 0:
+                problems.append(f"piece {i}: negative-part coefficient of {name} below zero")
+            if c(hi) < c(lo):
+                problems.append(f"piece {i}: negative-part coefficient of {name} decreasing")
+        if support:
+            idx = [model.index(name) for name in support]
+            if not is_negative_definite([[model.gram[a][b] for b in idx] for a in idx]):
+                problems.append(f"piece {i}: support Gram not negative definite")
+        slope = Poly.affine(volume.coeff(1), 2 * volume.coeff(2))
+        if slope(lo) > 0 or slope(hi) > 0:
+            problems.append(f"piece {i}: volume increasing on [{lo}, {hi}]")
+    for i in range(1, len(z.breakpoints) - 1):
+        b = z.breakpoints[i]
+        if vol.pieces[i - 1](b) != vol.pieces[i](b):
+            problems.append(f"volume discontinuous at {b}")
+    if vol.pieces[-1](z.tau) != 0:
+        problems.append("volume nonzero at tau")
+    return problems
+
+
+def poly_s_invariants(pieces: ZariskiPieces) -> tuple[F, F, F | None]:
+    """delta.integrated_s_invariants from Poly integrands: the volume, and h(v) = (P.E)^2/2, plus
+    (P.E)*(N.E) at the crossing with L, each integrated by integrate_piecewise."""
+    model = pieces.model
+    on_l = "L" in model.curves
+    generic, at_l = [], []
+    for p_expr, n_expr in zip(pieces.positives, pieces.negatives):
+        pe = pair_curve(model, p_expr, "E")
+        h = pe * pe * F(1, 2)
+        generic.append(h)
+        if on_l:
+            at_l.append(h + pe * pair_curve(model, n_expr, "E"))
+    s_on_l = 2 * integrate_piecewise(PiecewisePoly(pieces.breakpoints, tuple(at_l))) if on_l else None
+    s_generic = 2 * integrate_piecewise(PiecewisePoly(pieces.breakpoints, tuple(generic)))
+    return integrate_piecewise(volume_function(pieces)), s_generic, s_on_l
+
+
+def scaled(z: ZariskiPieces, s: F) -> ZariskiPieces:
+    """z with t and v scaled by s: breakpoints times s, c_j*v^j of P and N becomes c_j*s^(1-j)*v^j."""
+
+    def expr(e: DivisorExpr) -> DivisorExpr:
+        polys = [_canonical([c * s ** (1 - j) for j, c in enumerate(p.coeffs)]) for p in (e.ambient, *e.coeffs)]
+        return DivisorExpr(e.model, polys[0], tuple(polys[1:]))
+
+    breakpoints = tuple(b * s for b in z.breakpoints)
+    return ZariskiPieces(z.model, breakpoints, tuple(map(expr, z.positives)), tuple(map(expr, z.negatives)), z.supports)

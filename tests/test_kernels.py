@@ -2,26 +2,29 @@
 
 Poly evaluation, multiplication and integration, pair, pair_curve,
 delta.binding, the quadratic formula, the support solve and support growth
-of the Zariski decomposition, and the closed form's reduction run on integers
-over a common denominator.  Each reference below is the Fraction loop they
-replace, kept here as the oracle: Horner's rule, the convolution, the
-antiderivative, the naive bilinear sum, the per-end minimum of the ratio
-lines, the quadratic formula with a rational square root, Gaussian
-elimination with Sylvester's minors, the Fraction support growth and the
+of the Zariski decomposition, the decomposition's invariant checks, its
+S-integrals and verify's homogeneity comparison, and the closed form's
+reduction run on integers over a common denominator.  Each reference below
+is the Fraction loop they replace, kept here as the oracle: Horner's rule,
+the convolution, the antiderivative, the naive bilinear sum, the per-end
+minimum of the ratio lines, the quadratic formula with a rational square
+root, Gaussian elimination with Sylvester's minors, the Fraction support
+growth, the Poly checks and integrals of tests/oracles.py and the
 polynomial gcd.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from logfano.catalog import CASES, flag_family
-from logfano.delta import Ratio, RatioTable, _minimizer_names, _over_t, binding
+from logfano.delta import Ratio, RatioTable, _minimizer_names, _over_t, binding, integrated_s_invariants
 from logfano.exact import (
     IrrationalRoot,
     Poly,
@@ -45,11 +48,13 @@ from logfano.surface import (
     _divisor,
     _integer_divisor,
     _solve_support,
+    invariant_violations,
     pair,
     pair_curve,
     zariski_decompose,
 )
-from logfano.verify import _probe_lambda
+from logfano.verify import _is_scaled, _probe_lambda
+from oracles import poly_invariant_violations, poly_s_invariants, scaled
 
 # ---------------------------------------------------------------------------
 # Plain-Fraction references
@@ -382,8 +387,8 @@ meets = st.sampled_from([F(0), F(1), F(1, 2), F(1, 3), F(2, 3), F(2), F(-1)])
 
 
 @st.composite
-def small_models(draw, selfs=self_intersections):
-    n = draw(st.integers(1, 4))
+def small_models(draw, selfs=self_intersections, max_curves=4):
+    n = draw(st.integers(1, max_curves))
     gram = [[F(0)] * n for _ in range(n)]
     for i in range(n):
         gram[i][i] = draw(selfs)
@@ -463,6 +468,107 @@ class TestDecompositionKernels:
         d = DivisorExpr.build(model, Poly.const(1), {"E": Poly.of(0, 0, -1)})
         with pytest.raises(ValueError, match="affine"):
             zariski_decompose(model, d)
+
+
+# one- and two-curve models, definite and indefinite, with the catalog's and the three-piece ones
+checked_models = st.one_of(
+    small_models(max_curves=2),
+    small_models(definite_self_intersections, max_curves=2),
+    st.sampled_from(THREE_PIECES + tuple(catalog_models)),
+)
+positive_t = st.builds(F, st.integers(1, 9), st.integers(1, 4))
+MUTATIONS = ("none", "N falling", "P.C negative", "volume shifted", "tau moved", "curved")
+
+
+def mutated(data, z: ZariskiPieces) -> ZariskiPieces:
+    """z, or z with one piece changed: an N-coefficient made falling, a curve added to P (which moves
+    its pairings and its volume), P's ambient coefficient shifted (the volume jumps at a breakpoint or
+    misses zero at tau), tau moved, or a coefficient of P or N given a v^2 term."""
+    kind = data.draw(st.sampled_from(MUTATIONS))
+    if kind == "none":
+        return z
+    if kind == "tau moved":
+        lo, tau = z.breakpoints[-2:]
+        moved = data.draw(st.sampled_from([tau + F(1, 7), tau - (tau - lo) / 7]))
+        return dataclasses.replace(z, breakpoints=z.breakpoints[:-1] + (moved,))
+    i = data.draw(st.integers(0, len(z.positives) - 1))
+    lo, hi = z.breakpoints[i : i + 2]
+    model = z.model
+    name = data.draw(st.sampled_from(model.curves))
+    k = model.index(name)
+    positives, negatives, supports = list(z.positives), list(z.negatives), list(z.supports)
+    p, n = positives[i], negatives[i]
+    if kind == "N falling":  # decreasing, and below zero at hi or not; its curve joins the support
+        coeffs = list(n.coeffs)
+        coeffs[k] = Poly.affine(hi - data.draw(st.sampled_from([F(0), (hi - lo) / 2])), -1)
+        negatives[i] = dataclasses.replace(n, coeffs=tuple(coeffs))
+        supports[i] = supports[i] if name in supports[i] else supports[i] + (name,)
+    elif kind == "P.C negative":
+        coeffs = list(p.coeffs)
+        coeffs[k] = coeffs[k] + Poly.affine(data.draw(small_rationals), data.draw(small_rationals))
+        positives[i] = dataclasses.replace(p, coeffs=tuple(coeffs))
+    elif kind == "volume shifted":
+        positives[i] = dataclasses.replace(p, ambient=p.ambient + Poly.const(data.draw(small_rationals)))
+    else:  # "curved"
+        expr = data.draw(st.sampled_from([p, n]))
+        bent = Poly.of(0, 0, data.draw(small_rationals.filter(bool)))
+        if data.draw(st.booleans()):
+            bent_expr = dataclasses.replace(expr, ambient=expr.ambient + bent)
+        else:
+            coeffs = list(expr.coeffs)
+            coeffs[k] = coeffs[k] + bent
+            bent_expr = dataclasses.replace(expr, coeffs=tuple(coeffs))
+        (positives if expr is p else negatives)[i] = bent_expr
+    return dataclasses.replace(z, positives=tuple(positives), negatives=tuple(negatives), supports=tuple(supports))
+
+
+def affine(z: ZariskiPieces) -> bool:
+    """Whether every coefficient of every P and N has degree <= 1."""
+    return all(c.degree <= 1 for e in z.positives + z.negatives for c in (e.ambient, *e.coeffs))
+
+
+class TestDecompositionChecks:
+    """invariant_violations, integrated_s_invariants and verify's homogeneity comparison read integer
+    rows; the Poly versions of tests/oracles.py are their references, on engine decompositions and on
+    the pieces the invariant tests of test_surface corrupt."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.data())
+    def test_checks_and_integrals_are_the_poly_ones(self, data):
+        model = data.draw(checked_models)
+        z = outcome(zariski_decompose, model, flag_family(model, data.draw(positive_t)))
+        assume(isinstance(z, ZariskiPieces))
+        z = mutated(data, z)
+        assert outcome(invariant_violations, z) == outcome(poly_invariant_violations, z)
+        got = outcome(integrated_s_invariants, z)
+        if got == (ValueError, "D(v) must be affine in v"):  # a curved P, or N on a model with L
+            assert not affine(z)
+        else:
+            assert got == poly_s_invariants(z) and all(type(x) is F for x in got if x is not None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_homogeneity_is_the_scaled_equality(self, data):
+        model = data.draw(checked_models)
+        ref = outcome(zariski_decompose, model, flag_family(model, 1))
+        t = data.draw(positive_t)
+        fresh = outcome(zariski_decompose, model, flag_family(model, t))
+        assume(isinstance(ref, ZariskiPieces) and isinstance(fresh, ZariskiPieces))
+        assert _is_scaled(fresh, ref, t) and fresh == scaled(ref, t)
+        perturbed = t + data.draw(st.sampled_from([F(1, 97), F(-1, 97), F(1, 3), -t / 2]))
+        changed = mutated(data, fresh)
+        for got, s in ((fresh, perturbed), (changed, t), (changed, perturbed)):
+            assert _is_scaled(got, ref, s) == (got == scaled(ref, s))
+
+    def test_catalog_decompositions(self):
+        for model in catalog_models:
+            ref = zariski_decompose(model, flag_family(model, 1))
+            assert invariant_violations(ref) == poly_invariant_violations(ref) == []
+            assert integrated_s_invariants(ref) == poly_s_invariants(ref)
+            for t in (F(5, 2), F(7, 3)):
+                fresh = zariski_decompose(model, flag_family(model, t))
+                assert _is_scaled(fresh, ref, t) and fresh == scaled(ref, t)
+                assert not _is_scaled(fresh, ref, t + F(1, 97)) and fresh != scaled(ref, t + F(1, 97))
 
 
 class TestClosedFormKernel:

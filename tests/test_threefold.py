@@ -70,6 +70,25 @@ class TestFlagInvariants:
             with pytest.raises(ValueError, match="^need 0 <= lambda < 1$"):
                 delta_bound_quadric(2, lam, 1)
 
+    @pytest.mark.parametrize("call", [
+        lambda: delta_bound_quadric(4, F(15, 17), 1),  # its second term divided by zero
+        lambda: delta_bound_smooth(4, F(4, 5), 1),  # -1/3
+        lambda: delta_bound_blowup(4, 4, F(9, 10), 1),  # -2
+        lambda: delta_bound_quadric(4, F(9, 10), 1),  # -8/3
+        lambda: delta_bound_smooth(4, F(3, 4), 1),  # 0, at lambda*s = 3
+        lambda: delta_bound_blowup(5, 4, F(3, 4), 1),  # 0, at lambda*m = 3
+    ], ids=["quadric-zero-division", "smooth-negative", "blowup-negative", "quadric-negative",
+            "smooth-at-three", "blowup-at-three"])
+    def test_bounds_refuse_lambda_d_from_three(self, call):
+        with pytest.raises(ValueError, match=r"^need lambda \* d < 3, with d the degree of the plane curve the bound reads$"):
+            call()
+
+    def test_accepted_quadric_range_is_finite_and_positive(self):
+        for m in range(1, 9):
+            hi = min(F(1), F(3, m))
+            for lam in (F(0), *interior_samples(F(0), hi, 7), hi - F(1, 10**6)):
+                assert 15 - 9 * lam - 2 * lam * m > 0 and delta_bound_quadric(m, lam, 1) > 0, (m, lam)
+
 
 class TestBounds:
     def test_smooth_cubic_surface(self):
