@@ -419,6 +419,6 @@ def invariant_violations(z: ZariskiPieces) -> list[str]:
         b = z.breakpoints[i]
         if volume_at(i - 1, b) * volumes[i][1] != volume_at(i, b) * volumes[i - 1][1]:
             problems.append(f"volume discontinuous at {b}")
-    if volume_at(len(volumes) - 1, z.tau):
+    if volume_at(-1, z.tau):
         problems.append("volume nonzero at tau")
     return problems

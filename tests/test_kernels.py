@@ -477,11 +477,11 @@ checked_models = st.one_of(
     st.sampled_from(THREE_PIECES + tuple(catalog_models)),
 )
 positive_t = st.builds(F, st.integers(1, 9), st.integers(1, 4))
-MUTATIONS = ("none", "N falling", "P.C negative", "volume shifted", "tau moved", "curved")
+MUTATIONS = ("none", "N falling or flat", "P.C negative", "volume shifted", "tau moved", "curved")
 
 
 def mutated(data, z: ZariskiPieces) -> ZariskiPieces:
-    """z, or z with one piece changed: an N-coefficient made falling, a curve added to P (which moves
+    """z, or z with one piece changed: an N-coefficient made falling or flat, a curve added to P (which moves
     its pairings and its volume), P's ambient coefficient shifted (the volume jumps at a breakpoint or
     misses zero at tau), tau moved, or a coefficient of P or N given a v^2 term."""
     kind = data.draw(st.sampled_from(MUTATIONS))
@@ -498,9 +498,9 @@ def mutated(data, z: ZariskiPieces) -> ZariskiPieces:
     k = model.index(name)
     positives, negatives, supports = list(z.positives), list(z.negatives), list(z.supports)
     p, n = positives[i], negatives[i]
-    if kind == "N falling":  # decreasing, and below zero at hi or not; its curve joins the support
+    if kind == "N falling or flat":  # below zero at hi or not; its curve joins the support
         coeffs = list(n.coeffs)
-        coeffs[k] = Poly.affine(hi - data.draw(st.sampled_from([F(0), (hi - lo) / 2])), -1)
+        coeffs[k] = Poly.affine(hi - data.draw(st.sampled_from([F(0), (hi - lo) / 2])), data.draw(st.sampled_from([-1, 0])))
         negatives[i] = dataclasses.replace(n, coeffs=tuple(coeffs))
         supports[i] = supports[i] if name in supports[i] else supports[i] + (name,)
     elif kind == "P.C negative":
@@ -559,6 +559,14 @@ class TestDecompositionChecks:
         changed = mutated(data, fresh)
         for got, s in ((fresh, perturbed), (changed, t), (changed, perturbed)):
             assert _is_scaled(got, ref, s) == (got == scaled(ref, s))
+
+    def test_volume_rising_at_the_start_of_a_later_piece(self):
+        # P = H + (v - 1)*E on [3/2, 2] of the single-E model: the volume 2v - v^2 falls there, its slope
+        # 2 - 2v read at both ends; (P . E) = 1 - v is negative
+        model = SurfaceModel(("E",), ((F(-1),),), F(1), (F(0),))
+        p = DivisorExpr.build(model, Poly.const(1), {"E": Poly.affine(-1, 1)})
+        z = ZariskiPieces(model, (F(3, 2), F(2)), (p,), (DivisorExpr.zero(model),), ((),))
+        assert invariant_violations(z) == poly_invariant_violations(z) == ["piece 0: (P . E) negative on [3/2, 2]"]
 
     def test_catalog_decompositions(self):
         for model in catalog_models:
