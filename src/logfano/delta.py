@@ -31,7 +31,7 @@ from typing import Iterable, Mapping
 
 from .catalog import Affine, CaseSpec, check_lambda, flag_family, get_case
 from .exact import Poly, RationalFunction, _integral, _integers, _reduced, rat
-from .surface import SurfaceModel, ZariskiPieces, _dot, _integer_divisor, _pairings, zariski_decompose
+from .surface import SurfaceModel, ZariskiPieces, _dot, _pairings, zariski_decompose
 
 F = Fraction
 
@@ -223,9 +223,9 @@ def integrated_s_invariants(pieces: ZariskiPieces) -> tuple[Fraction, Fraction, 
 
     S(E) integrates the volume (P.P).  S(W;O) integrates 2*h(v) per piece:
     (P.E)^2 at a generic point and, at the crossing point of E and the
-    companion curve L, (P.E)^2 + 2*(P.E)*(N.E at O).  P and N are read once
-    per piece as integer rows, so each integrand is an integer quadratic over
-    one denominator and each integral one Fraction per piece.  The last entry
+    companion curve L, (P.E)^2 + 2*(P.E)*(N.E at O).  The pieces' P and N are
+    integer rows, so each integrand is an integer quadratic over one
+    denominator and each integral one Fraction per piece.  The last entry
     is None when the model has no companion curve L.
     """
     model = pieces.model
@@ -234,15 +234,14 @@ def integrated_s_invariants(pieces: ZariskiPieces) -> tuple[Fraction, Fraction, 
     on_l = "L" in model.curves
     s_e = s_generic = s_on_l = F(0)
     bps = pieces.breakpoints
-    for lo, hi, p_expr, n_expr in zip(bps, bps[1:], pieces.positives, pieces.negatives):
-        p = _integer_divisor(p_expr)
+    for lo, hi, p, n in zip(bps, bps[1:], pieces.positives, pieces.negatives):
         f0, f1, vol = _pairings(table, p)
         e0, e1, dp = f0[e], f1[e], p[2]  # (P.E) = (e0 + e1*v)/(den_t*dp)
         square = [e0 * e0, 2 * e0 * e1, e1 * e1]
         s_e += _integral(vol, den_t * dp * dp, lo, hi)
         s_generic += _integral(square, (den_t * dp) ** 2, lo, hi)
         if on_l:
-            nc, ns, dn = _integer_divisor(n_expr)
+            nc, ns, dn = n
             m0, m1 = _dot(table[e], nc), _dot(table[e], ns)  # (N.E) = (m0 + m1*v)/(den_t*dn)
             cross = [2 * e0 * m0, 2 * (e0 * m1 + e1 * m0), 2 * e1 * m1]
             at_l = [x * dn + y * dp for x, y in zip(square, cross)]

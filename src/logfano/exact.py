@@ -10,8 +10,8 @@ The inner loops of evaluation, multiplication and integration run on integer
 numerators over one common denominator, and each result value or coefficient
 is built as a single Fraction at the end, so the results are Fractions as
 before, with one reduction each instead of one per operation.  Root finding
-tests the integer discriminant of the numerators for a square with
-``math.isqrt``.
+runs on integer coefficients: it tests the discriminant for a square with
+``math.isqrt``, and locates an irrational root by integer sign tests.
 """
 
 from __future__ import annotations
@@ -278,7 +278,7 @@ def rational_roots(p: Poly) -> list[Fraction]:
     Raises IrrationalRoot when a degree-2 polynomial has real irrational roots,
     and UnsupportedDegree above degree 2.  The zero polynomial is rejected.
     """
-    roots = _roots(p)
+    roots = _roots(_integers(p.coeffs)[0])
     if roots is None:
         raise IrrationalRoot(f"irrational roots of {p.format()}")
     return roots
@@ -293,48 +293,52 @@ def roots_in_interval(p: Poly, a: int | str | Fraction, b: int | str | Fraction)
     a, b = rat(a), rat(b)
     if a > b:
         raise ValueError("empty interval")
-    roots = _roots(p)
+    roots = _roots(_integers(p.coeffs)[0], a, b)
     if roots is None:
-        if _quadratic_has_root_in(p, a, b):
-            raise IrrationalRoot(f"irrational roots of {p.format()}")
-        return []
-    return [r for r in roots if a <= r <= b]
+        raise IrrationalRoot(f"irrational roots of {p.format()}")
+    return roots
 
 
-def _roots(p: Poly) -> list[Fraction] | None:
-    """rational_roots, with None where it raises IrrationalRoot."""
-    if p.is_zero:
+def _roots(ints: Sequence[int], lo: Fraction | None = None, hi: Fraction | None = None) -> list[Fraction] | None:
+    """The rational roots of sum_k ints[k]*x^k (degree <= 2), ascending, without multiplicity,
+    or None where rational_roots raises IrrationalRoot.  With an interval [lo, hi], only the
+    roots in it, and None only when an irrational root lies in it (roots_in_interval)."""
+    n = len(ints)
+    while n and not ints[n - 1]:
+        n -= 1
+    if not n:
         raise ValueError("zero polynomial has no isolated roots")
-    if p.degree > 2:
-        raise UnsupportedDegree(f"degree {p.degree} > 2")
-    if p.degree == 0:
-        return []
-    if p.degree == 1:
-        return [-p.coeff(0) / p.coeff(1)]
-    # the quadratic formula on the integer numerators: the roots are rational iff the
-    # integer discriminant is a perfect square
-    (c, b, a), _ = _integers(p.coeffs)
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return []
-    root = math.isqrt(disc)
-    if root * root != disc:
-        return None
-    return sorted({Fraction(-b - root, 2 * a), Fraction(-b + root, 2 * a)})
+    if n > 3:
+        raise UnsupportedDegree(f"degree {n - 1} > 2")
+    if n < 3:
+        roots = [Fraction(-ints[0], ints[1])] if n == 2 else []
+    else:
+        # the quadratic formula: the roots are rational iff the discriminant is a perfect square
+        c, b, a = ints[:3]
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return []
+        root = math.isqrt(disc)
+        if root * root != disc:
+            return None if lo is None or _quadratic_has_root_in(c, b, a, lo, hi) else []
+        roots = sorted({Fraction(-b - root, 2 * a), Fraction(-b + root, 2 * a)})
+    return roots if lo is None else [r for r in roots if lo <= r <= hi]
 
 
-def _quadratic_has_root_in(p: Poly, a: Fraction, b: Fraction) -> bool:
-    # Exact location test for a quadratic with real (possibly irrational) roots:
-    # either the sign changes across [a, b], or the vertex lies inside with a
-    # value of the opposite sign to the (equal-signed) endpoint values.
-    pa, pb = p(a), p(b)
-    if pa == 0 or pb == 0 or pa * pb < 0:
+def _quadratic_has_root_in(c: int, b: int, a: int, lo: Fraction, hi: Fraction) -> bool:
+    """Whether c + b*x + a*x^2, of positive discriminant, has a root in [lo, hi], by integer sign tests.
+
+    Either its sign changes across [lo, hi] (or it is 0 at an end), or both ends
+    have the sign of a and the vertex -b/(2a), where the value c - b^2/(4a) has
+    the other sign, lies between them.
+    """
+    if a < 0:  # the same roots, with a > 0
+        c, b, a = -c, -b, -a
+    # the value at x = p/q times q^2
+    at_lo, at_hi = ((c * q + b * p) * q + a * p * p for p, q in (lo.as_integer_ratio(), hi.as_integer_ratio()))
+    if min(at_lo, at_hi) <= 0 <= max(at_lo, at_hi):
         return True
-    vertex = -p.coeff(1) / (2 * p.coeff(2))
-    if a <= vertex <= b:
-        pv = p(vertex)
-        return pv == 0 or (pv > 0) != (pa > 0)
-    return False
+    return at_lo > 0 and 2 * a * lo.numerator <= -b * lo.denominator and -b * hi.denominator <= 2 * a * hi.numerator
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,11 @@ threshold).
 
 The growth runs on integers: D, P and N are integer vectors over one common
 denominator, the support system is solved by one fraction-free (Bareiss)
-elimination whose pivots also decide negative-definiteness, and DivisorExpr
-and Poly values are built only for the pieces returned.  invariant_violations
-reads those pieces back as integer rows (_pairings, shared with the growth),
-so each of its tests is an integer sign or equality.
+elimination whose pivots also decide negative-definiteness, and the volume's
+roots are found from its integer coefficients.  The pieces returned are
+those integer rows, and their readers (invariant_violations, the S-integrals
+of delta and the homogeneity check of verify) pair them through _pairings,
+shared with the growth, so each test is an integer sign or equality.
 """
 
 from __future__ import annotations
@@ -31,14 +32,14 @@ from functools import cached_property
 from operator import mul
 
 from .exact import (
+    IrrationalRoot,
     PiecewisePoly,
     Poly,
     _from_integers,
     _integers,
+    _roots,
     is_negative_definite,
     rat,
-    rational_roots,
-    roots_in_interval,
 )
 
 
@@ -204,23 +205,29 @@ def _add_product(acc: list[int], a: list[int], b: list[int], g: int) -> None:
             acc[i + j] += x * yg
 
 
+# An affine divisor (c + s*v)/den on integers: c and s hold the ambient coefficient, then each curve's.
+IntegerDivisor = tuple[tuple[int, ...], tuple[int, ...], int]
+
+
 @dataclass(frozen=True)
 class ZariskiPieces:
-    """Positive/negative parts of D(v) on [0, tau], one regime per piece."""
+    """Positive/negative parts of D(v) on [0, tau], one regime per piece.
+
+    Each P and N is the IntegerDivisor (c, s, den) of the support solve,
+    (c + s*v)/den with den > 0: affine in v by its type.  The rows are not
+    reduced, so equal values may be stored as different rows; compare them
+    cross-multiplied, as verify._is_scaled does.
+    """
 
     model: SurfaceModel
     breakpoints: tuple[Fraction, ...]
-    positives: tuple[DivisorExpr, ...]
-    negatives: tuple[DivisorExpr, ...]
+    positives: tuple[IntegerDivisor, ...]
+    negatives: tuple[IntegerDivisor, ...]
     supports: tuple[tuple[str, ...], ...]
 
     @property
     def tau(self) -> Fraction:
         return self.breakpoints[-1]
-
-
-# An affine divisor (c + s*v)/den on integers: c and s hold the ambient coefficient, then each curve's.
-IntegerDivisor = tuple[list[int], list[int], int]
 
 
 def _dot(a: list[int], b: list[int]) -> int:
@@ -232,7 +239,7 @@ def _integer_divisor(d: DivisorExpr) -> IntegerDivisor:
     rows, den = d._integer_rows
     if any(len(r) > 2 for r in rows):
         raise ValueError("D(v) must be affine in v")
-    return [r[0] if r else 0 for r in rows], [r[1] if len(r) > 1 else 0 for r in rows], den
+    return tuple(r[0] if r else 0 for r in rows), tuple(r[1] if len(r) > 1 else 0 for r in rows), den
 
 
 def _pairings(table: list[list[int]], d: IntegerDivisor) -> tuple[list[int], list[int], list[int]]:
@@ -244,18 +251,6 @@ def _pairings(table: list[list[int]], d: IntegerDivisor) -> tuple[list[int], lis
     c, s, _ = d
     f0, f1 = [_dot(g, c) for g in table], [_dot(g, s) for g in table]
     return f0, f1, [_dot(c, f0), 2 * _dot(c, f1), _dot(s, f1)]
-
-
-def _divisor(model: SurfaceModel, d: IntegerDivisor) -> DivisorExpr:
-    """The DivisorExpr of (c, s, den): one Fraction per nonzero coefficient, its
-    integer rows those it is built from, so that the readers of the pieces do not
-    recompute them from the Fractions."""
-    c, s, den = d
-    rows = [[a, b] for a, b in zip(c, s)]
-    polys = [_from_integers(row, den) for row in rows]  # strips each row's trailing zeros, as Poly does
-    expr = DivisorExpr(model, polys[0], tuple(polys[1:]))
-    expr.__dict__["_integer_rows"] = rows, den  # the cached_property's own slot
-    return expr
 
 
 def _solve_support(
@@ -271,7 +266,7 @@ def _solve_support(
     """
     c, s, den = d
     if not support:
-        return d, ([0] * len(c), [0] * len(c), 1)
+        return d, ((0,) * len(c), (0,) * len(c), 1)
     table, _ = model._integer_table
     idx = [model.index(name) + 1 for name in support]
     k = len(idx)
@@ -296,8 +291,8 @@ def _solve_support(
     for i, a, b in zip(idx, x0, x1):
         nc[i], ns[i] = a, b
     # N = X/(det*den) and P = D - N over the same denominator
-    p = ([det * a - b for a, b in zip(c, nc)], [det * a - b for a, b in zip(s, ns)], det * den)
-    return p, (nc, ns, det * den)
+    p = (tuple(det * a - b for a, b in zip(c, nc)), tuple(det * a - b for a, b in zip(s, ns)), det * den)
+    return p, (tuple(nc), tuple(ns), det * den)
 
 
 def zariski_decompose(model: SurfaceModel, d: DivisorExpr) -> ZariskiPieces:
@@ -312,8 +307,8 @@ def zariski_decompose(model: SurfaceModel, d: DivisorExpr) -> ZariskiPieces:
     v = Fraction(0)
     support: tuple[str, ...] = ()
     breakpoints = [Fraction(0)]
-    positives: list[DivisorExpr] = []
-    negatives: list[DivisorExpr] = []
+    positives: list[IntegerDivisor] = []
+    negatives: list[IntegerDivisor] = []
     supports: list[tuple[str, ...]] = []
     for _ in range(len(model.curves) + 1):
         p, n = _solve_support(model, dd, support)
@@ -325,20 +320,19 @@ def zariski_decompose(model: SurfaceModel, d: DivisorExpr) -> ZariskiPieces:
         if entering:
             support = support + entering
             continue
-        vol = _from_integers(vol_ints, den_t * p[2] * p[2])
         roots = [(Fraction(-f0, f1), name) for name, f0, f1 in outside if f1 < 0]
         crossings = [(r, name) for r, name in roots if r > v]
         cross_v = min((r for r, _ in crossings), default=None)
         # volume roots matter only before the next support change; an irrational
         # root beyond it belongs to a regime with a different volume polynomial
-        if cross_v is None:
-            vol_hits = [r for r in rational_roots(vol) if r >= v]
-            if not vol_hits:
-                raise Unbounded("volume never reaches zero and no curve enters the support")
-        else:
-            vol_hits = roots_in_interval(vol, v, cross_v)
-        positives.append(_divisor(model, p))
-        negatives.append(_divisor(model, n))
+        vol_hits = _roots(vol_ints) if cross_v is None else _roots(vol_ints, v, cross_v)
+        if vol_hits is None:  # as exact.rational_roots and roots_in_interval raise it
+            raise IrrationalRoot(f"irrational roots of {_from_integers(vol_ints, den_t * p[2] * p[2]).format()}")
+        vol_hits = [r for r in vol_hits if r >= v]
+        if not vol_hits and cross_v is None:
+            raise Unbounded("volume never reaches zero and no curve enters the support")
+        positives.append(p)
+        negatives.append(n)
         supports.append(support)
         if vol_hits:
             breakpoints.append(min(vol_hits))
@@ -350,32 +344,29 @@ def zariski_decompose(model: SurfaceModel, d: DivisorExpr) -> ZariskiPieces:
 
 
 def volume_function(z: ZariskiPieces) -> PiecewisePoly:
-    """v -> (P(v))^2 as an exact piecewise polynomial on [0, tau]."""
-    return PiecewisePoly(z.breakpoints, tuple(pair(z.model, p, p) for p in z.positives))
+    """v -> (P(v))^2 as an exact piecewise polynomial on [0, tau], each piece's from _pairings."""
+    table, den_t = z.model._integer_table
+    volumes = (_from_integers(_pairings(table, p)[2], den_t * p[2] ** 2) for p in z.positives)
+    return PiecewisePoly(z.breakpoints, tuple(volumes))
 
 
 def invariant_violations(z: ZariskiPieces) -> list[str]:
     """Check the structural invariants of a decomposition; returns human-readable defects.
 
-    P and N must be affine in v on every piece; a piece that is not is
-    reported and nothing else is checked.  Then each (P . C), each N-coefficient
-    and the slope of the volume is affine on a piece, so its values at the piece
-    ends decide each test exactly.  Checked per piece: (P . C) = 0 identically
-    on the support, (P . C) >= 0 for every model curve, N-coefficients >= 0 and
-    non-decreasing, support Gram negative definite, volume non-increasing;
-    globally: volume continuity at breakpoints (which makes the volume
-    non-increasing on all of [0, tau]) and volume zero at tau.
+    P and N are integer rows (c + s*v)/den, affine in v, so each (P . C), each
+    N-coefficient and the slope of the volume is affine on a piece, and its
+    values at the piece ends decide each test exactly.  Checked per piece:
+    (P . C) = 0 identically on the support, (P . C) >= 0 for every model curve,
+    N-coefficients >= 0 and non-decreasing, support Gram negative definite,
+    volume non-increasing; globally: volume continuity at breakpoints (which
+    makes the volume non-increasing on all of [0, tau]) and volume zero at tau.
 
-    P and N are read once per piece as integer rows (c + s*v)/den: an affine
-    f0 + f1*v has the sign of f0*q + f1*p at v = p/q, and two pieces' volumes
-    meet at a breakpoint when their numerators there, each times the other's
-    den^2, agree.  The support Gram is re-tested by exact.is_negative_definite,
-    apart from the Bareiss pivots of the decomposition.
+    An affine f0 + f1*v has the sign of f0*q + f1*p at v = p/q, and two
+    pieces' volumes meet at a breakpoint when their numerators there, each
+    times the other's den^2, agree.  The support Gram is re-tested by
+    exact.is_negative_definite, apart from the Bareiss pivots of the
+    decomposition.
     """
-    rows = [(*p._integer_rows[0], *n._integer_rows[0]) for p, n in zip(z.positives, z.negatives)]
-    curved = [i for i, piece in enumerate(rows) if any(len(r) > 2 for r in piece)]
-    if curved:
-        return [f"piece {i}: P or N not affine in v" for i in curved]
     problems: list[str] = []
     model = z.model
     table, _ = model._integer_table
@@ -387,16 +378,15 @@ def invariant_violations(z: ZariskiPieces) -> list[str]:
 
     for i, (p, n, support) in enumerate(zip(z.positives, z.negatives, z.supports)):
         lo, hi = z.breakpoints[i], z.breakpoints[i + 1]
-        p_int = _integer_divisor(p)
-        f0, f1, vol = _pairings(table, p_int)
-        volumes.append((vol, p_int[2] ** 2))
+        f0, f1, vol = _pairings(table, p)
+        volumes.append((vol, p[2] ** 2))
         for name in support:
             if f0[column[name]] or f1[column[name]]:
                 problems.append(f"piece {i}: (P . {name}) not identically zero on support")
         for name, k in column.items():
             if at(f0[k], f1[k], lo) < 0 or at(f0[k], f1[k], hi) < 0:
                 problems.append(f"piece {i}: (P . {name}) negative on [{lo}, {hi}]")
-        nc, ns, _ = _integer_divisor(n)
+        nc, ns, _ = n
         for name in support:
             c0, c1 = nc[column[name]], ns[column[name]]
             if at(c0, c1, lo) < 0 or at(c0, c1, hi) < 0:

@@ -55,18 +55,18 @@ def _is_scaled(fresh: ZariskiPieces, ref: ZariskiPieces, t: Fraction) -> bool:
     """Whether fresh is ref with t and v scaled by t: the same model and supports,
     breakpoints b*t, and each coefficient c_j of v^j in P and N becomes c_j*t^(1-j).
 
-    Compared on the integer rows of P and N, with no scaled copy built: for
-    t = p/q, rows c/d0 of ref and c'/d1 of fresh agree when c'_j*d0*p^j*q = c_j*d1*p*q^j.
+    Compared on the integer rows (c + s*v)/den of P and N, with no scaled copy
+    built: for t = p/q, coefficient c_j of v^j over d0 in ref and c'_j over d1
+    in fresh agree when c'_j*d0*p^j*q = c_j*d1*p*q^j.
     """
-    exprs = fresh.positives + fresh.negatives, ref.positives + ref.negatives
-    if (fresh.model, fresh.supports, fresh.breakpoints, len(exprs[0])) != (
-            ref.model, ref.supports, tuple(b * t for b in ref.breakpoints), len(exprs[1])):
+    rows = fresh.positives + fresh.negatives, ref.positives + ref.negatives
+    if (fresh.model, fresh.supports, fresh.breakpoints, len(rows[0])) != (
+            ref.model, ref.supports, tuple(b * t for b in ref.breakpoints), len(rows[1])):
         return False
     p, q = t.numerator, t.denominator
-    for got, want in zip(*exprs):
-        (rows1, d1), (rows0, d0) = got._integer_rows, want._integer_rows
-        for r1, r0 in zip(rows1, rows0):
-            if len(r1) != len(r0) or any(x * d0 * p**j * q != y * d1 * p * q**j for j, (x, y) in enumerate(zip(r1, r0))):
+    for (c1, s1, d1), (c0, s0, d0) in zip(*rows):
+        for got, want, x, y in ((c1, c0, q, p), (s1, s0, p * q, p * q)):  # j = 0, then j = 1
+            if any(a * d0 * x != b * d1 * y for a, b in zip(got, want)):
                 return False
     return True
 

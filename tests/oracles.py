@@ -2,11 +2,48 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction as F
 
 from logfano.catalog import CaseSpec, build_case
 from logfano.exact import PiecewisePoly, Poly, _canonical, integrate_piecewise, is_negative_definite
-from logfano.surface import DivisorExpr, ZariskiPieces, pair_curve, volume_function, zariski_decompose
+from logfano.surface import (
+    DivisorExpr,
+    SurfaceModel,
+    ZariskiPieces,
+    _integer_divisor,
+    pair,
+    pair_curve,
+    zariski_decompose,
+)
+
+
+def divisor_expr(model: SurfaceModel, d) -> DivisorExpr:
+    """The DivisorExpr (c + s*v)/den of an integer row (c, s, den): one Fraction per coefficient."""
+    c, s, den = d
+    polys = [Poly.affine(F(a, den), F(b, den)) for a, b in zip(c, s)]
+    return DivisorExpr(model, polys[0], tuple(polys[1:]))
+
+
+def exprs(z: ZariskiPieces) -> ZariskiPieces:
+    """z with each P and N, an integer row of the engine, as a DivisorExpr of Polys over Fractions.
+
+    Two such views are equal exactly when the pieces are equal as values, whatever
+    the rows' denominators; the Poly oracles below read the pieces through it.
+    """
+    return dataclasses.replace(
+        z,
+        positives=tuple(divisor_expr(z.model, p) for p in z.positives),
+        negatives=tuple(divisor_expr(z.model, n) for n in z.negatives),
+    )
+
+
+def rows(z: ZariskiPieces) -> ZariskiPieces:
+    """The inverse view: pieces given as DivisorExprs (hand-built or changed through exprs) as integer
+    rows, by surface._integer_divisor, which refuses a piece that is not affine in v."""
+    return dataclasses.replace(
+        z, positives=tuple(map(_integer_divisor, z.positives)), negatives=tuple(map(_integer_divisor, z.negatives))
+    )
 
 
 def flag_integrand(spec: CaseSpec, d: int, lam, point: str = "generic") -> PiecewisePoly:
@@ -19,7 +56,7 @@ def flag_integrand(spec: CaseSpec, d: int, lam, point: str = "generic") -> Piece
     model, factory, _ = build_case(spec.id, d, {spec.id: spec})
     lam = F(lam)
     t = 3 - d * lam
-    pieces = zariski_decompose(model, factory(lam))
+    pieces = exprs(zariski_decompose(model, factory(lam)))
     assert pieces.tau == t * spec.tau_factor
     located: dict[str, str] = {}
     for var in spec.variants:
@@ -35,18 +72,20 @@ def flag_integrand(spec: CaseSpec, d: int, lam, point: str = "generic") -> Piece
 
 
 # The Poly versions of the decomposition's checks, which surface.invariant_violations,
-# delta.integrated_s_invariants and verify._is_scaled run on integer rows.
+# delta.integrated_s_invariants and verify._is_scaled run on integer rows.  Each takes
+# pieces whose P and N are DivisorExprs, as exprs(z) gives them.
+
+
+def poly_volume(z: ZariskiPieces) -> PiecewisePoly:
+    """surface.volume_function by pair: (P . P) per piece."""
+    return PiecewisePoly(z.breakpoints, tuple(pair(z.model, p, p) for p in z.positives))
 
 
 def poly_invariant_violations(z: ZariskiPieces) -> list[str]:
     """surface.invariant_violations with every pairing a Poly over Fractions, evaluated at the piece ends."""
-    curved = [i for i, parts in enumerate(zip(z.positives, z.negatives))
-              if any(c.degree > 1 for e in parts for c in (e.ambient, *e.coeffs))]
-    if curved:
-        return [f"piece {i}: P or N not affine in v" for i in curved]
     problems: list[str] = []
     model = z.model
-    vol = volume_function(z)
+    vol = poly_volume(z)
     for i, (p, n, support, volume) in enumerate(zip(z.positives, z.negatives, z.supports, vol.pieces)):
         lo, hi = z.breakpoints[i], z.breakpoints[i + 1]
         pairings = {name: pair_curve(model, p, name) for name in model.curves}
@@ -92,7 +131,7 @@ def poly_s_invariants(pieces: ZariskiPieces) -> tuple[F, F, F | None]:
             at_l.append(h + pe * pair_curve(model, n_expr, "E"))
     s_on_l = 2 * integrate_piecewise(PiecewisePoly(pieces.breakpoints, tuple(at_l))) if on_l else None
     s_generic = 2 * integrate_piecewise(PiecewisePoly(pieces.breakpoints, tuple(generic)))
-    return integrate_piecewise(volume_function(pieces)), s_generic, s_on_l
+    return integrate_piecewise(poly_volume(pieces)), s_generic, s_on_l
 
 
 def scaled(z: ZariskiPieces, s: F) -> ZariskiPieces:

@@ -1,16 +1,19 @@
 """The integer inner loops of the exact core against plain-Fraction references.
 
 Poly evaluation, multiplication and integration, pair, pair_curve,
-delta.binding, the quadratic formula, the support solve and support growth
-of the Zariski decomposition, the decomposition's invariant checks, its
-S-integrals and verify's homogeneity comparison, and the closed form's
-reduction run on integers over a common denominator.  Each reference below
-is the Fraction loop they replace, kept here as the oracle: Horner's rule,
-the convolution, the antiderivative, the naive bilinear sum, the per-end
-minimum of the ratio lines, the quadratic formula with a rational square
-root, Gaussian elimination with Sylvester's minors, the Fraction support
-growth, the Poly checks and integrals of tests/oracles.py and the
-polynomial gcd.
+delta.binding, the quadratic formula and the location of an irrational root,
+the support solve and support growth of the Zariski decomposition, the
+decomposition's invariant checks, its S-integrals and verify's homogeneity
+comparison, and the closed form's reduction run on integers over a common
+denominator.  Each reference below is the Fraction loop they replace, kept
+here as the oracle: Horner's rule, the convolution, the antiderivative, the
+naive bilinear sum, the per-end minimum of the ratio lines, the quadratic
+formula with a rational square root (and, for an irrational one, each
+comparison with a root made through its square), Gaussian elimination with
+Sylvester's minors, the Fraction support growth, the Poly checks and
+integrals of tests/oracles.py and the polynomial gcd.  The engine's pieces
+are integer rows; the oracles read them as DivisorExprs through
+oracles.exprs.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ from logfano.exact import (
     Poly,
     RationalFunction,
     UnsupportedDegree,
+    _integers,
     _quadratic_has_root_in,
+    _roots,
     integrate,
     is_negative_definite,
     rational_roots,
@@ -45,7 +50,6 @@ from logfano.surface import (
     SurfaceModel,
     Unbounded,
     ZariskiPieces,
-    _divisor,
     _integer_divisor,
     _solve_support,
     invariant_violations,
@@ -54,7 +58,7 @@ from logfano.surface import (
     zariski_decompose,
 )
 from logfano.verify import _is_scaled, _probe_lambda
-from oracles import poly_invariant_violations, poly_s_invariants, scaled
+from oracles import divisor_expr, exprs, poly_invariant_violations, poly_s_invariants, rows, scaled
 
 # ---------------------------------------------------------------------------
 # Plain-Fraction references
@@ -134,12 +138,30 @@ def quadratic_formula_roots(p):
     return sorted({(-b - root) / (2 * a), (-b + root) / (2 * a)})
 
 
+def irrational_root_in(p, a, b):
+    """Whether a root (-q -+ sqrt(disc))/(2k) of the quadratic p = c + q*x + k*x^2, k > 0 and disc
+    not a rational square, lies in [a, b]: the root is >= x iff -+sqrt(disc) >= 2k*x + q, and each
+    such comparison with the square root is decided by squaring."""
+    c, q, k = p.coeffs if p.coeff(2) > 0 else (-p).coeffs
+    disc = q * q - 4 * k * c
+
+    def root_exceeds(y):  # sqrt(disc) > y; never equal
+        return y < 0 or disc > y * y
+
+    for sign in (-1, 1):
+        # the root minus x has the sign of sign*sqrt(disc) - (2k*x + q)
+        at_least = root_exceeds if sign > 0 else (lambda y: not root_exceeds(-y))
+        if at_least(2 * k * a + q) and not at_least(2 * k * b + q):
+            return True
+    return False
+
+
 def quadratic_formula_roots_in(p, a, b):
-    """roots_in_interval over quadratic_formula_roots."""
+    """roots_in_interval over quadratic_formula_roots and irrational_root_in."""
     try:
         roots = quadratic_formula_roots(p)
     except IrrationalRoot:
-        if _quadratic_has_root_in(p, a, b):
+        if irrational_root_in(p, a, b):
             raise
         return []
     return [r for r in roots if a <= r <= b]
@@ -364,6 +386,34 @@ def quadratics(draw):
     return Poly(tuple(draw(st.lists(st.one_of(small_rationals, rationals), max_size=4))))
 
 
+@st.composite
+def located_quadratics(draw):
+    """(p, a, b): a quadratic and an interval with one end at a rational root or at the vertex, or
+    within 10^-k of an irrational root on either side, the other end anywhere or near the other root;
+    p scaled by a small or a huge rational."""
+    kind = draw(st.sampled_from(("root", "vertex", "near")))
+    if kind == "root":
+        r1, r2 = draw(rationals), draw(rationals)
+        p = Poly.of(r1 * r2, -(r1 + r2), 1)
+        ends = [draw(st.sampled_from([r1, r2])), draw(st.sampled_from([r1, r2]) | rationals)]
+    elif kind == "vertex":
+        c, q, k = draw(rationals), draw(rationals), draw(rationals.filter(bool))
+        p = Poly.of(c, q, k)
+        ends = [-q / (2 * k), draw(rationals)]
+    else:  # shift -+ sqrt(m)/den, irrational
+        m = draw(st.integers(2, 10**9).filter(lambda m: math.isqrt(m) ** 2 != m))
+        shift, den = draw(rationals), draw(st.integers(1, 10**12))
+        p = Poly.of(shift * shift - F(m, den * den), -2 * shift, 1)
+
+        def near_root():  # within 10^-k of a root, below or above it
+            k = draw(st.integers(0, 30))
+            below = F(math.isqrt(m * 10 ** (2 * k)), 10**k)  # < sqrt(m) < below + 10^-k
+            return shift + draw(st.sampled_from([-1, 1])) * draw(st.sampled_from([below, below + F(1, 10**k)])) / den
+
+        ends = [near_root(), draw(st.one_of(st.builds(near_root), rationals))]
+    return p * draw(st.one_of(small_rationals, huge).filter(bool)), min(ends), max(ends)
+
+
 class TestRootKernels:
     @settings(max_examples=200, deadline=None)
     @given(quadratics(), small_rationals, small_rationals)
@@ -374,6 +424,30 @@ class TestRootKernels:
         a, b = min(a, b), max(a, b)
         assert outcome(rational_roots, p) == outcome(quadratic_formula_roots, p)
         assert outcome(roots_in_interval, p, a, b) == outcome(quadratic_formula_roots_in, p, a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(located_quadratics())
+    @example((Poly.of(6, -5, 1), F(2), F(5, 2)))  # a root at a
+    @example((Poly.of(6, -5, 1), F(5, 2), F(3)))  # a root at b
+    @example((Poly.of(F(9, 4), -3, 1), F(3, 2), F(2)))  # the double root, at the vertex
+    @example((Poly.of(-2, 0, 1), F(0), F(1)))  # the vertex at a, both roots outside
+    @example((Poly.of(-2, 0, 1), F(-1), F(1)))  # the vertex inside, both ends negative
+    @example((Poly.of(-2, 0, 1), F(14143, 10000), F(2)))  # sqrt(2) just below a
+    @example((Poly.of(-2, 0, 1), F(1), F(14142, 10000)))  # sqrt(2) just above b
+    @example((Poly.of(-2, 0, 1), F(-14142, 10000), F(14142, 10000)))  # both roots just outside
+    @example((Poly.of(-2, 0, 1), F(-14143, 10000), F(14143, 10000)))  # both just inside
+    @example((Poly.of(F(-2, 10**30), 0, F(1, 10**30)), F(3, 10**40), F(14142135623730950488, 10**19)))  # sqrt(2) just above b
+    def test_located_roots_are_the_quadratic_formula(self, case):
+        p, a, b = case
+        a, b = min(a, b), max(a, b)
+        want = outcome(quadratic_formula_roots_in, p, a, b)
+        assert outcome(roots_in_interval, p, a, b) == want
+        ints, _ = _integers(p.coeffs)
+        irrational = isinstance(want, tuple) and want[0] is IrrationalRoot
+        assert outcome(_roots, ints, a, b) == (None if irrational else want)
+        c, q, k = ints
+        if q * q - 4 * k * c > 0:  # the location test's domain, rational roots included
+            assert _quadratic_has_root_in(c, q, k, a, b) == (irrational or bool(want))
 
     def test_irrational_root_names_the_fraction_polynomial(self):
         with pytest.raises(IrrationalRoot, match=r"^irrational roots of 1-6v\^2/7$"):
@@ -426,7 +500,12 @@ def affine_divisors(model):
 
 def solve(model, d, support):
     p, n = _solve_support(model, _integer_divisor(d), support)
-    return _divisor(model, p), _divisor(model, n)
+    return divisor_expr(model, p), divisor_expr(model, n)
+
+
+def grow(model, d):
+    """zariski_decompose, its pieces read as DivisorExprs."""
+    return exprs(zariski_decompose(model, d))
 
 
 class TestDecompositionKernels:
@@ -443,7 +522,7 @@ class TestDecompositionKernels:
     def test_grow_is_the_fraction_growth(self, data):
         model = data.draw(decomposable)
         d = data.draw(affine_divisors(model))
-        assert outcome(zariski_decompose, model, d) == outcome(fraction_grow, model, d)
+        assert outcome(grow, model, d) == outcome(fraction_grow, model, d)
 
     def test_catalog_models_at_t_1_and_lambda_1(self):
         for spec in CASES.values():
@@ -451,7 +530,7 @@ class TestDecompositionKernels:
                 for t in (1, 3 - row.d * _probe_lambda(row)):
                     d = flag_family(spec.model, t)
                     z = zariski_decompose(spec.model, d)
-                    assert z == fraction_grow(spec.model, d), (spec.id, row.d, t)
+                    assert exprs(z) == fraction_grow(spec.model, d), (spec.id, row.d, t)
                     for support in {*z.supports, tuple(reversed(spec.model.curves))}:
                         assert outcome(solve, spec.model, d, support) == outcome(fraction_solve_support, spec.model, d, support)
 
@@ -461,7 +540,14 @@ class TestDecompositionKernels:
             d = flag_family(model, t)
             z = zariski_decompose(model, d)
             assert len(z.supports) == 3 and len(z.supports[-1]) == 2
-            assert z == fraction_grow(model, d)
+            assert exprs(z) == fraction_grow(model, d)
+
+    def test_volume_zero_at_the_start(self):
+        # H.H = 0: the volume -v^2 of t*H - v*E has its double root at v = 0, where the growth starts
+        model = SurfaceModel(("E",), ((F(-1),),), F(0), (F(0),))
+        d = flag_family(model, 1)
+        assert exprs(zariski_decompose(model, d)) == fraction_grow(model, d)
+        assert zariski_decompose(model, d).breakpoints == (0, 0)
 
     def test_non_affine_family_is_refused(self):
         model = SurfaceModel(("E",), ((F(-1),),), F(1), (F(0),))
@@ -481,7 +567,7 @@ MUTATIONS = ("none", "N falling or flat", "P.C negative", "volume shifted", "tau
 
 
 def mutated(data, z: ZariskiPieces) -> ZariskiPieces:
-    """z, or z with one piece changed: an N-coefficient made falling or flat, a curve added to P (which moves
+    """z, its pieces DivisorExprs, or z with one piece changed: an N-coefficient made falling or flat, a curve added to P (which moves
     its pairings and its volume), P's ambient coefficient shifted (the volume jumps at a breakpoint or
     misses zero at tau), tau moved, or a coefficient of P or N given a v^2 term."""
     kind = data.draw(st.sampled_from(MUTATIONS))
@@ -527,10 +613,21 @@ def affine(z: ZariskiPieces) -> bool:
     return all(c.degree <= 1 for e in z.positives + z.negatives for c in (e.ambient, *e.coeffs))
 
 
+def integer_rows(z: ZariskiPieces) -> ZariskiPieces | None:
+    """rows(z), or None for a "curved" z: no integer row holds a v^2 term, and rows refuses it as
+    zariski_decompose refuses a D(v) that is not affine in v."""
+    if affine(z):
+        return rows(z)
+    with pytest.raises(ValueError, match=r"^D\(v\) must be affine in v$"):
+        rows(z)
+    return None
+
+
 class TestDecompositionChecks:
     """invariant_violations, integrated_s_invariants and verify's homogeneity comparison read integer
     rows; the Poly versions of tests/oracles.py are their references, on engine decompositions and on
-    the pieces the invariant tests of test_surface corrupt."""
+    the pieces the invariant tests of test_surface corrupt, changed through oracles.exprs and read
+    back by oracles.rows."""
 
     @settings(max_examples=250, deadline=None)
     @given(st.data())
@@ -538,13 +635,12 @@ class TestDecompositionChecks:
         model = data.draw(checked_models)
         z = outcome(zariski_decompose, model, flag_family(model, data.draw(positive_t)))
         assume(isinstance(z, ZariskiPieces))
-        z = mutated(data, z)
-        assert outcome(invariant_violations, z) == outcome(poly_invariant_violations, z)
-        got = outcome(integrated_s_invariants, z)
-        if got == (ValueError, "D(v) must be affine in v"):  # a curved P, or N on a model with L
-            assert not affine(z)
-        else:
-            assert got == poly_s_invariants(z) and all(type(x) is F for x in got if x is not None)
+        changed = mutated(data, exprs(z))
+        z = integer_rows(changed)
+        if z is not None:
+            assert outcome(invariant_violations, z) == outcome(poly_invariant_violations, changed)
+            got = integrated_s_invariants(z)
+            assert got == poly_s_invariants(changed) and all(type(x) is F for x in got if x is not None)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -554,11 +650,12 @@ class TestDecompositionChecks:
         t = data.draw(positive_t)
         fresh = outcome(zariski_decompose, model, flag_family(model, t))
         assume(isinstance(ref, ZariskiPieces) and isinstance(fresh, ZariskiPieces))
-        assert _is_scaled(fresh, ref, t) and fresh == scaled(ref, t)
+        assert _is_scaled(fresh, ref, t) and exprs(fresh) == scaled(exprs(ref), t)
         perturbed = t + data.draw(st.sampled_from([F(1, 97), F(-1, 97), F(1, 3), -t / 2]))
-        changed = mutated(data, fresh)
+        changed = integer_rows(mutated(data, exprs(fresh)))
         for got, s in ((fresh, perturbed), (changed, t), (changed, perturbed)):
-            assert _is_scaled(got, ref, s) == (got == scaled(ref, s))
+            if got is not None:
+                assert _is_scaled(got, ref, s) == (exprs(got) == scaled(exprs(ref), s))
 
     def test_volume_rising_at_the_start_of_a_later_piece(self):
         # P = H + (v - 1)*E on [3/2, 2] of the single-E model: the volume 2v - v^2 falls there, its slope
@@ -566,17 +663,17 @@ class TestDecompositionChecks:
         model = SurfaceModel(("E",), ((F(-1),),), F(1), (F(0),))
         p = DivisorExpr.build(model, Poly.const(1), {"E": Poly.affine(-1, 1)})
         z = ZariskiPieces(model, (F(3, 2), F(2)), (p,), (DivisorExpr.zero(model),), ((),))
-        assert invariant_violations(z) == poly_invariant_violations(z) == ["piece 0: (P . E) negative on [3/2, 2]"]
+        assert invariant_violations(rows(z)) == poly_invariant_violations(z) == ["piece 0: (P . E) negative on [3/2, 2]"]
 
     def test_catalog_decompositions(self):
         for model in catalog_models:
             ref = zariski_decompose(model, flag_family(model, 1))
-            assert invariant_violations(ref) == poly_invariant_violations(ref) == []
-            assert integrated_s_invariants(ref) == poly_s_invariants(ref)
+            assert invariant_violations(ref) == poly_invariant_violations(exprs(ref)) == []
+            assert integrated_s_invariants(ref) == poly_s_invariants(exprs(ref))
             for t in (F(5, 2), F(7, 3)):
                 fresh = zariski_decompose(model, flag_family(model, t))
-                assert _is_scaled(fresh, ref, t) and fresh == scaled(ref, t)
-                assert not _is_scaled(fresh, ref, t + F(1, 97)) and fresh != scaled(ref, t + F(1, 97))
+                assert _is_scaled(fresh, ref, t) and exprs(fresh) == scaled(exprs(ref), t)
+                assert not _is_scaled(fresh, ref, t + F(1, 97)) and exprs(fresh) != scaled(exprs(ref), t + F(1, 97))
 
 
 class TestClosedFormKernel:

@@ -18,11 +18,13 @@ from logfano.surface import (
     SurfaceModel,
     Unbounded,
     ZariskiPieces,
+    _integer_divisor,
     invariant_violations,
     pair,
     volume_function,
     zariski_decompose,
 )
+from oracles import exprs, rows
 
 
 def conic_setup(lam=F(0)):
@@ -60,7 +62,7 @@ class TestPair:
 class TestDecomposition:
     def test_conic_breakpoints(self):
         model, d, _ = conic_setup()
-        z = zariski_decompose(model, d)
+        z = exprs(zariski_decompose(model, d))
         assert z.tau == 6
         assert z.breakpoints == (0, 3, 6)
         assert z.supports == ((), ("L",))
@@ -77,7 +79,7 @@ class TestDecomposition:
 
     def test_nef_at_zero(self):
         model, d, _ = conic_setup(F(1, 4))
-        z = zariski_decompose(model, d)
+        z = exprs(zariski_decompose(model, d))
         assert z.positives[0].at(F(0)) == d.at(F(0))
         assert all(c.is_zero for c in z.negatives[0].coeffs)
 
@@ -166,7 +168,7 @@ class TestInvariants:
         # rises on (19/20, 1]; its slope at the piece end decides
         model = SurfaceModel(("E",), ((F(-1),),), F(1), (F(0),))
         p = DivisorExpr.build(model, Poly.affine(F(-19, 20), 1), {"E": Poly.const(F(-1, 20))})
-        z = ZariskiPieces(model, (F(0), F(1)), (p,), (DivisorExpr.zero(model),), ((),))
+        z = rows(ZariskiPieces(model, (F(0), F(1)), (p,), (DivisorExpr.zero(model),), ((),)))
         assert volume_function(z)(F(1)) == 0 and pair(model, p, DivisorExpr.build(model, Poly(), {"E": Poly.const(1)})) == Poly.const(F(1, 20))
         assert invariant_violations(z) == ["piece 0: volume increasing on [0, 1]"]
 
@@ -182,14 +184,14 @@ class TestInvariants:
         z = zariski_decompose(model, d)
         lo, hi = z.breakpoints[1:]
         falling = DivisorExpr.build(model, Poly(), {"L": Poly.affine(hi, -1)})  # hi - v: nonnegative on [lo, hi]
-        bad = dataclasses.replace(z, negatives=(z.negatives[0], falling))
+        bad = dataclasses.replace(z, negatives=(z.negatives[0], _integer_divisor(falling)))
         assert invariant_violations(bad) == ["piece 1: negative-part coefficient of L decreasing"]
 
     def test_support_gram_not_negative_definite_is_reported(self):
         # E.E = +1: P = (1 - v)*H has (P . E) = 0 and a volume that falls to zero at 1, yet E cannot be a support
         model = SurfaceModel(("E",), ((F(1),),), F(1), (F(0),))
         p = DivisorExpr.build(model, Poly.affine(1, -1))
-        z = ZariskiPieces(model, (F(0), F(1)), (p,), (DivisorExpr.zero(model),), (("E",),))
+        z = rows(ZariskiPieces(model, (F(0), F(1)), (p,), (DivisorExpr.zero(model),), (("E",),)))
         assert invariant_violations(z) == ["piece 0: support Gram not negative definite"]
 
     def test_volume_discontinuous_at_a_breakpoint_is_reported(self):
@@ -198,14 +200,18 @@ class TestInvariants:
         p0 = DivisorExpr.build(model, Poly.affine(1, -1))
         p1 = DivisorExpr.build(model, Poly.affine(1, -1), {"E": Poly.const(F(-1, 4))})
         zero = DivisorExpr.zero(model)
-        z = ZariskiPieces(model, (F(0), F(1, 2), F(3, 4)), (p0, p1), (zero, zero), ((), ()))
+        z = rows(ZariskiPieces(model, (F(0), F(1, 2), F(3, 4)), (p0, p1), (zero, zero), ((), ())))
         assert invariant_violations(z) == ["volume discontinuous at 1/2"]
 
-    def test_piece_not_affine_in_v_is_reported(self):
+    def test_piece_not_affine_in_v_is_refused(self):
+        # pieces are integer rows (c + s*v)/den, which hold no v^2 term: a curved D(v) is refused
+        # where it enters, by zariski_decompose, and so is a curved hand-built piece
         model = SurfaceModel(("E",), ((F(-1),),), F(1), (F(0),))
         p = DivisorExpr.build(model, Poly.const(1), {"E": Poly.of(0, 0, -1)})
-        z = ZariskiPieces(model, (F(0), F(1)), (p,), (DivisorExpr.zero(model),), ((),))
-        assert invariant_violations(z) == ["piece 0: P or N not affine in v"]
+        with pytest.raises(ValueError, match=r"^D\(v\) must be affine in v$"):
+            zariski_decompose(model, p)
+        with pytest.raises(ValueError, match=r"^D\(v\) must be affine in v$"):
+            rows(ZariskiPieces(model, (F(0), F(1)), (p,), (DivisorExpr.zero(model),), ((),)))
 
 
 def brute_force_negative_part(model, d, v):
@@ -263,7 +269,7 @@ def brute_force_negative_part(model, d, v):
 def test_brute_force_oracle_equivalence(case_id, d, lam):
     model, factory, spec = build_case(case_id, d)
     div = factory(lam)
-    z = zariski_decompose(model, div)
+    z = exprs(zariski_decompose(model, div))
     for i in range(len(z.positives)):
         lo, hi = z.breakpoints[i], z.breakpoints[i + 1]
         for k in range(1, 6):

@@ -13,6 +13,7 @@ import logfano.verify as verify
 from logfano.catalog import CASES, flag_family
 from logfano.exact import Poly
 from logfano.verify import verify_all, verify_case
+from oracles import exprs, rows
 from test_acceptance import fault_checks
 
 
@@ -48,6 +49,7 @@ class TestReferenceDecomposition:
             calls.append(pieces)
             if len(calls) != 2:
                 return pieces
+            pieces = exprs(pieces)
             i = next(k for k, support in enumerate(pieces.supports) if support)
             n = pieces.negatives[i]
             name = pieces.supports[i][0]
@@ -55,7 +57,7 @@ class TestReferenceDecomposition:
             coeffs[n.model.index(name)] = n.coeff(name) + Poly.const(F(1, 13))
             negatives = list(pieces.negatives)
             negatives[i] = dataclasses.replace(n, coeffs=tuple(coeffs))
-            return dataclasses.replace(pieces, negatives=tuple(negatives))
+            return rows(dataclasses.replace(pieces, negatives=tuple(negatives)))
 
         monkeypatch.setattr(verify, "zariski_decompose", perturb_second)
         checks = verify_case(spec, d)
