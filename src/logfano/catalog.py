@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
 from .exact import Poly, RationalFunction, rat
-from .surface import DivisorExpr, SurfaceModel
+from .surface import IntegerDivisor, SurfaceModel, flag_family
 
 if TYPE_CHECKING:
     from .delta import RatioTable
@@ -940,17 +940,12 @@ def check_lambda(d: int, lam: Fraction | int | str) -> Fraction:
     return lam
 
 
-def flag_family(model: SurfaceModel, t: Fraction | int) -> DivisorExpr:
-    """The divisor family D(v) = t*H - v*E, H the pulled-back line class."""
-    return DivisorExpr.build(model, Poly.const(t), {"E": Poly.affine(0, -1)})
-
-
 def build_case(case_id: str, d: int, catalog: dict[str, CaseSpec] | None = None):
     """Model, divisor-family factory, and spec for a case at curve degree d.
 
-    The factory maps a rational lambda in [0, 3/d) to the divisor family
+    The factory maps a rational lambda in [0, 3/d) to the integer row of
     D(v) = (pullback of the lambda-anticanonical class) - v*E, which is
-    ``flag_family(model, t)`` with t = 3 - d*lambda.
+    ``surface.flag_family(model, t)`` with t = 3 - d*lambda.
     """
     cat = CASES if catalog is None else catalog
     if case_id not in cat:
@@ -959,7 +954,7 @@ def build_case(case_id: str, d: int, catalog: dict[str, CaseSpec] | None = None)
     spec.row(d)
     model = spec.model
 
-    def factory(lam: Fraction | int | str) -> DivisorExpr:
+    def factory(lam: Fraction | int | str) -> IntegerDivisor:
         return flag_family(model, 3 - d * check_lambda(d, lam))
 
     return model, factory, spec

@@ -33,7 +33,7 @@ from .exact import rat_str
 
 SCHEMA_VERSION = 1
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")  # ASCII digits only: \d and Fraction accept any Unicode digit
 
 
 class InputError(ValueError):

@@ -29,9 +29,9 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .catalog import Affine, CaseSpec, check_lambda, flag_family, get_case
+from .catalog import Affine, CaseSpec, check_lambda, get_case
 from .exact import Poly, RationalFunction, _integral, _integers, _reduced, rat
-from .surface import SurfaceModel, ZariskiPieces, _dot, _pairings, zariski_decompose
+from .surface import SurfaceModel, ZariskiPieces, _dot, _pairings, flag_family, zariski_decompose
 
 F = Fraction
 

@@ -3,9 +3,10 @@
 A SurfaceModel is a finite lattice of named curve classes with a rational
 intersection form, together with the pairings of a distinguished ambient class
 (the pullback of the anticanonical polarization) against itself and against
-each curve.  Divisor families D(v) have coefficients affine in the flag
-parameter v, so all pairings are polynomials in v of degree at most 2 and the
-whole decomposition is exact.
+each curve.  The decomposition takes D(v) as an integer row (c + s*v)/den,
+affine in the flag parameter v, such as flag_family's t*H - v*E, so all
+pairings are polynomials in v of degree at most 2 and the whole
+decomposition is exact.
 
 The decomposition follows a support-growth scheme: starting from an empty
 negative part, solve (P(v) . C) = 0 for the support curves on each v-regime,
@@ -21,11 +22,13 @@ roots are found from its integer coefficients.  The pieces returned are
 those integer rows, and their readers (invariant_violations, the S-integrals
 of delta and the homogeneity check of verify) pair them through _pairings,
 shared with the growth, so each test is an integer sign or equality.
+
+DivisorExpr (Polys over Fractions) and pair, its plain bilinear sum, are the
+reference for the rows; _integer_divisor turns a DivisorExpr into a row.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -104,7 +107,7 @@ class SurfaceModel:
 
 @dataclass(frozen=True)
 class DivisorExpr:
-    """ambient_coeff * (ambient class) + sum_i coeffs[i] * curves[i], affine in v."""
+    """ambient_coeff * (ambient class) + sum_i coeffs[i] * curves[i], a family in v over Fractions."""
 
     model: SurfaceModel
     ambient: Poly
@@ -125,84 +128,28 @@ class DivisorExpr:
     def zero(cls, model: SurfaceModel) -> DivisorExpr:
         return cls(model, Poly(), tuple(Poly() for _ in model.curves))
 
-    def __sub__(self, other: DivisorExpr) -> DivisorExpr:
-        if self.model != other.model:
-            raise ModelMismatch("divisors over different models")
-        return DivisorExpr(
-            self.model,
-            self.ambient - other.ambient,
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
     def coeff(self, name: str) -> Poly:
         return self.coeffs[self.model.index(name)]
 
-    def at(self, v: Fraction) -> dict[str, Fraction]:
-        """Numeric coefficients at a parameter value (ambient under key ``""``)."""
-        out = {"": self.ambient(v)}
-        for name, c in zip(self.model.curves, self.coeffs):
-            out[name] = c(v)
-        return out
-
-    @cached_property
-    def _integer_rows(self) -> tuple[list[list[int]], int]:
-        """(rows, den): the ambient coefficients, then each curve's, as integers over one common denominator."""
-        polys = (self.ambient, *self.coeffs)
-        den = math.lcm(*[c.denominator for p in polys for c in p.coeffs])  # exact._integers, kept per polynomial
-        return [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys], den
-
 
 def pair(model: SurfaceModel, d1: DivisorExpr, d2: DivisorExpr) -> Poly:
-    """Bilinear extension of the intersection table; a polynomial in v of degree <= 2.
-
-    The terms are summed as integers over the common denominator of the table
-    and of both divisors, one Fraction per result coefficient.
-    """
+    """Bilinear extension of the intersection table, summed over Polys; a polynomial in v of degree <= 2."""
     if d1.model != model or d2.model != model:
         raise ModelMismatch("divisor expressions do not belong to the model")
-    table, den = model._integer_table
-    rows1, den1 = d1._integer_rows
-    rows2, den2 = d2._integer_rows
-    acc: list[int] = []
-    for a, table_row in zip(rows1, table):
-        if a:
-            for b, g in zip(rows2, table_row):
-                if g:
-                    _add_product(acc, a, b, g)
-    return _checked_pairing(acc, den * den1 * den2)
-
-
-def pair_curve(model: SurfaceModel, d: DivisorExpr, name: str) -> Poly:
-    """(D . C) for the model curve C called name, which is pair with C's unit divisor: one table column."""
-    if d.model != model:
-        raise ModelMismatch("divisor expressions do not belong to the model")
-    table, den = model._integer_table
-    column = table[model.index(name) + 1]  # the table is symmetric
-    rows, den_d = d._integer_rows
-    acc: list[int] = []
-    for a, g in zip(rows, column):
-        if g:
-            _add_product(acc, a, [1], g)
-    return _checked_pairing(acc, den * den_d)
-
-
-def _checked_pairing(acc: list[int], den: int) -> Poly:
-    result = _from_integers(acc, den)
+    table = [(model.ambient_self, *model.ambient_pairings)]
+    table += [(p, *row) for p, row in zip(model.ambient_pairings, model.gram)]
+    result = Poly()
+    for a, row in zip((d1.ambient, *d1.coeffs), table):
+        for b, g in zip((d2.ambient, *d2.coeffs), row):
+            result = result + a * b * g
     if result.degree > 2:
         raise AssertionError("pairing of affine families must have degree <= 2")
     return result
 
 
-def _add_product(acc: list[int], a: list[int], b: list[int], g: int) -> None:
-    """acc += a * b * g, with a, b and acc coefficient sequences indexed by degree."""
-    if not a or not b:
-        return
-    if len(acc) < len(a) + len(b) - 1:
-        acc.extend([0] * (len(a) + len(b) - 1 - len(acc)))
-    for j, y in enumerate(b):
-        yg = y * g
-        for i, x in enumerate(a):
-            acc[i + j] += x * yg
+def pair_curve(model: SurfaceModel, d: DivisorExpr, name: str) -> Poly:
+    """(D . C) for the model curve C called name: pair with C's unit divisor."""
+    return pair(model, d, DivisorExpr.build(model, Poly(), {name: Poly.const(1)}))
 
 
 # An affine divisor (c + s*v)/den on integers: c and s hold the ambient coefficient, then each curve's.
@@ -235,11 +182,23 @@ def _dot(a: list[int], b: list[int]) -> int:
 
 
 def _integer_divisor(d: DivisorExpr) -> IntegerDivisor:
-    """d as (c, s, den), read from its integer rows; ValueError unless d is affine in v."""
-    rows, den = d._integer_rows
-    if any(len(r) > 2 for r in rows):
+    """d as the row (c, s, den) over its least common denominator; ValueError unless d is affine in v."""
+    polys = (d.ambient, *d.coeffs)
+    if any(p.degree > 1 for p in polys):
         raise ValueError("D(v) must be affine in v")
-    return tuple(r[0] if r else 0 for r in rows), tuple(r[1] if len(r) > 1 else 0 for r in rows), den
+    ints, den = _integers([p.coeff(k) for p in polys for k in (0, 1)])
+    return tuple(ints[0::2]), tuple(ints[1::2]), den
+
+
+def flag_family(model: SurfaceModel, t: Fraction | int) -> IntegerDivisor:
+    """The divisor family D(v) = t*H - v*E, H the pulled-back line class, as an integer row.
+
+    With t = p/q the row is c = (p, 0, ...), s = -q in E's column and den = q.
+    """
+    t = rat(t)
+    c, s = [0] * (len(model.curves) + 1), [0] * (len(model.curves) + 1)
+    c[0], s[model.index("E") + 1] = t.numerator, -t.denominator
+    return tuple(c), tuple(s), t.denominator
 
 
 def _pairings(table: list[list[int]], d: IntegerDivisor) -> tuple[list[int], list[int], list[int]]:
@@ -295,14 +254,14 @@ def _solve_support(
     return p, (tuple(nc), tuple(ns), det * den)
 
 
-def zariski_decompose(model: SurfaceModel, d: DivisorExpr) -> ZariskiPieces:
-    """Full decomposition on [0, tau]."""
-    if d.model != model:
-        raise ModelMismatch("divisor expressions do not belong to the model")
+def zariski_decompose(model: SurfaceModel, d: IntegerDivisor) -> ZariskiPieces:
+    """Full decomposition on [0, tau] of the row d = (c + s*v)/den; ValueError unless it fits the model."""
+    c, s, den = d
+    if len(c) != len(model.curves) + 1 or len(s) != len(c) or den <= 0:
+        raise ValueError(f"D(v) must be a row of {len(model.curves) + 1} coefficients over den > 0")
     table, den_t = model._integer_table
-    dd = _integer_divisor(d)
     for name, g in zip(model.curves, table[1:]):
-        if _dot(g, dd[0]) < 0:
+        if _dot(g, c) < 0:
             raise NotPseudoEffective(f"D(0) pairs negatively with {name}")
     v = Fraction(0)
     support: tuple[str, ...] = ()
@@ -311,7 +270,7 @@ def zariski_decompose(model: SurfaceModel, d: DivisorExpr) -> ZariskiPieces:
     negatives: list[IntegerDivisor] = []
     supports: list[tuple[str, ...]] = []
     for _ in range(len(model.curves) + 1):
-        p, n = _solve_support(model, dd, support)
+        p, n = _solve_support(model, d, support)
         tc, ts, vol_ints = _pairings(table, p)
         # (P . C) = (f0 + f1*v) / (den_t*den_p) for every curve outside the support, shared by both tests below
         outside = [(name, tc[i], ts[i]) for i, name in enumerate(model.curves, 1) if name not in support]

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import threefold
-from .catalog import CASES, CaseSpec, DegreeRow, _affine_str, flag_family, validate_catalog
+from .catalog import CASES, CaseSpec, DegreeRow, _affine_str, validate_catalog
 from .delta import (
     _unit_constants,
     binding,
@@ -33,7 +33,7 @@ from .delta import (
     delta_point,
     integrated_s_invariants,
 )
-from .surface import SurfaceModel, ZariskiPieces, invariant_violations, zariski_decompose
+from .surface import SurfaceModel, ZariskiPieces, flag_family, invariant_violations, zariski_decompose
 
 F = Fraction
 

@@ -18,6 +18,17 @@ from logfano.surface import (
 )
 
 
+def poly_family(model: SurfaceModel, t) -> DivisorExpr:
+    """t*H - v*E as a DivisorExpr of Polys: the family that surface.flag_family gives as an integer row."""
+    return DivisorExpr.build(model, Poly.const(t), {"E": Poly.affine(0, -1)})
+
+
+def difference(a: DivisorExpr, b: DivisorExpr) -> DivisorExpr:
+    """a - b, coefficient by coefficient."""
+    assert a.model == b.model
+    return DivisorExpr(a.model, a.ambient - b.ambient, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+
+
 def divisor_expr(model: SurfaceModel, d) -> DivisorExpr:
     """The DivisorExpr (c + s*v)/den of an integer row (c, s, den): one Fraction per coefficient."""
     c, s, den = d

@@ -46,6 +46,17 @@ class TestParsing:
         assert code == 2 and out == ""
         assert capsys.readouterr().err == "error: zero denominator in '1/0'\n"
 
+    @pytest.mark.parametrize("argv,text", [
+        (["delta", "--case", "A2", "--degree", "4", "--lambda", "\u0663/\uff18"], "\u0663/\uff18"),
+        (["scan", "--case", "A2", "--degree", "4", "--from", "\u0660", "--to", "1/2"], "\u0660"),
+        (["scan", "--case", "A2", "--degree", "4", "--from", "0", "--to", "\u0661/\u0662"], "\u0661/\u0662"),
+    ], ids=["lambda", "from", "to"])
+    def test_non_ascii_digits_are_invalid_input(self, capsys, argv, text):
+        # Arabic-Indic and fullwidth digits: Fraction parses them, the documented 'p/q' form does not hold them
+        code, out = run(argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: expected an exact rational 'p/q', got {text!r}\n"
+
     @pytest.mark.parametrize("argv", [["--format", "xml", "list"], ["list", "--format", "xml"]],
                              ids=["before", "after"])
     def test_unknown_format_is_refused_by_argparse(self, capsys, argv):

@@ -1,8 +1,8 @@
 """The integer inner loops of the exact core against plain-Fraction references.
 
-Poly evaluation, multiplication and integration, pair, pair_curve,
-delta.binding, the quadratic formula and the location of an irrational root,
-the support solve and support growth of the Zariski decomposition, the
+Poly evaluation, multiplication and integration, delta.binding, the
+quadratic formula and the location of an irrational root, the support
+solve and support growth of the Zariski decomposition, the
 decomposition's invariant checks, its S-integrals and verify's homogeneity
 comparison, and the closed form's reduction run on integers over a common
 denominator.  Each reference below is the Fraction loop they replace, kept
@@ -13,7 +13,8 @@ comparison with a root made through its square), Gaussian elimination with
 Sylvester's minors, the Fraction support growth, the Poly checks and
 integrals of tests/oracles.py and the polynomial gcd.  The engine's pieces
 are integer rows; the oracles read them as DivisorExprs through
-oracles.exprs.
+oracles.exprs and pair them through surface.pair, itself checked here
+against the naive bilinear sum.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from logfano.catalog import CASES, flag_family
+from logfano.catalog import CASES
 from logfano.delta import Ratio, RatioTable, _minimizer_names, _over_t, binding, integrated_s_invariants
 from logfano.exact import (
     IrrationalRoot,
@@ -52,13 +53,23 @@ from logfano.surface import (
     ZariskiPieces,
     _integer_divisor,
     _solve_support,
+    flag_family,
     invariant_violations,
     pair,
     pair_curve,
     zariski_decompose,
 )
 from logfano.verify import _is_scaled, _probe_lambda
-from oracles import divisor_expr, exprs, poly_invariant_violations, poly_s_invariants, rows, scaled
+from oracles import (
+    difference,
+    divisor_expr,
+    exprs,
+    poly_family,
+    poly_invariant_violations,
+    poly_s_invariants,
+    rows,
+    scaled,
+)
 
 # ---------------------------------------------------------------------------
 # Plain-Fraction references
@@ -179,7 +190,7 @@ def fraction_solve_support(model, d, support):
     c0 = solve_linear(gram, [r.coeff(0) for r in rhs])
     c1 = solve_linear(gram, [r.coeff(1) for r in rhs])
     n = DivisorExpr.build(model, Poly(), {name: Poly.affine(c0[k], c1[k]) for k, name in enumerate(support)})
-    return d - n, n
+    return difference(d, n), n
 
 
 def fraction_grow(model, d):
@@ -493,7 +504,7 @@ def affine_divisors(model):
     positive = st.builds(F, st.integers(1, 9), st.integers(1, 4))
     slopes = st.lists(small_rationals, min_size=len(model.curves), max_size=len(model.curves))
     return st.one_of(
-        st.builds(lambda t: flag_family(model, t), positive),
+        st.builds(lambda t: poly_family(model, t), positive),
         st.builds(lambda a, s: DivisorExpr(model, Poly.const(a), tuple(Poly.affine(0, x) for x in s)), positive, slopes),
     )
 
@@ -504,8 +515,8 @@ def solve(model, d, support):
 
 
 def grow(model, d):
-    """zariski_decompose, its pieces read as DivisorExprs."""
-    return exprs(zariski_decompose(model, d))
+    """zariski_decompose of the DivisorExpr d as a row, its pieces read as DivisorExprs."""
+    return exprs(zariski_decompose(model, _integer_divisor(d)))
 
 
 class TestDecompositionKernels:
@@ -528,8 +539,8 @@ class TestDecompositionKernels:
         for spec in CASES.values():
             for row in spec.rows:
                 for t in (1, 3 - row.d * _probe_lambda(row)):
-                    d = flag_family(spec.model, t)
-                    z = zariski_decompose(spec.model, d)
+                    z = zariski_decompose(spec.model, flag_family(spec.model, t))
+                    d = divisor_expr(spec.model, flag_family(spec.model, t))
                     assert exprs(z) == fraction_grow(spec.model, d), (spec.id, row.d, t)
                     for support in {*z.supports, tuple(reversed(spec.model.curves))}:
                         assert outcome(solve, spec.model, d, support) == outcome(fraction_solve_support, spec.model, d, support)
@@ -537,23 +548,23 @@ class TestDecompositionKernels:
     @pytest.mark.parametrize("model", THREE_PIECES)
     def test_three_pieces(self, model):
         for t in (1, F(7, 3)):
-            d = flag_family(model, t)
-            z = zariski_decompose(model, d)
+            z = zariski_decompose(model, flag_family(model, t))
+            d = divisor_expr(model, flag_family(model, t))
             assert len(z.supports) == 3 and len(z.supports[-1]) == 2
             assert exprs(z) == fraction_grow(model, d)
 
     def test_volume_zero_at_the_start(self):
         # H.H = 0: the volume -v^2 of t*H - v*E has its double root at v = 0, where the growth starts
         model = SurfaceModel(("E",), ((F(-1),),), F(0), (F(0),))
-        d = flag_family(model, 1)
-        assert exprs(zariski_decompose(model, d)) == fraction_grow(model, d)
-        assert zariski_decompose(model, d).breakpoints == (0, 0)
+        z = zariski_decompose(model, flag_family(model, 1))
+        assert exprs(z) == fraction_grow(model, divisor_expr(model, flag_family(model, 1)))
+        assert z.breakpoints == (0, 0)
 
     def test_non_affine_family_is_refused(self):
         model = SurfaceModel(("E",), ((F(-1),),), F(1), (F(0),))
         d = DivisorExpr.build(model, Poly.const(1), {"E": Poly.of(0, 0, -1)})
         with pytest.raises(ValueError, match="affine"):
-            zariski_decompose(model, d)
+            grow(model, d)
 
 
 # one- and two-curve models, definite and indefinite, with the catalog's and the three-piece ones
@@ -615,7 +626,7 @@ def affine(z: ZariskiPieces) -> bool:
 
 def integer_rows(z: ZariskiPieces) -> ZariskiPieces | None:
     """rows(z), or None for a "curved" z: no integer row holds a v^2 term, and rows refuses it as
-    zariski_decompose refuses a D(v) that is not affine in v."""
+    _integer_divisor refuses any D(v) that is not affine in v."""
     if affine(z):
         return rows(z)
     with pytest.raises(ValueError, match=r"^D\(v\) must be affine in v$"):

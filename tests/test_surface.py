@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from logfano.catalog import build_case
+from logfano.catalog import CASES, build_case
 from logfano.exact import IrrationalRoot, Poly, is_negative_definite, solve_linear
 from logfano.surface import (
     DivisorExpr,
@@ -19,12 +19,13 @@ from logfano.surface import (
     Unbounded,
     ZariskiPieces,
     _integer_divisor,
+    flag_family,
     invariant_violations,
     pair,
     volume_function,
     zariski_decompose,
 )
-from oracles import exprs, rows
+from oracles import difference, divisor_expr, exprs, poly_family, rows
 
 
 def conic_setup(lam=F(0)):
@@ -35,6 +36,7 @@ def conic_setup(lam=F(0)):
 class TestPair:
     def test_conic_volume_polynomial(self):
         model, d, _ = conic_setup()
+        d = divisor_expr(model, d)
         assert pair(model, d, d) == Poly.of(9, 0, F(-1, 2))
 
     def test_cusp_table_entry(self):
@@ -45,10 +47,11 @@ class TestPair:
 
     def test_zero_divisor(self):
         model, d, _ = conic_setup()
-        assert pair(model, d, DivisorExpr.zero(model)) == Poly()
+        assert pair(model, divisor_expr(model, d), DivisorExpr.zero(model)) == Poly()
 
     def test_symmetry(self):
         model, d, _ = conic_setup(F(1, 3))
+        d = divisor_expr(model, d)
         l = DivisorExpr.build(model, Poly(), {"L": Poly.affine(1, 2)})
         assert pair(model, d, l) == pair(model, l, d)
 
@@ -56,7 +59,21 @@ class TestPair:
         model1, d1, _ = conic_setup()
         model2, factory2, _ = build_case("A2", 4)
         with pytest.raises(ModelMismatch):
-            pair(model1, d1, factory2(F(0)))
+            pair(model1, divisor_expr(model1, d1), divisor_expr(model2, factory2(F(0))))
+
+
+class TestFlagFamily:
+    def test_is_the_poly_family_as_a_row(self):
+        # the row of t*H - v*E equals, by value, the Poly family read through _integer_divisor
+        models = {spec.model for spec in CASES.values()}
+        assert len(models) == 10
+        for model in models:
+            for t in (F(1), F(1, 2), F(7, 3), 3 - 4 * F(3, 8)):
+                c, s, den = flag_family(model, t)
+                want_c, want_s, want_den = _integer_divisor(poly_family(model, t))
+                assert den > 0 and len(c) == len(s) == len(want_c) == len(want_s) == len(model.curves) + 1
+                assert [x * want_den for x in c] == [x * den for x in want_c]
+                assert [x * want_den for x in s] == [x * den for x in want_s]
 
 
 class TestDecomposition:
@@ -80,7 +97,8 @@ class TestDecomposition:
     def test_nef_at_zero(self):
         model, d, _ = conic_setup(F(1, 4))
         z = exprs(zariski_decompose(model, d))
-        assert z.positives[0].at(F(0)) == d.at(F(0))
+        p, want = z.positives[0], divisor_expr(model, d)
+        assert [c(F(0)) for c in (p.ambient, *p.coeffs)] == [c(F(0)) for c in (want.ambient, *want.coeffs)]
         assert all(c.is_zero for c in z.negatives[0].coeffs)
 
     def test_thresholds(self):
@@ -103,7 +121,7 @@ class TestDecomposition:
 
     def test_not_pseudo_effective(self):
         model = SurfaceModel(("E",), ((F(-1),),), F(1), (F(-1),))
-        d = DivisorExpr.build(model, Poly.const(1), {"E": Poly.affine(0, -1)})
+        d = flag_family(model, 1)
         with pytest.raises(NotPseudoEffective):
             zariski_decompose(model, d)
 
@@ -116,29 +134,31 @@ class TestDecomposition:
             F(1),
             (F(0), F(1)),
         )
-        d = DivisorExpr.build(model, Poly.const(3), {"E": Poly.affine(0, -1)})
+        d = flag_family(model, 3)
         with pytest.raises(IndefiniteSupport):
             zariski_decompose(model, d)
 
     def test_irrational_breakpoint_surfaces(self):
         # E^2 = -2 on a single-curve model makes the volume vanish at 3/sqrt(2)
         model = SurfaceModel(("E",), ((F(-2),),), F(1), (F(0),))
-        d = DivisorExpr.build(model, Poly.const(3), {"E": Poly.affine(0, -1)})
+        d = flag_family(model, 3)
         with pytest.raises(IrrationalRoot):
             zariski_decompose(model, d)
 
     def test_constant_volume_is_unbounded(self):
         # E.E = 0 and H.E = 0: (P . E) is 0 for every v and the volume stays 9
         model = SurfaceModel(("E",), ((F(0),),), F(1), (F(0),))
-        d = DivisorExpr.build(model, Poly.const(3), {"E": Poly.affine(0, -1)})
+        d = flag_family(model, 3)
         with pytest.raises(Unbounded, match=r"^volume never reaches zero and no curve enters the support$"):
             zariski_decompose(model, d)
 
-    def test_family_of_another_model_is_refused(self):
-        model, _, _ = conic_setup()
-        _, factory, _ = build_case("A2", 4)
-        with pytest.raises(ModelMismatch):
-            zariski_decompose(model, factory(F(0)))
+    def test_malformed_row_is_refused(self):
+        # the conic model has E and L: a row holds the ambient coefficient and two curves' over den > 0
+        model, (c, s, den), _ = conic_setup()
+        message = r"^D\(v\) must be a row of 3 coefficients over den > 0$"
+        for bad in ((c[:-1], s[:-1], den), (c + (0,), s + (0,), den), (c, s + (0,), den), (c, s, 0)):
+            with pytest.raises(ValueError, match=message):
+                zariski_decompose(model, bad)
 
 
 class TestInvariants:
@@ -205,11 +225,11 @@ class TestInvariants:
 
     def test_piece_not_affine_in_v_is_refused(self):
         # pieces are integer rows (c + s*v)/den, which hold no v^2 term: a curved D(v) is refused
-        # where it enters, by zariski_decompose, and so is a curved hand-built piece
+        # where it becomes a row, by _integer_divisor, and so is a curved hand-built piece
         model = SurfaceModel(("E",), ((F(-1),),), F(1), (F(0),))
         p = DivisorExpr.build(model, Poly.const(1), {"E": Poly.of(0, 0, -1)})
         with pytest.raises(ValueError, match=r"^D\(v\) must be affine in v$"):
-            zariski_decompose(model, p)
+            _integer_divisor(p)
         with pytest.raises(ValueError, match=r"^D\(v\) must be affine in v$"):
             rows(ZariskiPieces(model, (F(0), F(1)), (p,), (DivisorExpr.zero(model),), ((),)))
 
@@ -238,7 +258,7 @@ def brute_force_negative_part(model, d, v):
             n_expr = DivisorExpr.build(
                 model, Poly(), {names[j]: Poly.const(c) for j, c in zip(subset, coeffs)}
             )
-            p_expr = d - n_expr
+            p_expr = difference(d, n_expr)
             ok = True
             for name in names:
                 unit = DivisorExpr.build(model, Poly(), {name: Poly.const(1)})
@@ -268,8 +288,8 @@ def brute_force_negative_part(model, d, v):
 )
 def test_brute_force_oracle_equivalence(case_id, d, lam):
     model, factory, spec = build_case(case_id, d)
-    div = factory(lam)
-    z = exprs(zariski_decompose(model, div))
+    z = exprs(zariski_decompose(model, factory(lam)))
+    div = divisor_expr(model, factory(lam))
     for i in range(len(z.positives)):
         lo, hi = z.breakpoints[i], z.breakpoints[i + 1]
         for k in range(1, 6):

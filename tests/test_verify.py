@@ -10,8 +10,9 @@ from fractions import Fraction as F
 import pytest
 
 import logfano.verify as verify
-from logfano.catalog import CASES, flag_family
+from logfano.catalog import CASES
 from logfano.exact import Poly
+from logfano.surface import flag_family
 from logfano.verify import verify_all, verify_case
 from oracles import exprs, rows
 from test_acceptance import fault_checks
