@@ -33,11 +33,20 @@ from .exact import rat_str
 
 SCHEMA_VERSION = 1
 
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")  # ASCII digits only: \d and Fraction accept any Unicode digit
+# ASCII digits only: \d, int() and Fraction accept any Unicode digit, and int() also "_"
+_INTEGER_RE = re.compile(r"^[+-]?[0-9]+$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
 
 class InputError(ValueError):
     """Invalid command-line input; reported on stderr with exit code 2."""
+
+
+def parse_integer(text: str) -> int:
+    """argparse type of the integer options; a refused value exits 2 with argparse's message."""
+    if not _INTEGER_RE.match(text.strip()):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -362,21 +371,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delta", help="evaluate the local delta invariant at one lambda", parents=[common])
     p.add_argument("--case", required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=parse_integer, required=True)
     p.add_argument("--lambda", dest="lam", required=True, metavar="P/Q")
 
     p = sub.add_parser("scan", help="evaluate delta on an even grid of rational lambdas", parents=[common])
     p.add_argument("--case", required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=parse_integer, required=True)
     p.add_argument("--from", dest="start", required=True, metavar="P/Q")
     p.add_argument("--to", dest="stop", required=True, metavar="P/Q")
-    p.add_argument("--samples", type=int, default=9)
+    p.add_argument("--samples", type=parse_integer, default=9)
 
     p = sub.add_parser("closed-form", help="derive the closed form of delta(lambda)", parents=[common])
     p.add_argument("--case", required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--num-deg", type=int, default=2, help="largest numerator degree accepted (exit 2 above it)")
-    p.add_argument("--den-deg", type=int, default=2, help="largest denominator degree accepted (exit 2 above it)")
+    p.add_argument("--degree", type=parse_integer, required=True)
+    p.add_argument("--num-deg", type=parse_integer, default=2, help="largest numerator degree accepted (exit 2 above it)")
+    p.add_argument("--den-deg", type=parse_integer, default=2, help="largest denominator degree accepted (exit 2 above it)")
 
     p = sub.add_parser("verify", help="verify the engine against every stated result", parents=[common])
     group = p.add_mutually_exclusive_group(required=True)
@@ -387,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threefold", help="threefold delta lower bounds from plane data", parents=[common])
     p.add_argument("kind", choices=list(threefold.KIND_DEGREES))
-    p.add_argument("--s", type=int, default=None, help="surface degree in P^3")
-    p.add_argument("--m", type=int, default=None, help="point multiplicity")
+    p.add_argument("--s", type=parse_integer, default=None, help="surface degree in P^3")
+    p.add_argument("--m", type=parse_integer, default=None, help="point multiplicity")
     p.add_argument("--lambda", dest="lam", required=True, metavar="P/Q")
     p.add_argument("--cone", required=True, help="catalog id of the section / tangent-cone curve")
 

@@ -30,14 +30,10 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .catalog import Affine, CaseSpec, check_lambda, get_case
-from .exact import Poly, RationalFunction, _integral, _integers, _reduced, rat
+from .exact import Poly, RationalFunction, _integral, _integers, rat
 from .surface import SurfaceModel, ZariskiPieces, _dot, _pairings, flag_family, zariski_decompose
 
 F = Fraction
-
-
-class UnknownPoint(KeyError):
-    """The requested point label is not declared for the case."""
 
 
 class NotExactOnInterval(ValueError):
@@ -92,7 +88,7 @@ class _UnitConstants:
 class Ratio:
     """One ratio A/S of a ratio table: A = a + b*lambda, S = s*t with t = 3 - d*lambda.
 
-    label is "E", "generic", "EL", "<variant>:<point>" or "curve(e=..,l=..)".
+    label is "E", "generic", "<variant>:<point>" or "curve(e=..,l=..)".
     """
 
     label: str
@@ -133,7 +129,6 @@ class RatioTable:
     e: Ratio  # A(E)/S(E), in both envelopes
     rows: tuple[tuple[str, str, Ratio], ...]  # (variant, point, ratio): each variant's points, then "generic"
     curves: tuple[Ratio, ...]  # the plane-curve upper bounds
-    points: Mapping[str, Ratio]  # by point label, "generic" and "EL" included; read-only, the table is shared
     lower: Lines = field(init=False, repr=False, compare=False)
     upper: Lines = field(init=False, repr=False, compare=False)
     lct: Fraction | None = field(init=False, repr=False, compare=False)
@@ -175,25 +170,18 @@ def ratio_table(spec: CaseSpec) -> RatioTable:
     """
     unit = _unit_constants(spec.model)
     generic = Ratio("generic", F(1), F(0), unit.s_generic)
-    rows, points, at_l = [], {}, None
+    rows = []
     for var in spec.variants:
         for pt in var.points:
             a, b = pt.coeff
-            on_l = pt.location == "on_L"
-            ratio = Ratio(f"{var.name}:{pt.label}", 1 - a, -b, unit.s_on_l if on_l else unit.s_generic)
-            rows.append((var.name, pt.label, ratio))
-            points.setdefault(pt.label, ratio)
-            if at_l is None and on_l:
-                at_l = ratio
+            s = unit.s_on_l if pt.location == "on_L" else unit.s_generic
+            rows.append((var.name, pt.label, Ratio(f"{var.name}:{pt.label}", 1 - a, -b, s)))
         rows.append((var.name, "generic", generic))
-    points["generic"] = generic
-    points["EL"] = at_l or Ratio("EL", F(1), F(0), unit.s_generic if unit.s_on_l is None else unit.s_on_l)
     return RatioTable(
         unit.tau,
         Ratio("E", 1 + spec.k_E, -spec.m_C, unit.s_e),
         tuple(rows),
         tuple(_curve_ratio(cb.e, cb.l) for cb in spec.extra_upper_bounds),
-        MappingProxyType(points),
     )
 
 
@@ -249,36 +237,10 @@ def integrated_s_invariants(pieces: ZariskiPieces) -> tuple[Fraction, Fraction, 
     return s_e, s_generic, s_on_l if on_l else None
 
 
-def _point_ratio(spec: CaseSpec, table: RatioTable, point: str) -> Ratio:
-    try:
-        return table.points[point]
-    except KeyError:
-        raise UnknownPoint(f"case {spec.id} has no point {point!r}") from None
-
-
-def a_divisor(case: str | CaseSpec, lam) -> Fraction:
-    """Log discrepancy of the flag divisor: 1 + k_E - lambda * m_C."""
-    e = _spec(case).ratio_table.e
-    return e.a + e.b * rat(lam)
-
-
 def s_divisor(case: str | CaseSpec, d: int, lam) -> Fraction:
     """Expected vanishing order S(E): the normalized volume integral over [0, tau]."""
     _, table, _, t = _at(case, d, lam)
     return table.e.s * t
-
-
-def a_flag_point(case: str | CaseSpec, lam, point: str) -> Fraction:
-    """1 minus the different coefficient at the point (1 at a generic point)."""
-    spec = _spec(case)
-    ratio = _point_ratio(spec, spec.ratio_table, point)
-    return ratio.a + ratio.b * rat(lam)
-
-
-def s_flag_point(case: str | CaseSpec, d: int, lam, point: str) -> Fraction:
-    """Normalized h(v)-integral of the point's flag on the exceptional curve."""
-    spec, table, _, t = _at(case, d, lam)
-    return _point_ratio(spec, table, point).s * t
 
 
 def s_curve_on_plane(d: int, lam, e: int, l) -> tuple[Fraction, Fraction]:
@@ -389,11 +351,6 @@ def delta_closed_form(case: str | CaseSpec, d: int) -> RationalFunction:
 
 
 def _over_t(line: Affine, d: int) -> RationalFunction:
-    """(a + b*lambda)/(3 - d*lambda) in lowest terms with a monic denominator.
-
-    The two lines share a factor exactly when a*d + 3*b = 0, and the ratio is then the constant a/3.
-    """
+    """(a + b*lambda)/(3 - d*lambda), which RationalFunction reduces to lowest terms with a monic denominator."""
     a, b = line
-    if a * d + 3 * b == 0:
-        return _reduced(Poly.const(a / 3), Poly.const(1))
-    return _reduced(Poly.affine(-a / d, -b / d), Poly.affine(F(-3, d), 1))
+    return RationalFunction(Poly.affine(a, b), Poly.affine(3, -d))

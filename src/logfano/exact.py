@@ -468,10 +468,14 @@ class RationalFunction:
         if num.is_zero:
             num, den = Poly(), Poly.const(1)
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = poly_divmod(num, g)[0]
-                den = poly_divmod(den, g)[0]
+            if num.degree > 1 or den.degree > 1:
+                g = poly_gcd(num, den)
+                if g.degree > 0:
+                    num = poly_divmod(num, g)[0]
+                    den = poly_divmod(den, g)[0]
+            elif den.degree == 1 and num.coeff(0) * den.coeff(1) == num.coeff(1) * den.coeff(0):
+                # parts of degree <= 1 share a factor only when both are linear and proportional
+                num, den = Poly.const(num.coeff(1) / den.coeff(1)), Poly.const(1)
             scale = 1 / den.coeffs[-1]
             num, den = num * scale, den * scale
         object.__setattr__(self, "num", num)
@@ -516,14 +520,6 @@ class RationalFunction:
         ns = f"({ns})" if num.degree > 0 else ns
         ds = f"({ds})" if den.degree > 0 else ds
         return f"{ns}/{ds}"
-
-
-def _reduced(num: Poly, den: Poly) -> RationalFunction:
-    """A RationalFunction from parts that are already coprime with a monic den: skips the gcd."""
-    rf = object.__new__(RationalFunction)
-    object.__setattr__(rf, "num", num)
-    object.__setattr__(rf, "den", den)
-    return rf
 
 
 def fit_rational_function(

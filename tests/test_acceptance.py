@@ -15,11 +15,11 @@ import pytest
 
 from logfano.catalog import CASES, build_case
 from logfano.delta import (
+    _unit_constants,
     delta_closed_form,
     delta_point,
     interior_samples,
     s_divisor,
-    s_flag_point,
 )
 from logfano.exact import RationalFunction
 from logfano.surface import invariant_violations, volume_function, zariski_decompose
@@ -116,11 +116,12 @@ def test_criterion_7_numeric_quadrature_oracle():
         err = rel_err(s_divisor(spec.id, row.d, lam), gauss_piecewise(volume_function(pieces)) / float(t) ** 2)
         worst = max(worst, err)
         assert err < 1e-6, (spec.id, row.d, "S(E)")
-        for point in ("generic", "EL"):
-            if point == "EL" and "L" not in model.curves:
-                continue
+        s_points = {"generic": next(r.s_value for r in delta_point(spec.id, row.d, lam).rows if r.label == "generic")}
+        if "L" in model.curves:  # S(W;O) at E.L, read from the model's t = 1 constant
+            s_points["EL"] = _unit_constants(model).s_on_l * t
+        for point, s in s_points.items():
             h = flag_integrand(spec, row.d, lam, point)
-            err = rel_err(s_flag_point(spec.id, row.d, lam, point), 2 * gauss_piecewise(h) / float(t) ** 2)
+            err = rel_err(s, 2 * gauss_piecewise(h) / float(t) ** 2)
             worst = max(worst, err)
             assert err < 1e-6, (spec.id, row.d, point)
     print(f"\nACCEPTANCE 7 PASS: Gauss-Legendre quadrature agrees with exact S values (worst rel err {worst:.2e})")

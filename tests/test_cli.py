@@ -57,6 +57,24 @@ class TestParsing:
         assert code == 2 and out == ""
         assert capsys.readouterr().err == f"error: expected an exact rational 'p/q', got {text!r}\n"
 
+    @pytest.mark.parametrize("text", ["\u0664", "\uff14", "1_0"], ids=["arabic-indic", "fullwidth", "underscore"])
+    @pytest.mark.parametrize("argv", [
+        ["delta", "--case", "A2", "--degree", "{}", "--lambda", "3/8"],
+        ["scan", "--case", "A2", "--degree", "4", "--from", "0", "--to", "1/2", "--samples", "{}"],
+        ["closed-form", "--case", "A2", "--degree", "4", "--num-deg", "{}"],
+        ["closed-form", "--case", "A2", "--degree", "4", "--den-deg", "{}"],
+        ["threefold", "blowup", "--s", "{}", "--m", "2", "--lambda", "1/4", "--cone", "A1"],
+        ["threefold", "blowup", "--s", "4", "--m", "{}", "--lambda", "1/4", "--cone", "A1"],
+    ], ids=["degree", "samples", "num-deg", "den-deg", "s", "m"])
+    def test_integer_options_take_ascii_digits_only(self, capsys, argv, text):
+        # int() parses these (as 4, 4 and 10); the integer options refuse them with argparse's exit 2
+        option = next(a for a, v in zip(argv, argv[1:]) if v == "{}")
+        buf = io.StringIO()
+        with pytest.raises(SystemExit) as exc:
+            main([text if a == "{}" else a for a in argv], out=buf)
+        assert exc.value.code == 2 and buf.getvalue() == ""
+        assert capsys.readouterr().err.endswith(f"error: argument {option}: expected an integer, got {text!r}\n")
+
     @pytest.mark.parametrize("argv", [["--format", "xml", "list"], ["list", "--format", "xml"]],
                              ids=["before", "after"])
     def test_unknown_format_is_refused_by_argparse(self, capsys, argv):

@@ -15,18 +15,14 @@ from logfano.delta import (
     PointRow,
     Ratio,
     RatioTable,
-    UnknownPoint,
     _minimizer_names,
     _unit_constants,
-    a_divisor,
-    a_flag_point,
     binding,
     delta_closed_form,
     delta_point,
     interior_samples,
     s_curve_on_plane,
     s_divisor,
-    s_flag_point,
 )
 from logfano.exact import RationalFunction, fit_rational_function, integrate_piecewise
 from logfano.surface import volume_function, zariski_decompose
@@ -63,6 +59,26 @@ def _fresh_s_invariants(spec, d, lam):
     s_e = integrate_piecewise(volume_function(pieces)) / t**2
     points = ("generic", *(("EL",) if "L" in model.curves else ()), *spec.point_labels())
     return s_e, {p: 2 * integrate_piecewise(flag_integrand(spec, d, lam, p)) / t**2 for p in points}
+
+
+def _engine_s_points(spec, t):
+    """The engine's S(W;O) at t per point label: each label's first ratio-table row, "generic", and
+    "EL", the crossing of E and L, from the model's t = 1 constants where the model has L."""
+    s_points = {}
+    for _, point, ratio in spec.ratio_table.rows:
+        s_points.setdefault(point, ratio.s * t)
+    s_on_l = _unit_constants(spec.model).s_on_l
+    if s_on_l is not None:
+        s_points.setdefault("EL", s_on_l * t)
+    return s_points
+
+
+def _first_rows(rep):
+    """A DeltaReport's rows by point label, the first row of each label."""
+    rows = {}
+    for row in rep.rows:
+        rows.setdefault(row.label, row)
+    return rows
 
 
 def _reference_report(spec, d, lam):
@@ -111,33 +127,34 @@ class TestSDivisor:
 
 class TestADivisor:
     def test_cusp(self):
-        assert a_divisor("A2", F(1, 2)) == 2
+        assert delta_point("A2", 4, F(1, 2)).a_e == 2
 
     def test_lambda_zero(self):
         for case_id in ("A1", "A3", "E7", "double_conic"):
             spec = CASES[case_id]
-            assert a_divisor(case_id, 0) == 1 + spec.k_E
+            assert delta_point(case_id, spec.rows[0].d, 0).a_e == 1 + spec.k_E
 
     def test_e7(self):
-        assert a_divisor("E7", F(1, 3)) == 2
+        assert delta_point("E7", 4, F(1, 3)).a_e == 2
 
 
 class TestFlagPoints:
     def test_cusp_generic(self):
-        assert s_flag_point("A2", 4, F(1, 2), "generic") == F(1, 9)
+        assert _first_rows(delta_point("A2", 4, F(1, 2)))["generic"].s_value == F(1, 9)
 
     def test_cusp_crossing(self):
-        assert s_flag_point("A2", 4, F(1, 2), "EL") == F(1, 6)
-        assert s_flag_point("A2", 4, F(1, 2), "P2") == F(1, 6)
+        # t = 1 at lambda = 1/2: S at E.L is the model's t = 1 constant, which the point P2 on L reads
+        assert _unit_constants(CASES["A2"].model).s_on_l == F(1, 6)
+        assert _first_rows(delta_point("A2", 4, F(1, 2)))["P2"].s_value == F(1, 6)
 
     def test_node_generic(self):
-        assert s_flag_point("A1", 4, F(0), "generic") == 1
+        assert _first_rows(delta_point("A1", 4, F(0)))["generic"].s_value == 1
 
     def test_a_values(self):
-        assert a_flag_point("A2", F(1, 2), "Q") == F(1, 2)
-        assert a_flag_point("A2", F(1, 7), "P1") == F(1, 3)
-        assert a_flag_point("D5", F(1, 2), "P1") == F(1, 6)
-        assert a_flag_point("A7", F(1, 2), "generic") == 1
+        assert _first_rows(delta_point("A2", 4, F(1, 2)))["Q"].a_value == F(1, 2)
+        assert _first_rows(delta_point("A2", 4, F(1, 7)))["P1"].a_value == F(1, 3)
+        assert _first_rows(delta_point("D5", 4, F(1, 2)))["P1"].a_value == F(1, 6)
+        assert _first_rows(delta_point("A7", 4, F(1, 2)))["generic"].a_value == 1
 
     def test_first_declaration_of_a_label_wins(self):
         spec = CASES["A3"]
@@ -145,13 +162,9 @@ class TestFlagPoints:
         assert "P1" in {pt.label for pt in first.points} & {pt.label for pt in second.points}
         points = tuple(dataclasses.replace(pt, coeff=(F(0), F(0))) if pt.label == "P1" else pt for pt in second.points)
         shadowed = dataclasses.replace(spec, variants=(first, dataclasses.replace(second, points=points)))
-        assert a_flag_point(shadowed, F(1, 2), "P1") == a_flag_point("A3", F(1, 2), "P1") != 1
-
-    def test_unknown_point(self):
-        with pytest.raises(UnknownPoint):
-            s_flag_point("A2", 4, F(1, 2), "P9")
-        with pytest.raises(UnknownPoint):
-            a_flag_point("A2", F(1, 2), "P9")
+        rep = delta_point(shadowed, 4, F(1, 2))
+        assert _first_rows(rep)["P1"].a_value == _first_rows(delta_point("A3", 4, F(1, 2)))["P1"].a_value != 1
+        assert [r.a_value for r in rep.rows if (r.variant, r.label) == (second.name, "P1")] == [1]
 
 
 def test_minimizer_names_drop_the_variant_once_and_put_generic_last():
@@ -166,7 +179,7 @@ class TestBinding:
         e, gen = Ratio("E", F(3), F(0), F(1)), Ratio("generic", F(2), F(-1), F(1))
         p1, p2 = Ratio("v1:P", F(1), F(0), F(1)), Ratio("v2:P", F(1), p2_b, F(1))
         rows = (("v1", "P", p1), ("v1", "generic", gen), ("v2", "P", p2), ("v2", "generic", gen))
-        return RatioTable(F(1), e, rows, (Ratio("curve(e=1,l=1)", F(1), F(-1), F(1, 3)),), {})
+        return RatioTable(F(1), e, rows, (Ratio("curve(e=1,l=1)", F(1), F(-1), F(1, 3)),))
 
     def test_shared_point_binding_in_two_variants_is_named_once(self):
         assert binding(self._table(F(0)), F(0), F(1, 2)) == ((F(1), F(0)), (F(3), F(-3)), ("P",))
@@ -323,8 +336,7 @@ class TestUnitDecompositionMemo:
         (case_id, d), lam = row_lam
         s_e, s_points = _fresh_s_invariants(CASES[case_id], d, lam)
         assert s_divisor(case_id, d, lam) == s_e, (case_id, d, lam)
-        for point, s in s_points.items():
-            assert s_flag_point(case_id, d, lam, point) == s, (case_id, d, lam, point)
+        assert _engine_s_points(CASES[case_id], 3 - d * lam) == s_points, (case_id, d, lam)
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -358,7 +370,7 @@ class TestUnitDecompositionMemo:
         replaced = dataclasses.replace(spec, k_E=spec.k_E + 1)
         assert replaced.ratio_table is not spec.ratio_table
         assert replaced.ratio_table.e.a == spec.ratio_table.e.a + 1
-        assert a_divisor(replaced, F(1, 2)) == a_divisor(spec, F(1, 2)) + 1
+        assert delta_point(replaced, 4, F(1, 2)).a_e == delta_point(spec, 4, F(1, 2)).a_e + 1
 
     def test_perturbed_model_misses_memo(self):
         spec = CASES["A2"]
@@ -383,7 +395,6 @@ class TestUnitDecompositionMemo:
     def test_degree_checked_before_lambda(self):
         for call in (
             lambda: s_divisor("A2", 1, F(4)),
-            lambda: s_flag_point("A2", 1, F(4), "generic"),
             lambda: delta_point("A2", 1, F(4)),
         ):
             with pytest.raises(DegreeNotAdmissible):
@@ -438,10 +449,11 @@ class TestNumericOracle:
                     s_exact = s_divisor(spec.id, row.d, lam)
                     s_quad = gauss_piecewise(vol) / float(t) ** 2
                     assert rel_err(s_exact, s_quad) < 1e-6, (spec.id, row.d, lam, "S(E)")
+                    s_points = _engine_s_points(spec, t)
                     for point in ("generic", "EL"):
                         if point == "EL" and "L" not in model.curves:
                             continue
                         h = flag_integrand(spec, row.d, lam, point)
-                        f_exact = s_flag_point(spec.id, row.d, lam, point)
+                        f_exact = s_points[point]
                         f_quad = 2 * gauss_piecewise(h) / float(t) ** 2
                         assert rel_err(f_exact, f_quad) < 1e-6, (spec.id, row.d, lam, point)

@@ -39,6 +39,8 @@ from logfano.exact import (
     _roots,
     integrate,
     is_negative_definite,
+    poly_divmod,
+    poly_gcd,
     rational_roots,
     roots_in_interval,
     solve_linear,
@@ -111,6 +113,16 @@ def bilinear_pair(model, d1, d2):
     if len(out) > 3:
         raise AssertionError("pairing of affine families must have degree <= 2")
     return tuple(out)
+
+
+def gcd_reduced(num, den):
+    """(num, den) in lowest terms with a monic den: divided by their polynomial gcd, then scaled."""
+    if num.is_zero:
+        return Poly(), Poly.const(1)
+    g = poly_gcd(num, den)
+    num, den = poly_divmod(num, g)[0], poly_divmod(den, g)[0]
+    scale = 1 / den.coeffs[-1]
+    return num * scale, den * scale
 
 
 def per_end_binding(table, lo, hi):
@@ -365,7 +377,7 @@ def tables(draw):
             rows.append((variant, point, ratio(f"{variant}:{point}")))
         rows.append((variant, "generic", ratio("generic")))
     curves = tuple(ratio(f"curve(e={e},l=1)") for e in range(1, draw(st.integers(1, 3))))
-    return RatioTable(F(1), ratio("E"), tuple(rows), curves, {})
+    return RatioTable(F(1), ratio("E"), tuple(rows), curves)
 
 
 class TestBindingKernel:
@@ -694,4 +706,19 @@ class TestClosedFormKernel:
     def test_over_t_is_the_gcd_reduction(self, a, b, d, proportional):
         if proportional:  # a multiple of 3 - d*lambda
             b = -a * d / 3
-        assert _over_t((a, b), d) == RationalFunction(Poly.affine(a, b), Poly.affine(3, -d))
+        rf = _over_t((a, b), d)
+        assert (rf.num, rf.den) == gcd_reduced(Poly.affine(a, b), Poly.affine(3, -d))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(rationals, max_size=2), st.lists(rationals, min_size=1, max_size=2), st.lists(rationals, max_size=2))
+    @example([F(2)], [F(3)], [F(1), F(1)])  # proportional linear parts: (2 + 2x)/(3 + 3x)
+    @example([F(1), F(1)], [F(1)], [F(-1), F(1)])  # mixed degrees: (x^2 - 1)/(x - 1)
+    @example([F(5)], [F(2)], [])  # constants
+    def test_constructor_reduces_as_the_gcd_does(self, num, den, common):
+        # parts of degree <= 1 take the cross-product test and higher degrees the gcd; times a common factor
+        num, den, common = Poly(tuple(num)), Poly(tuple(den)), Poly(tuple(common))
+        if not common.is_zero:
+            num, den = num * common, den * common
+        assume(not den.is_zero)
+        rf = RationalFunction(num, den)
+        assert (rf.num, rf.den) == gcd_reduced(num, den)
