@@ -40,6 +40,10 @@ F = Fraction
 class UnknownCase(KeyError):
     """No catalog entry with the requested id."""
 
+    def __str__(self) -> str:
+        # the message, where str() of a KeyError is the repr of its key
+        return Exception.__str__(self)
+
 
 class DegreeNotAdmissible(ValueError):
     """The catalog entry does not cover the requested curve degree."""
@@ -1027,6 +1031,7 @@ def validate_case(spec: CaseSpec) -> list[str]:
             problems.append(f"{pid}: zero denominator in closed form for d={row.d}")
     lo = min(row.lo for row in spec.rows)
     hi = max(row.hi for row in spec.rows)
+    (lo_p, lo_q), (hi_p, hi_q) = lo.as_integer_ratio(), hi.as_integer_ratio()
     for var in spec.variants:
         on_l = [pt for pt in var.points if pt.location == "on_L"]
         if len(on_l) > 1:
@@ -1034,13 +1039,15 @@ def validate_case(spec: CaseSpec) -> list[str]:
         if on_l and "L" not in model.curves:
             problems.append(f"{pid}/{var.name}: on_L point but no companion curve")
         for pt in var.points:
-            a, b = pt.coeff
-            v_lo, v_hi = a + b * lo, a + b * hi
+            (a_n, a_d), (b_n, b_d) = (c.as_integer_ratio() for c in pt.coeff)
+            # a + b*x at x = p/q is (a_n*b_d*q + b_n*a_d*p)/(a_d*b_d*q), each denominator positive;
             # value 1 is tolerated at the upper validity endpoint only
-            if v_lo < 0 or v_hi < 0 or v_lo >= 1 or v_hi > 1:
+            v_lo, v_hi = a_n * b_d * lo_q + b_n * a_d * lo_p, a_n * b_d * hi_q + b_n * a_d * hi_p
+            if v_lo < 0 or v_hi < 0 or v_lo >= a_d * b_d * lo_q or v_hi > a_d * b_d * hi_q:
                 problems.append(f"{pid}/{var.name}: different coefficient {_affine_str(pt.coeff)} out of [0,1) on validity")
-            if pt.orbifold_order is not None and a != 1 - F(1, pt.orbifold_order):
-                problems.append(f"{pid}/{var.name}: point {pt.label} coefficient {a} != 1 - 1/{pt.orbifold_order}")
+            n = pt.orbifold_order
+            if n is not None and a_n * n != (n - 1) * a_d:  # a != 1 - 1/n
+                problems.append(f"{pid}/{var.name}: point {pt.label} coefficient {pt.coeff[0]} != 1 - 1/{n}")
             if pt.location not in ("on_L", "on_C", "isolated"):
                 problems.append(f"{pid}/{var.name}: bad location {pt.location!r}")
             if pt.ratio_den <= 0:

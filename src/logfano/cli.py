@@ -3,13 +3,14 @@
 Subcommands: list, delta, scan, closed-form, verify, table, threefold.
 Rationals are read and written exclusively in the canonical "p/q" form; no
 floating-point input path exists.  Exit codes: 0 success, 1 verification
-mismatch, 2 invalid input.
+mismatch, 2 invalid input, 141 standard output closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -424,7 +425,19 @@ def main(argv: list[str] | None = None, out=None) -> int:
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, out)
+        code = _COMMANDS[args.command](args, out)
+        if out is sys.stdout:
+            out.flush()
+        return code
+    except BrokenPipeError:
+        if out is not sys.stdout:
+            raise
+        # the reader closed the pipe: the interpreter's exit flush of stdout would raise again,
+        # so it writes to os.devnull; 141 = 128 + SIGPIPE, the status of a writer a closed pipe stops
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (InputError, UnknownCase, DegreeNotAdmissible, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -30,7 +30,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .catalog import Affine, CaseSpec, check_lambda, get_case
-from .exact import Poly, RationalFunction, _integral, _integers, rat
+from .exact import RationalFunction, _canonical, _integral, _integers, _sum, rat
 from .surface import SurfaceModel, ZariskiPieces, _dot, _pairings, flag_family, zariski_decompose
 
 F = Fraction
@@ -102,17 +102,19 @@ class Lines:
     """Ratio lines A/s = a + b*lambda (each ratio times t), by label.
 
     ints holds (label, a*den, b*den) with den the least common denominator of
-    the set, so the lines compare at lambda = p/q as the integers a*q + b*p.
+    the set, so the lines compare at lambda = p/q as the integers n = a*q + b*p,
+    and the ratio there, the line over t = 3 - d*lambda, is n/(den*(3q - d*p)).
     """
 
     by_label: Mapping[str, Affine]
     ints: tuple[tuple[str, int, int], ...]
+    den: int
 
 
 def _lines(ratios: Iterable[Ratio]) -> Lines:
     by_label = {r.label: (r.a / r.s, r.b / r.s) for r in ratios}
-    ints, _ = _integers([x for line in by_label.values() for x in line])
-    return Lines(MappingProxyType(by_label), tuple(zip(by_label, ints[::2], ints[1::2])))
+    ints, den = _integers([x for line in by_label.values() for x in line])
+    return Lines(MappingProxyType(by_label), tuple(zip(by_label, ints[::2], ints[1::2])), den)
 
 
 @dataclass(frozen=True)
@@ -213,28 +215,29 @@ def integrated_s_invariants(pieces: ZariskiPieces) -> tuple[Fraction, Fraction, 
     (P.E)^2 at a generic point and, at the crossing point of E and the
     companion curve L, (P.E)^2 + 2*(P.E)*(N.E at O).  The pieces' P and N are
     integer rows, so each integrand is an integer quadratic over one
-    denominator and each integral one Fraction per piece.  The last entry
-    is None when the model has no companion curve L.
+    denominator, each piece's integral an integer ratio, and each invariant
+    their sum over a common denominator, one Fraction at the end.  The last
+    entry is None when the model has no companion curve L.
     """
     model = pieces.model
     table, den_t = model._integer_table
     e = model.index("E") + 1
     on_l = "L" in model.curves
-    s_e = s_generic = s_on_l = F(0)
+    s_e, s_generic, s_on_l = [], [], []
     bps = pieces.breakpoints
     for lo, hi, p, n in zip(bps, bps[1:], pieces.positives, pieces.negatives):
         f0, f1, vol = _pairings(table, p)
         e0, e1, dp = f0[e], f1[e], p[2]  # (P.E) = (e0 + e1*v)/(den_t*dp)
         square = [e0 * e0, 2 * e0 * e1, e1 * e1]
-        s_e += _integral(vol, den_t * dp * dp, lo, hi)
-        s_generic += _integral(square, (den_t * dp) ** 2, lo, hi)
+        s_e.append(_integral(vol, den_t * dp * dp, lo, hi))
+        s_generic.append(_integral(square, (den_t * dp) ** 2, lo, hi))
         if on_l:
             nc, ns, dn = n
             m0, m1 = _dot(table[e], nc), _dot(table[e], ns)  # (N.E) = (m0 + m1*v)/(den_t*dn)
             cross = [2 * e0 * m0, 2 * (e0 * m1 + e1 * m0), 2 * e1 * m1]
             at_l = [x * dn + y * dp for x, y in zip(square, cross)]
-            s_on_l += _integral(at_l, den_t * den_t * dp * dp * dn, lo, hi)
-    return s_e, s_generic, s_on_l if on_l else None
+            s_on_l.append(_integral(at_l, den_t * den_t * dp * dp * dn, lo, hi))
+    return _sum(s_e), _sum(s_generic), _sum(s_on_l) if on_l else None
 
 
 def s_divisor(case: str | CaseSpec, d: int, lam) -> Fraction:
@@ -351,6 +354,14 @@ def delta_closed_form(case: str | CaseSpec, d: int) -> RationalFunction:
 
 
 def _over_t(line: Affine, d: int) -> RationalFunction:
-    """(a + b*lambda)/(3 - d*lambda), which RationalFunction reduces to lowest terms with a monic denominator."""
-    a, b = line
-    return RationalFunction(Poly.affine(a, b), Poly.affine(3, -d))
+    """(a + b*lambda)/(3 - d*lambda) in lowest terms with a monic denominator.
+
+    The parts share a factor only when the line is a multiple of 3 - d*lambda,
+    a*d + 3*b = 0, and the ratio is the constant a/3; otherwise the parts are
+    passed already divided by -d: (-a/d - (b/d)*lambda)/(-3/d + lambda).  Each
+    coefficient is one Fraction of the integer ratios a = a_n/a_d, b = b_n/b_d.
+    """
+    (a_n, a_d), (b_n, b_d) = (c.as_integer_ratio() for c in line)
+    if a_n * b_d * d + 3 * b_n * a_d == 0:
+        return RationalFunction(_canonical([F(a_n, 3 * a_d)]), _canonical([F(1)]))
+    return RationalFunction(_canonical([F(-a_n, a_d * d), F(-b_n, b_d * d)]), _canonical([F(-3, d), F(1)]))

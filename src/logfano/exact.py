@@ -202,11 +202,11 @@ def integrate(p: Poly, a: int | str | Fraction, b: int | str | Fraction) -> Frac
         raise ValueError(f"integrate: empty interval [{a}, {b}]")
     if not p.coeffs:
         return Fraction(0)
-    return _integral(*_integers(p.coeffs), a, b)
+    return Fraction(*_integral(*_integers(p.coeffs), a, b))
 
 
-def _integral(ints: list[int], den: int, a: Fraction, b: Fraction) -> Fraction:
-    """The integral over [a, b] of sum_k ints[k]*v^k/den, as one Fraction."""
+def _integral(ints: list[int], den: int, a: Fraction, b: Fraction) -> tuple[int, int]:
+    """The integral over [a, b] of sum_k ints[k]*v^k/den, as an integer ratio (numerator, denominator)."""
     # sum of c_k (b^(k+1) - a^(k+1))/(k+1); with b = u/Q, a = w/Q and L = lcm(1..n) its numerator over
     # den*L*Q^n is, by Horner's rule in Q, the sum of c_k*L/(k+1) (u^(k+1) - w^(k+1)) Q^(n-1-k)
     n = len(ints)
@@ -217,7 +217,13 @@ def _integral(ints: list[int], den: int, a: Fraction, b: Fraction) -> Fraction:
     for k, c in enumerate(ints):
         up, wp = up * u, wp * w
         acc = acc * q + c * (scale // (k + 1)) * (up - wp)
-    return Fraction(acc, den * scale * q**n)
+    return acc, den * scale * q**n
+
+
+def _sum(ratios: list[tuple[int, int]]) -> Fraction:
+    """The sum of integer ratios (numerator, denominator) over their least common denominator, as one Fraction."""
+    den = math.lcm(*[d for _, d in ratios])
+    return Fraction(sum(n * (den // d) for n, d in ratios), den)
 
 
 @dataclass(frozen=True)
@@ -476,8 +482,9 @@ class RationalFunction:
             elif den.degree == 1 and num.coeff(0) * den.coeff(1) == num.coeff(1) * den.coeff(0):
                 # parts of degree <= 1 share a factor only when both are linear and proportional
                 num, den = Poly.const(num.coeff(1) / den.coeff(1)), Poly.const(1)
-            scale = 1 / den.coeffs[-1]
-            num, den = num * scale, den * scale
+            if den.coeffs[-1] != 1:
+                scale = 1 / den.coeffs[-1]
+                num, den = num * scale, den * scale
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

@@ -13,7 +13,10 @@ verify_all call computes it once per model (10 for the catalog's 54 rows) and
 every row of that model reads it; nothing is kept between calls.  Each row
 gets one fresh decomposition at lambda_1, which must be the reference scaled
 by t_1 (_is_scaled, which compares the two on integer rows), so homogeneity
-is tested, not assumed.  Structural
+is tested, not assumed.  The stated A(E) and ratios and the report at
+lambda_1 are compared with the integer lines of delta.Lines over their common
+denominator, each stated or reported Fraction by cross-multiplication; a
+Fraction of a line is built only for a failing check's detail.  Structural
 validation covers the cases being verified, plus the catalog-wide order and
 alias checks.
 """
@@ -25,7 +28,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import threefold
-from .catalog import CASES, CaseSpec, DegreeRow, _affine_str, validate_catalog
+from .catalog import CASES, Affine, CaseSpec, DegreeRow, _affine_str, validate_catalog
 from .delta import (
     _unit_constants,
     binding,
@@ -55,20 +58,36 @@ def _is_scaled(fresh: ZariskiPieces, ref: ZariskiPieces, t: Fraction) -> bool:
     """Whether fresh is ref with t and v scaled by t: the same model and supports,
     breakpoints b*t, and each coefficient c_j of v^j in P and N becomes c_j*t^(1-j).
 
-    Compared on the integer rows (c + s*v)/den of P and N, with no scaled copy
-    built: for t = p/q, coefficient c_j of v^j over d0 in ref and c'_j over d1
-    in fresh agree when c'_j*d0*p^j*q = c_j*d1*p*q^j.
+    Compared on integers, with no scaled copy built: for t = p/q, breakpoints
+    b' and b agree when b'*q = b*p, and on the rows (c + s*v)/den of P and N,
+    coefficient c_j of v^j over d0 in ref and c'_j over d1 in fresh agree when
+    c'_j*d0*p^j*q = c_j*d1*p*q^j.
     """
     rows = fresh.positives + fresh.negatives, ref.positives + ref.negatives
-    if (fresh.model, fresh.supports, fresh.breakpoints, len(rows[0])) != (
-            ref.model, ref.supports, tuple(b * t for b in ref.breakpoints), len(rows[1])):
-        return False
     p, q = t.numerator, t.denominator
+    if (fresh.model, fresh.supports, len(fresh.breakpoints), len(rows[0])) != (
+            ref.model, ref.supports, len(ref.breakpoints), len(rows[1])) or any(
+            b1.numerator * b0.denominator * q != b0.numerator * b1.denominator * p
+            for b1, b0 in zip(fresh.breakpoints, ref.breakpoints)):
+        return False
     for (c1, s1, d1), (c0, s0, d0) in zip(*rows):
         for got, want, x, y in ((c1, c0, q, p), (s1, s0, p * q, p * q)):  # j = 0, then j = 1
             if any(a * d0 * x != b * d1 * y for a, b in zip(got, want)):
                 return False
     return True
+
+
+def _is_line(line: tuple[int, int], den: int, num: Affine, s: Fraction) -> bool:
+    """Whether the integer line (a, b)/den is the stated line num/s with s != 0, that is whether
+    a*s = num_0*den and b*s = num_1*den, on integer ratios and without building num/s."""
+    s_n, s_d = s.as_integer_ratio()
+    return s_n != 0 and all(a * s_n * x.denominator == x.numerator * den * s_d for a, x in zip(line, num))
+
+
+def _over(num: Affine, s: Fraction) -> Affine:
+    """The stated line num/s, for a failing check's detail; for s = 0 its ZeroDivisionError becomes
+    the row's "computation" check."""
+    return num[0] / s, num[1] / s
 
 
 _Reference = tuple[list, Exception | None]
@@ -129,7 +148,9 @@ def verify_case(spec: CaseSpec, d: int, reference: _Reference | None = None) -> 
         defects = stage(1)
         add("decomposition invariants at t=1", not defects, lambda: "; ".join(defects))
         lam1 = _probe_lambda(row)
-        t1 = 3 - d * lam1
+        p, q = lam1.numerator, lam1.denominator
+        w = 3 * q - d * p  # t_1 = w/q
+        t1 = F(w, q)
         add(f"homogeneity at l={lam1}", _is_scaled(zariski_decompose(model, flag_family(model, t1)), ref, t1),
             lambda: f"not the t=1 decomposition scaled by {t1}")
 
@@ -140,15 +161,15 @@ def verify_case(spec: CaseSpec, d: int, reference: _Reference | None = None) -> 
         add("S(E)", unit.s_e == spec.s_factor, lambda: f"computed {unit.s_e}, stated {spec.s_factor}")
 
         table = spec.ratio_table  # no tau gate: "breakpoints at t=1" compares tau
-        lower, upper = table.lower.by_label, table.upper.by_label
-        a_e = tuple(x / spec.s_factor for x in spec.printed_A)
-        add("A(E)", lower["E"] == a_e, lambda: f"computed {_affine_str(lower['E'])}, stated {_affine_str(a_e)}")
+        lower, den = table.lower.by_label, table.lower.den
+        ints = {label: (a, b) for label, a, b in table.lower.ints}
+        add("A(E)", _is_line(ints["E"], den, spec.printed_A, spec.s_factor),
+            lambda: f"computed {_affine_str(lower['E'])}, stated {_affine_str(_over(spec.printed_A, spec.s_factor))}")
         stated_ratios = [(f"{var.name}:{pt.label}", pt.ratio_num, pt.ratio_den)
                          for var in spec.variants for pt in var.points]
-        for label, num, den in stated_ratios + [("generic", spec.gen_ratio_num, spec.gen_ratio_den)]:
-            want = (num[0] / den, num[1] / den)
-            add(f"ratio {label}", lower[label] == want,
-                lambda: f"computed {_affine_str(lower[label])}, stated {_affine_str(want)}")
+        for label, num, s in stated_ratios + [("generic", spec.gen_ratio_num, spec.gen_ratio_den)]:
+            add(f"ratio {label}", _is_line(ints[label], den, num, s),
+                lambda: f"computed {_affine_str(lower[label])}, stated {_affine_str(_over(num, s))}")
 
         stated = row.stated_form
         try:
@@ -166,12 +187,14 @@ def verify_case(spec: CaseSpec, d: int, reference: _Reference | None = None) -> 
         except ValueError as exc:  # a tau mismatch, as for the closed form
             add(f"report at l={lam1}", False, lambda: str(exc))
         else:
-            at = {label: (a + b * lam1) / t1 for label, (a, b) in lower.items()}
+            # on the integer lines: at lambda_1 = p/q the line of integer value n is the ratio n/(den*w)
+            at = {label: a * q + b * p for label, (a, b) in ints.items()}
             got = [rep.a_e / rep.s_e, *(r.ratio for r in rep.rows), rep.lower_bound, rep.upper_bound]
             want = [at["E"], *(at[r.label if r.label == "generic" else f"{r.variant}:{r.label}"] for r in rep.rows)]
-            want += [min(at.values()), min((a + b * lam1) / t1 for a, b in upper.values())]
-            add(f"report at l={lam1}", got == want,
-                lambda: f"reported {list(map(str, got))}, lines {list(map(str, want))}")
+            want += [min(at.values()), min(a * q + b * p for _, a, b in table.upper.ints)]
+            dens = [den * w] * (len(want) - 1) + [table.upper.den * w]
+            add(f"report at l={lam1}", all(x.numerator * m == n * x.denominator for x, n, m in zip(got, want, dens)),
+                lambda: f"reported {list(map(str, got))}, lines {[str(F(n, m)) for n, m in zip(want, dens)]}")
 
         if spec.lower_regime_hi is not None:
             # bound-only on [0, hi): the least lower line is 3/2 (delta >= 3/(2t)), and the least

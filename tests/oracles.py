@@ -5,7 +5,8 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction as F
 
-from logfano.catalog import CaseSpec, build_case
+from logfano.catalog import CaseSpec, _affine_str, build_case
+from logfano.delta import DeltaReport, RatioTable
 from logfano.exact import PiecewisePoly, Poly, _canonical, integrate_piecewise, is_negative_definite
 from logfano.surface import (
     DivisorExpr,
@@ -154,3 +155,35 @@ def scaled(z: ZariskiPieces, s: F) -> ZariskiPieces:
 
     breakpoints = tuple(b * s for b in z.breakpoints)
     return ZariskiPieces(z.model, breakpoints, tuple(map(expr, z.positives)), tuple(map(expr, z.negatives)), z.supports)
+
+
+# The Fraction versions of checks that catalog.validate_case and verify.verify_case make on integers.
+
+
+def point_problems(spec: CaseSpec) -> list[str]:
+    """catalog.validate_case's tests of each point's different coefficient a + b*lambda, in Fractions:
+    0 <= value < 1 at the least row start and 0 <= value <= 1 at the greatest row end, and, for a
+    quotient point of order n, a = 1 - 1/n."""
+    lo = min(row.lo for row in spec.rows)
+    hi = max(row.hi for row in spec.rows)
+    problems = []
+    for var in spec.variants:
+        for pt in var.points:
+            a, b = pt.coeff
+            v_lo, v_hi = a + b * lo, a + b * hi
+            if v_lo < 0 or v_hi < 0 or v_lo >= 1 or v_hi > 1:
+                problems.append(f"{spec.id}/{var.name}: different coefficient {_affine_str(pt.coeff)} out of [0,1) on validity")
+            if pt.orbifold_order is not None and a != 1 - F(1, pt.orbifold_order):
+                problems.append(f"{spec.id}/{var.name}: point {pt.label} coefficient {a} != 1 - 1/{pt.orbifold_order}")
+    return problems
+
+
+def report_lines(rep: DeltaReport, table: RatioTable, lam, d: int) -> tuple[list[F], list[F]]:
+    """(reported, lines) of verify's report check, in Fractions: the report's A(E)/S(E), per-point
+    ratios, lower and upper bound, and the values there of the ratio lines over t = 3 - d*lambda."""
+    t = 3 - d * lam
+    at = {label: (a + b * lam) / t for label, (a, b) in table.lower.by_label.items()}
+    got = [rep.a_e / rep.s_e, *(r.ratio for r in rep.rows), rep.lower_bound, rep.upper_bound]
+    want = [at["E"], *(at[r.label if r.label == "generic" else f"{r.variant}:{r.label}"] for r in rep.rows)]
+    want += [min(at.values()), min((a + b * lam) / t for a, b in table.upper.by_label.values())]
+    return got, want

@@ -6,6 +6,8 @@ import dataclasses
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from logfano.catalog import (
     CASES,
@@ -16,6 +18,7 @@ from logfano.catalog import (
     validate_case,
     validate_catalog,
 )
+from oracles import point_problems
 
 
 class TestShippedCatalog:
@@ -222,3 +225,35 @@ def test_each_violation_is_reported(case_id, changes, message):
     spec = CASES[case_id]
     assert validate_case(spec) == []
     assert validate_case(dataclasses.replace(spec, **changes(spec))) == [message]
+
+
+def _point_messages(messages):
+    return [m for m in messages if "different coefficient" in m or "!= 1 - 1/" in m]
+
+
+small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=12)
+orders = st.one_of(st.none(), st.integers(1, 6))
+
+
+class TestIntegerPointTests:
+    """validate_case tests each point's different coefficient on integer numerators; the Fraction
+    tests of oracles.point_problems are the reference, on E6's three points (P1 of order 4) and
+    one to three validity rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(small_rationals, small_rationals, orders), min_size=3, max_size=3),
+           st.lists(st.tuples(small_rationals, small_rationals), min_size=1, max_size=3))
+    @example([(F(0), F(1), None), (F(3, 4), F(0), 4), (F(1, 2), F(-1), 2)], [(F(0), F(1, 2))])  # 0 at lo, 0 at hi
+    @example([(F(1), F(-1), None), (F(2, 3), F(0), 4), (F(1), F(0), None)], [(F(0), F(1, 2))])  # 1 at lo: out
+    @example([(F(0), F(1), None), (F(1, 2), F(1), 2), (F(1, 4), F(1), None)], [(F(1, 4), F(1, 2)), (F(0), F(3, 4))])  # 1 at hi
+    def test_point_messages_are_the_fraction_ones(self, points, intervals):
+        spec = CASES["E6"]
+        var = spec.variants[0]
+        pts = tuple(dataclasses.replace(pt, coeff=(a, b), orbifold_order=n) for pt, (a, b, n) in zip(var.points, points))
+        rows = tuple(dataclasses.replace(spec.rows[0], lo=lo, hi=hi) for lo, hi in intervals)
+        faulty = dataclasses.replace(spec, variants=(dataclasses.replace(var, points=pts),), rows=rows)
+        assert _point_messages(validate_case(faulty)) == point_problems(faulty)
+
+    def test_shipped_points_pass_both(self):
+        for spec in CASES.values():
+            assert _point_messages(validate_case(spec)) == point_problems(spec) == []

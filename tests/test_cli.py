@@ -75,6 +75,18 @@ class TestParsing:
         assert exc.value.code == 2 and buf.getvalue() == ""
         assert capsys.readouterr().err.endswith(f"error: argument {option}: expected an integer, got {text!r}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["delta", "--case", "nope", "--degree", "4", "--lambda", "1/2"],
+        ["closed-form", "--case", "nope", "--degree", "4"],
+        ["threefold", "smooth", "--s", "4", "--lambda", "1/2", "--cone", "nope"],
+        ["verify", "--case", "nope"],
+    ], ids=["delta", "closed-form", "threefold", "verify"])
+    def test_unknown_case_is_named_once(self, capsys, argv):
+        # UnknownCase is a KeyError, whose str() would quote the message again
+        code, out = run(argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: unknown case id 'nope'\n"
+
     @pytest.mark.parametrize("argv", [["--format", "xml", "list"], ["list", "--format", "xml"]],
                              ids=["before", "after"])
     def test_unknown_format_is_refused_by_argparse(self, capsys, argv):
@@ -84,6 +96,27 @@ class TestParsing:
         captured = capsys.readouterr()
         assert exc.value.code == 2 and buf.getvalue() == "" and captured.out == ""
         assert "invalid choice: 'xml'" in captured.err
+
+
+class TestClosedOutputPipe:
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["table"], ["delta", "--case", "A2", "--degree", "4", "--lambda", "1/2"]],
+                             ids=["table", "delta"])
+    def test_exits_141_with_nothing_on_stderr(self, argv, unbuffered):
+        # stdout is a pipe whose reader is gone before the start: an unbuffered write fails in the
+        # command, a buffered one in main's final flush, and the interpreter's exit flush must not fail again
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(logfano.__file__).parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, "-m", "logfano.cli", *argv], stdout=write, stderr=subprocess.PIPE,
+                                  env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (141, b"")
 
 
 class TestList:

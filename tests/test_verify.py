@@ -14,7 +14,7 @@ from logfano.catalog import CASES
 from logfano.exact import Poly
 from logfano.surface import flag_family
 from logfano.verify import verify_all, verify_case
-from oracles import exprs, rows
+from oracles import exprs, report_lines, rows
 from test_acceptance import fault_checks
 
 
@@ -37,6 +37,16 @@ def _counted_decompositions(monkeypatch):
 
     monkeypatch.setattr(verify, "zariski_decompose", counted)
     return calls
+
+
+# reports off the ratio lines at lambda_1, each given the least common denominator den of the lower lines:
+# a row's ratio times den is its line's value with den dropped
+REPORT_FAULTS = {
+    "upper-plus-1": lambda rep, den: dataclasses.replace(rep, upper_bound=rep.upper_bound + 1),
+    "ratio-times-den": lambda rep, den: dataclasses.replace(
+        rep, rows=(dataclasses.replace(rep.rows[0], ratio=rep.rows[0].ratio * den), *rep.rows[1:])),
+    "lower-plus-1-over-den": lambda rep, den: dataclasses.replace(rep, lower_bound=rep.lower_bound + F(1, den)),
+}
 
 
 class TestReferenceDecomposition:
@@ -97,18 +107,29 @@ class TestReferenceDecomposition:
         (bad,) = _failing(verify_case(CASES["A2"], 4))
         assert bad.name == "S scaling"
 
-    def test_report_off_its_lines_fails_the_report_check_only(self, monkeypatch):
-        spec, d = CASES["E6"], 4
+    @pytest.mark.parametrize("case_id", ["E6", "A4"])  # lower lines over 7, and over 26 with upper lines over 13
+    @pytest.mark.parametrize("fault", list(REPORT_FAULTS))
+    def test_report_off_its_lines_fails_the_report_check_only(self, monkeypatch, fault, case_id):
+        spec = CASES[case_id]
+        d, table = spec.rows[0].d, spec.ratio_table
+        assert table.lower.den > 1
         real = verify.delta_point
         lam1 = verify._probe_lambda(spec.row(d))
+        faulty = []
 
         def off(case, degree, lam):
             rep = real(case, degree, lam)
-            return dataclasses.replace(rep, upper_bound=rep.upper_bound + 1) if lam == lam1 else rep
+            if lam == lam1:
+                rep = REPORT_FAULTS[fault](rep, table.lower.den)
+                faulty.append(rep)
+            return rep
 
         monkeypatch.setattr(verify, "delta_point", off)
         (bad,) = _failing(verify_case(spec, d))
+        got, want = report_lines(faulty[0], table, lam1, d)
+        assert got != want
         assert bad.name == f"report at l={lam1}"
+        assert bad.detail == f"reported {list(map(str, got))}, lines {list(map(str, want))}"
 
     def test_one_reference_per_model_and_one_fresh_decomposition_per_row(self, monkeypatch):
         calls = _counted_decompositions(monkeypatch)
@@ -359,6 +380,18 @@ def test_stated_s_and_a_faults_fail_their_own_checks():
         checks, ok = verify_all(catalog={"E6": dataclasses.replace(spec, **change)}, case_ids=["E6"])
         (check,) = _named(checks, name)
         assert not ok and not check.ok, name
+
+
+def test_a_stated_ratio_over_zero_stops_the_row_in_a_computation_check():
+    # (0 + 0*lambda)/0 is no line, though 0 = 0*den holds on the integers: the row stops where dividing by
+    # the stated 0 raises, and the checks before it stand
+    spec = CASES["A2"]
+    var = spec.variants[0]
+    points = (dataclasses.replace(var.points[0], ratio_num=(F(0), F(0)), ratio_den=F(0)), *var.points[1:])
+    faulty = dataclasses.replace(spec, variants=(dataclasses.replace(var, points=points), *spec.variants[1:]))
+    checks = verify_case(faulty, 4)
+    assert [c.name for c in checks[-2:]] == ["A(E)", "computation"]
+    assert checks[-1].detail == "ZeroDivisionError: Fraction(0, 0)"
 
 
 def test_stated_tau_fault_fails_the_closed_form_and_the_line_checks_still_run():
