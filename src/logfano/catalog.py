@@ -133,6 +133,7 @@ class CaseSpec:
         return tuple(row.d for row in self.rows)
 
     def row(self, d: int) -> DegreeRow:
+        check_degree(d)
         for row in self.rows:
             if row.d == d:
                 return row
@@ -144,14 +145,6 @@ class CaseSpec:
         from .delta import ratio_table  # delta imports this module
 
         return ratio_table(self)
-
-    def point_labels(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for var in self.variants:
-            for pt in var.points:
-                if pt.label not in seen:
-                    seen.append(pt.label)
-        return tuple(seen)
 
 
 def _single_model() -> SurfaceModel:
@@ -936,6 +929,14 @@ def list_cases() -> list[tuple[str, str, tuple[int, ...], tuple[tuple[int, Fract
     return out
 
 
+def check_degree(value: int, name: str = "degree") -> int:
+    """value, refused with TypeError unless an int: as rat refuses a float lambda, a float degree
+    would put floats in the result path."""
+    if not isinstance(value, int):
+        raise TypeError(f"{name} {value!r} is not an int")
+    return value
+
+
 def check_lambda(d: int, lam: Fraction | int | str) -> Fraction:
     """lambda as a Fraction; ValueError unless it lies in [0, 3/d)."""
     lam = rat(lam)
@@ -996,10 +997,13 @@ def validate_case(spec: CaseSpec) -> list[str]:
     pid = spec.id
     problems: list[str] = []
     model = spec.model  # SurfaceModel refuses an asymmetric gram
+    has_e = "E" in model.curves
+    if not has_e:
+        problems.append(f"{pid}: model has no exceptional curve E")
     if "L" in model.curves:
         if spec.m_L is None:
             problems.append(f"{pid}: companion curve present but m_L missing")
-        else:
+        elif has_e:
             e2 = model.pairing("E", "E")
             el = model.pairing("E", "L")
             l2 = model.pairing("L", "L")
@@ -1008,7 +1012,7 @@ def validate_case(spec: CaseSpec) -> list[str]:
             if l2 + spec.m_L * el != 1:
                 problems.append(f"{pid}: pullback identity (L.L) + m_L*(L.E) = {l2 + spec.m_L * el} != 1")
     else:
-        if model.pairing("E", "E") != -1:
+        if has_e and model.pairing("E", "E") != -1:
             problems.append(f"{pid}: single-blowup model must have E.E = -1")
         if spec.m_L is not None:
             problems.append(f"{pid}: m_L given but model has no companion curve")
@@ -1029,9 +1033,12 @@ def validate_case(spec: CaseSpec) -> list[str]:
             problems.append(f"{pid}: validity for d={row.d} exceeds 3/d")
         if not row.delta_den or all(c == 0 for c in row.delta_den):
             problems.append(f"{pid}: zero denominator in closed form for d={row.d}")
-    lo = min(row.lo for row in spec.rows)
-    hi = max(row.hi for row in spec.rows)
-    (lo_p, lo_q), (hi_p, hi_q) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    if not spec.rows:  # the checks on the validity range are skipped
+        problems.append(f"{pid}: no degree rows")
+    else:
+        lo = min(row.lo for row in spec.rows)
+        hi = max(row.hi for row in spec.rows)
+        (lo_p, lo_q), (hi_p, hi_q) = lo.as_integer_ratio(), hi.as_integer_ratio()
     for var in spec.variants:
         on_l = [pt for pt in var.points if pt.location == "on_L"]
         if len(on_l) > 1:
@@ -1042,9 +1049,10 @@ def validate_case(spec: CaseSpec) -> list[str]:
             (a_n, a_d), (b_n, b_d) = (c.as_integer_ratio() for c in pt.coeff)
             # a + b*x at x = p/q is (a_n*b_d*q + b_n*a_d*p)/(a_d*b_d*q), each denominator positive;
             # value 1 is tolerated at the upper validity endpoint only
-            v_lo, v_hi = a_n * b_d * lo_q + b_n * a_d * lo_p, a_n * b_d * hi_q + b_n * a_d * hi_p
-            if v_lo < 0 or v_hi < 0 or v_lo >= a_d * b_d * lo_q or v_hi > a_d * b_d * hi_q:
-                problems.append(f"{pid}/{var.name}: different coefficient {_affine_str(pt.coeff)} out of [0,1) on validity")
+            if spec.rows:
+                v_lo, v_hi = a_n * b_d * lo_q + b_n * a_d * lo_p, a_n * b_d * hi_q + b_n * a_d * hi_p
+                if v_lo < 0 or v_hi < 0 or v_lo >= a_d * b_d * lo_q or v_hi > a_d * b_d * hi_q:
+                    problems.append(f"{pid}/{var.name}: different coefficient {_affine_str(pt.coeff)} out of [0,1) on validity")
             n = pt.orbifold_order
             if n is not None and a_n * n != (n - 1) * a_d:  # a != 1 - 1/n
                 problems.append(f"{pid}/{var.name}: point {pt.label} coefficient {pt.coeff[0]} != 1 - 1/{n}")
@@ -1052,10 +1060,10 @@ def validate_case(spec: CaseSpec) -> list[str]:
                 problems.append(f"{pid}/{var.name}: bad location {pt.location!r}")
             if pt.ratio_den <= 0:
                 problems.append(f"{pid}/{var.name}: nonpositive ratio denominator factor")
-    labels = set(spec.point_labels()) | {"E"}
+    labels = {pt.label for var in spec.variants for pt in var.points} | {"E"}
     for m in spec.minimizers:
         if m not in labels:
             problems.append(f"{pid}: minimizer {m!r} is not a declared point")
-    if spec.lower_regime_hi is not None and spec.lower_regime_hi != lo:
+    if spec.lower_regime_hi is not None and spec.rows and spec.lower_regime_hi != lo:
         problems.append(f"{pid}: lower-bound regime must end where validity starts")
     return problems

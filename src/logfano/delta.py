@@ -18,7 +18,8 @@ A/S with A = a + b*lambda a line and S = s*t a t = 1 constant times t.  A
 case's ratio table lists them once (RatioTable, built on first use by each
 CaseSpec instance, the decomposition running once per surface model), and
 every operation reads it: delta_point evaluates it at one lambda, and
-delta_closed_form takes the least line A/s over t on the validity interval.
+delta_closed_form takes the least line A/s over t on the validity interval,
+a RationalFunction whose constructor puts it in lowest terms.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .catalog import Affine, CaseSpec, check_lambda, get_case
-from .exact import RationalFunction, _canonical, _integral, _integers, _sum, rat
+from .catalog import Affine, CaseSpec, DegreeRow, check_degree, check_lambda, get_case
+from .exact import Poly, RationalFunction, _integral, _integers, _sum, rat
 from .surface import SurfaceModel, ZariskiPieces, _dot, _pairings, flag_family, zariski_decompose
 
 F = Fraction
@@ -199,13 +200,13 @@ def _checked_table(spec: CaseSpec, t: Fraction | int = 1) -> RatioTable:
     return table
 
 
-def _at(case: str | CaseSpec, d: int, lam) -> tuple[CaseSpec, RatioTable, Fraction, Fraction]:
-    """(spec, checked ratio table, lambda, t) once d, lambda and tau pass their checks."""
+def _at(case: str | CaseSpec, d: int, lam) -> tuple[CaseSpec, DegreeRow, RatioTable, Fraction, Fraction]:
+    """(spec, row of degree d, checked ratio table, lambda, t) once d, lambda and tau pass their checks."""
     spec = _spec(case)
-    spec.row(d)
+    row = spec.row(d)
     lam = check_lambda(d, lam)
     t = 3 - d * lam
-    return spec, _checked_table(spec, t), lam, t
+    return spec, row, _checked_table(spec, t), lam, t
 
 
 def integrated_s_invariants(pieces: ZariskiPieces) -> tuple[Fraction, Fraction, Fraction | None]:
@@ -242,12 +243,13 @@ def integrated_s_invariants(pieces: ZariskiPieces) -> tuple[Fraction, Fraction, 
 
 def s_divisor(case: str | CaseSpec, d: int, lam) -> Fraction:
     """Expected vanishing order S(E): the normalized volume integral over [0, tau]."""
-    _, table, _, t = _at(case, d, lam)
+    _, _, table, _, t = _at(case, d, lam)
     return table.e.s * t
 
 
 def s_curve_on_plane(d: int, lam, e: int, l) -> tuple[Fraction, Fraction]:
     """(S, A) of a degree-e plane curve class appearing with multiplicity l in C."""
+    check_degree(d)
     lam = rat(lam)
     ratio = _curve_ratio(e, rat(l))
     return ratio.s * (3 - d * lam), ratio.a + ratio.b * lam
@@ -263,7 +265,7 @@ def _minimizer_names(labels: list[str]) -> tuple[str, ...]:
 
 def delta_point(case: str | CaseSpec, d: int, lam) -> DeltaReport:
     """Local delta report at rational lambda in [0, 3/d), refused past the case's lct: the ratio table at lambda."""
-    spec, table, lam, t = _at(case, d, lam)
+    spec, row_spec, table, lam, t = _at(case, d, lam)
     if table.lct is not None and lam > table.lct:
         raise ValueError(f"lambda {lam} past the log canonical threshold {table.lct} of case {spec.id}")
     e = table.e
@@ -281,7 +283,6 @@ def delta_point(case: str | CaseSpec, d: int, lam) -> DeltaReport:
     least = ["E"] if ratio_e == lower else []
     minimizers = _minimizer_names(least + [row.label for row in rows if row.ratio == lower])
 
-    row_spec = spec.row(d)
     validity_ok = row_spec.lo <= lam <= row_spec.hi
     expected = None
     matches = None
@@ -354,14 +355,5 @@ def delta_closed_form(case: str | CaseSpec, d: int) -> RationalFunction:
 
 
 def _over_t(line: Affine, d: int) -> RationalFunction:
-    """(a + b*lambda)/(3 - d*lambda) in lowest terms with a monic denominator.
-
-    The parts share a factor only when the line is a multiple of 3 - d*lambda,
-    a*d + 3*b = 0, and the ratio is the constant a/3; otherwise the parts are
-    passed already divided by -d: (-a/d - (b/d)*lambda)/(-3/d + lambda).  Each
-    coefficient is one Fraction of the integer ratios a = a_n/a_d, b = b_n/b_d.
-    """
-    (a_n, a_d), (b_n, b_d) = (c.as_integer_ratio() for c in line)
-    if a_n * b_d * d + 3 * b_n * a_d == 0:
-        return RationalFunction(_canonical([F(a_n, 3 * a_d)]), _canonical([F(1)]))
-    return RationalFunction(_canonical([F(-a_n, a_d * d), F(-b_n, b_d * d)]), _canonical([F(-3, d), F(1)]))
+    """(a + b*lambda)/(3 - d*lambda) as a RationalFunction, which puts it in lowest terms."""
+    return RationalFunction(Poly(line), Poly((3, -d)))

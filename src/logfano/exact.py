@@ -9,9 +9,12 @@ test oracles.
 The inner loops of evaluation, multiplication and integration run on integer
 numerators over one common denominator, and each result value or coefficient
 is built as a single Fraction at the end, so the results are Fractions as
-before, with one reduction each instead of one per operation.  Root finding
-runs on integer coefficients: it tests the discriminant for a square with
-``math.isqrt``, and locates an irrational root by integer sign tests.
+before, with one reduction each instead of one per operation.  Every Poly,
+an arithmetic result included, is built by its constructor, and every
+RationalFunction is put in lowest terms with a monic denominator by its own.
+Root finding runs on integer coefficients: it tests the discriminant for a
+square with ``math.isqrt``, and locates an irrational root by integer sign
+tests.
 """
 
 from __future__ import annotations
@@ -119,20 +122,20 @@ class Poly:
 
     def __add__(self, other: Poly) -> Poly:
         n = max(len(self.coeffs), len(other.coeffs))
-        return _canonical([self.coeff(k) + other.coeff(k) for k in range(n)])
+        return Poly(tuple(self.coeff(k) + other.coeff(k) for k in range(n)))
 
     def __sub__(self, other: Poly) -> Poly:
         n = max(len(self.coeffs), len(other.coeffs))
-        return _canonical([self.coeff(k) - other.coeff(k) for k in range(n)])
+        return Poly(tuple(self.coeff(k) - other.coeff(k) for k in range(n)))
 
     def __neg__(self) -> Poly:
-        return _canonical([-c for c in self.coeffs])
+        return Poly(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: Poly | int | Fraction) -> Poly:
         if isinstance(other, (int, Fraction)):
-            return _canonical([c * other for c in self.coeffs])
+            return Poly(tuple(c * other for c in self.coeffs))
         if not self.coeffs or not other.coeffs:
-            return _canonical([])
+            return Poly()
         a, da = _integers(self.coeffs)
         b, db = _integers(other.coeffs)
         out = [0] * (len(a) + len(b) - 1)
@@ -179,20 +182,8 @@ def _integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 def _from_integers(numerators: list[int], den: int) -> Poly:
-    """The Poly with coefficients numerators[k] / den, one Fraction per nonzero coefficient."""
-    while numerators and not numerators[-1]:
-        numerators.pop()
-    return _canonical([Fraction(n, den) for n in numerators])
-
-
-def _canonical(coeffs: list[Fraction]) -> Poly:
-    """A Poly from coefficients that are already Fractions, as the results of
-    arithmetic on Polys are: strips trailing zeros and skips the coercion."""
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    poly = object.__new__(Poly)
-    object.__setattr__(poly, "coeffs", tuple(coeffs))
-    return poly
+    """The Poly with coefficients numerators[k] / den, one Fraction per coefficient."""
+    return Poly(tuple(Fraction(n, den) for n in numerators))
 
 
 def integrate(p: Poly, a: int | str | Fraction, b: int | str | Fraction) -> Fraction:
@@ -247,19 +238,12 @@ class PiecewisePoly:
         if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)):
             raise ValueError("breakpoints must be strictly increasing")
 
-    @property
-    def lo(self) -> Fraction:
-        return self.breakpoints[0]
-
-    @property
-    def hi(self) -> Fraction:
-        return self.breakpoints[-1]
-
     def piece_index(self, v: int | str | Fraction) -> int:
         v = rat(v)
-        if v < self.lo or v > self.hi:
-            raise ValueError(f"{v} outside [{self.lo}, {self.hi}]")
-        if v == self.lo:
+        lo, hi = self.breakpoints[0], self.breakpoints[-1]
+        if v < lo or v > hi:
+            raise ValueError(f"{v} outside [{lo}, {hi}]")
+        if v == lo:
             return 0
         for i in range(len(self.pieces)):
             if v <= self.breakpoints[i + 1]:
@@ -495,10 +479,6 @@ class RationalFunction:
         den: Iterable[int | str | Fraction],
     ) -> RationalFunction:
         return cls(Poly(_coerce(num)), Poly(_coerce(den)))
-
-    @classmethod
-    def constant(cls, c: int | str | Fraction) -> RationalFunction:
-        return cls(Poly.const(c), Poly.const(1))
 
     def __call__(self, x: int | str | Fraction) -> Fraction:
         x = rat(x)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .catalog import check_degree
 from .delta import delta_point, interior_samples
 from .exact import PiecewisePoly, Poly, integrate_piecewise, rat
 
@@ -24,7 +25,7 @@ F = Fraction
 
 def _flag_base(s: int, lam: Fraction) -> Fraction:
     """4 - lam*s, the gate of the flags below: s >= 1, 0 <= lam and lam*s < 4."""
-    if s < 1:
+    if check_degree(s, "surface degree s") < 1:
         raise ValueError("need surface degree s >= 1")
     if lam < 0 or lam * s >= 4:
         raise ValueError("need 0 <= lambda and lambda * s < 4")
@@ -48,30 +49,33 @@ def _s_quadric_flag(lam: Fraction) -> Fraction:
     return 3 * (1 - lam)
 
 
-def _plane_gate(lam: Fraction, d: int) -> None:
-    """lam*d < 3 for the degree-d plane curve whose delta a bound reads, as delta_point requires of it.
-    Checked after the flag's gate; then 15 - 9*lam - 2*lam*m > 15 - 9 - 6 = 0 on the quadric's 0 <= lam < 1."""
+def _plane_gate(lam: Fraction, d: int, delta2d: Fraction) -> None:
+    """lam*d < 3 for the degree-d plane curve whose delta a bound reads, as delta_point requires of it,
+    and delta2d >= 0, as that delta is.  Checked after the flag's gate; then
+    15 - 9*lam - 2*lam*m > 15 - 9 - 6 = 0 on the quadric's 0 <= lam < 1."""
     if lam * d >= 3:
         raise ValueError("need lambda * d < 3, with d the degree of the plane curve the bound reads")
+    if delta2d < 0:
+        raise ValueError(f"need delta2d >= 0: the delta of a plane pair is not negative, got {delta2d}")
 
 
 def delta_bound_smooth(s: int, lam, delta2d) -> Fraction:
     """Lower bound at a smooth surface point from a general plane flag."""
     lam, delta2d = rat(lam), rat(delta2d)
     flag = s_plane_flag(s, lam)
-    _plane_gate(lam, s)
+    _plane_gate(lam, s, delta2d)
     return min(1 / flag, delta2d * (3 - lam * s) / (3 * flag))
 
 
 def delta_bound_blowup(s: int, m: int, lam, delta2d) -> Fraction:
     """Lower bound at a point of multiplicity m from the point-blowup flag."""
     lam, delta2d = rat(lam), rat(delta2d)
-    if m < 1:
+    if check_degree(m, "multiplicity m") < 1:
         raise ValueError("need multiplicity m >= 1")
     flag = s_blowup_flag(s, lam)
     if m > s:
         raise ValueError("need multiplicity m <= s: a point of a degree-s surface has multiplicity at most s")
-    _plane_gate(lam, m)
+    _plane_gate(lam, m, delta2d)
     factor = (3 - lam * m) / flag
     return min(factor, delta2d * factor)
 
@@ -79,10 +83,10 @@ def delta_bound_blowup(s: int, m: int, lam, delta2d) -> Fraction:
 def delta_bound_quadric(m: int, lam, delta2d) -> Fraction:
     """Lower bound on the quadric threefold with an anticanonical boundary."""
     lam, delta2d = rat(lam), rat(delta2d)
-    if m < 1:
+    if check_degree(m, "multiplicity m") < 1:
         raise ValueError("need multiplicity m >= 1")
     flag = _s_quadric_flag(lam)
-    _plane_gate(lam, m)
+    _plane_gate(lam, m, delta2d)
     first = (3 - lam * m) / flag
     second = 4 * (3 - lam * m) / (15 - 9 * lam - 2 * lam * m)  # the one term no volume identity checks
     return min(first, second, first * 4 * delta2d / 3)

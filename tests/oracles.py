@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 from logfano.catalog import CaseSpec, _affine_str, build_case
 from logfano.delta import DeltaReport, RatioTable
-from logfano.exact import PiecewisePoly, Poly, _canonical, integrate_piecewise, is_negative_definite
+from logfano.exact import PiecewisePoly, Poly, integrate_piecewise, is_negative_definite
 from logfano.surface import (
     DivisorExpr,
     SurfaceModel,
@@ -150,7 +150,7 @@ def scaled(z: ZariskiPieces, s: F) -> ZariskiPieces:
     """z with t and v scaled by s: breakpoints times s, c_j*v^j of P and N becomes c_j*s^(1-j)*v^j."""
 
     def expr(e: DivisorExpr) -> DivisorExpr:
-        polys = [_canonical([c * s ** (1 - j) for j, c in enumerate(p.coeffs)]) for p in (e.ambient, *e.coeffs)]
+        polys = [Poly(tuple(c * s ** (1 - j) for j, c in enumerate(p.coeffs))) for p in (e.ambient, *e.coeffs)]
         return DivisorExpr(e.model, polys[0], tuple(polys[1:]))
 
     breakpoints = tuple(b * s for b in z.breakpoints)

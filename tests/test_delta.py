@@ -57,7 +57,8 @@ def _fresh_s_invariants(spec, d, lam):
     pieces = zariski_decompose(model, factory(lam))
     assert pieces.tau == t * spec.tau_factor
     s_e = integrate_piecewise(volume_function(pieces)) / t**2
-    points = ("generic", *(("EL",) if "L" in model.curves else ()), *spec.point_labels())
+    labels = {pt.label for var in spec.variants for pt in var.points}
+    points = {"generic", *(("EL",) if "L" in model.curves else ()), *labels}
     return s_e, {p: 2 * integrate_piecewise(flag_integrand(spec, d, lam, p)) / t**2 for p in points}
 
 
@@ -207,6 +208,18 @@ class TestPlaneCurveBounds:
         for d in (1, 2, 3, 4):
             s, a = s_curve_on_plane(d, F(0), 1, 0)
             assert (s, a) == (1, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: delta_point("A2", 4.0, "1/2"),  # reported delta = 1.2
+    lambda: s_divisor("A2", 4.0, "1/2"),  # returned 1.666...
+    lambda: delta_closed_form("A2", 4.0),  # died inside Fraction
+    lambda: s_curve_on_plane(4.0, F(1, 4), 1, 2),
+    lambda: CASES["A2"].row(4.0),
+], ids=["delta_point", "s_divisor", "delta_closed_form", "s_curve_on_plane", "row"])
+def test_a_float_degree_is_refused_as_a_float_lambda_is(call):
+    with pytest.raises(TypeError, match=r"^degree 4\.0 is not an int$"):
+        call()
 
 
 class TestDeltaPoint:

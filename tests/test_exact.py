@@ -206,7 +206,7 @@ class TestFit:
 
     def test_constant(self):
         rf = fit_rational_function([(F(k, 7), F(1)) for k in range(4)], 0, 0)
-        assert rf == RationalFunction.constant(1)
+        assert rf == RationalFunction.from_coeffs((1,), (1,))
 
     def test_derived_form(self):
         # samples computed by hand from (5-6l)/(5-5l)

@@ -83,6 +83,26 @@ class TestFlagInvariants:
         with pytest.raises(ValueError, match=r"^need lambda \* d < 3, with d the degree of the plane curve the bound reads$"):
             call()
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: delta_bound_blowup(4, 2.0, "1/2", 1), "multiplicity m 2.0 is not an int"),  # returned 1.333...
+        (lambda: delta_bound_quadric(2.0, F(2, 3), 1), "multiplicity m 2.0 is not an int"),
+        (lambda: delta_bound_smooth(3.0, F(2, 3), 1), "surface degree s 3.0 is not an int"),
+        (lambda: s_blowup_flag(4.0, F(1, 2)), "surface degree s 4.0 is not an int"),
+        (lambda: verify_threefold_volumes("plane", {"s": 4.0}, F(1, 2)), "surface degree s 4.0 is not an int"),
+    ], ids=["blowup-m", "quadric-m", "smooth-s", "blowup-flag-s", "plane-volume-s"])
+    def test_a_float_degree_is_refused(self, call, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: delta_bound_smooth(3, F(2, 3), -1),  # returned -2/3
+        lambda: delta_bound_blowup(4, 2, F(1, 2), -1),  # returned -4/3
+        lambda: delta_bound_quadric(2, F(2, 3), -1),  # returned -20/9
+    ], ids=["smooth", "blowup", "quadric"])
+    def test_bounds_refuse_a_negative_plane_delta(self, call):
+        with pytest.raises(ValueError, match=r"^need delta2d >= 0: the delta of a plane pair is not negative, got -1$"):
+            call()
+
     def test_accepted_quadric_range_is_finite_and_positive(self):
         for m in range(1, 9):
             hi = min(F(1), F(3, m))

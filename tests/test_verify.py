@@ -12,7 +12,7 @@ import pytest
 import logfano.verify as verify
 from logfano.catalog import CASES
 from logfano.exact import Poly
-from logfano.surface import flag_family
+from logfano.surface import SurfaceModel, flag_family
 from logfano.verify import verify_all, verify_case
 from oracles import exprs, report_lines, rows
 from test_acceptance import fault_checks
@@ -350,6 +350,20 @@ class TestScopedValidation:
         assert not ok and not structural.ok
         assert "duplicate order" in structural.detail
         assert "D5: alias target 'no_such_case' missing" in structural.detail
+
+
+    @pytest.mark.parametrize("case_id, changes, message", [
+        ("A4", {"rows": ()}, "no degree rows"),  # died in min() of no rows
+        ("A4", {"model": SurfaceModel(("F", "L"), ((F(-1, 3), F(1)), (F(1), F(-2))), 1, (0, 1))},
+         "model has no exceptional curve E"),  # died in model.pairing("E", "E")
+        ("triple_line", {"model": SurfaceModel(("F",), ((F(-1),),), 1, (0,))}, "model has no exceptional curve E"),
+    ], ids=["no-rows", "no-E", "no-E-single-curve"])
+    def test_malformed_entry_is_reported_not_raised(self, case_id, changes, message):
+        spec = dataclasses.replace(CASES[case_id], id="malformed", order=10**6, **changes)
+        checks, ok = verify_all(catalog={**CASES, "malformed": spec}, case_ids=["malformed"])
+        (structural,) = _named(checks, "structural validation")
+        assert not ok and not structural.ok
+        assert f"malformed: {message}" in structural.detail.split("; ")
 
 
 class TestClosedFormFailure:
