@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
-from .exact import Poly, RationalFunction, rat
+from .exact import LinearFractional, Poly, rat
 from .surface import IntegerDivisor, SurfaceModel, flag_family
 
 if TYPE_CHECKING:
@@ -101,9 +101,10 @@ class DegreeRow:
     delta_den: tuple[Fraction, ...]
 
     @cached_property
-    def stated_form(self) -> RationalFunction:
-        """The stated closed form in lowest terms, built once per instance on first use."""
-        return RationalFunction.from_coeffs(self.delta_num, self.delta_den)
+    def stated_form(self) -> LinearFractional:
+        """The stated closed form in normal form, built once per instance on first use;
+        ValueError when a part has degree > 1 (validate_case reports it)."""
+        return LinearFractional.from_coeffs(self.delta_num, self.delta_den)
 
 
 @dataclass(frozen=True)
@@ -931,8 +932,8 @@ def list_cases() -> list[tuple[str, str, tuple[int, ...], tuple[tuple[int, Fract
 
 def check_degree(value: int, name: str = "degree") -> int:
     """value, refused with TypeError unless an int: as rat refuses a float lambda, a float degree
-    would put floats in the result path."""
-    if not isinstance(value, int):
+    would put floats in the result path.  A bool, an int to Python, is refused too."""
+    if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} {value!r} is not an int")
     return value
 
@@ -1033,6 +1034,11 @@ def validate_case(spec: CaseSpec) -> list[str]:
             problems.append(f"{pid}: validity for d={row.d} exceeds 3/d")
         if not row.delta_den or all(c == 0 for c in row.delta_den):
             problems.append(f"{pid}: zero denominator in closed form for d={row.d}")
+        else:
+            try:
+                row.stated_form
+            except ValueError as exc:
+                problems.append(f"{pid}: closed form for d={row.d}: {exc}")
     if not spec.rows:  # the checks on the validity range are skipped
         problems.append(f"{pid}: no degree rows")
     else:

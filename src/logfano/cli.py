@@ -268,7 +268,7 @@ def cmd_closed_form(args, out) -> int:
     except NotExactOnInterval as exc:  # a ValueError, but a mismatch rather than bad input
         print(f"mismatch: {exc}", file=sys.stderr)
         return 1
-    if rf.num.degree > args.num_deg or rf.den.degree > args.den_deg:
+    if rf.num_degree > args.num_deg or rf.den_degree > args.den_deg:
         raise InputError(f"derived form {rf.format('λ')} exceeds the degree bounds ({args.num_deg},{args.den_deg})")
     row = spec.row(args.degree)
     stated = row.stated_form

@@ -17,9 +17,12 @@ S(E) and both S(W;O) are the t = 1 values times t.  Every ratio above is thus
 A/S with A = a + b*lambda a line and S = s*t a t = 1 constant times t.  A
 case's ratio table lists them once (RatioTable, built on first use by each
 CaseSpec instance, the decomposition running once per surface model), and
-every operation reads it: delta_point evaluates it at one lambda, and
-delta_closed_form takes the least line A/s over t on the validity interval,
-a RationalFunction whose constructor puts it in lowest terms.
+every operation reads it.  The table holds each ratio's integers too, so
+delta_point evaluates it at lambda = p/q on integers, with t = w/q and
+w = 3q - d*p: each A and bound is one Fraction of integers, and the bounds,
+exactness and minimizers are decided on the integer lines; and
+delta_closed_form takes the least line A/s over t on the validity interval, an
+exact.LinearFractional of the table's integer line, in normal form by one gcd.
 """
 
 from __future__ import annotations
@@ -28,10 +31,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
 
 from .catalog import Affine, CaseSpec, DegreeRow, check_degree, check_lambda, get_case
-from .exact import Poly, RationalFunction, _integral, _integers, _sum, rat
+from .exact import LinearFractional, _integral, _integers, _sum, rat
 from .surface import SurfaceModel, ZariskiPieces, _dot, _pairings, flag_family, zariski_decompose
 
 F = Fraction
@@ -102,20 +105,33 @@ class Ratio:
 class Lines:
     """Ratio lines A/s = a + b*lambda (each ratio times t), by label.
 
-    ints holds (label, a*den, b*den) with den the least common denominator of
-    the set, so the lines compare at lambda = p/q as the integers n = a*q + b*p,
-    and the ratio there, the line over t = 3 - d*lambda, is n/(den*(3q - d*p)).
+    ints maps each label to (a*den, b*den), with den the least common
+    denominator of the set, so the lines compare at lambda = p/q as the
+    integers n = a*q + b*p, and the ratio there, the line over
+    t = 3 - d*lambda, is n/(den*(3q - d*p)).
     """
 
     by_label: Mapping[str, Affine]
-    ints: tuple[tuple[str, int, int], ...]
+    ints: Mapping[str, tuple[int, int]]
     den: int
 
 
-def _lines(ratios: Iterable[Ratio]) -> Lines:
-    by_label = {r.label: (r.a / r.s, r.b / r.s) for r in ratios}
-    ints, den = _integers([x for line in by_label.values() for x in line])
-    return Lines(MappingProxyType(by_label), tuple(zip(by_label, ints[::2], ints[1::2])), den)
+# A ratio's integers (a_n, b_n, a_den, s_n, s_d): A = (a_n + b_n*lambda)/a_den and S = (s_n/s_d)*t.
+_Terms = tuple[int, int, int, int, int]
+
+
+def _terms(r: Ratio) -> _Terms:
+    (a_n, b_n), a_den = _integers((r.a, r.b))
+    return (a_n, b_n, a_den, *r.s.as_integer_ratio())
+
+
+def _lines(ratios: Sequence[Ratio], terms: Sequence[_Terms]) -> Lines:
+    """The Lines of ratios with the integers terms: each coefficient of A/s is one Fraction, a_n*s_d/(a_den*s_n)."""
+    lines = [(F(a_n * s_d, a_den * s_n), F(b_n * s_d, a_den * s_n)) for a_n, b_n, a_den, s_n, s_d in terms]
+    ints, den = _integers([x for line in lines for x in line])
+    labels = [r.label for r in ratios]
+    ints_by_label = dict(zip(labels, zip(ints[::2], ints[1::2])))
+    return Lines(MappingProxyType(dict(zip(labels, lines))), MappingProxyType(ints_by_label), den)
 
 
 @dataclass(frozen=True)
@@ -123,9 +139,11 @@ class RatioTable:
     """Every ratio delta compares for one case; lambda-free, built by ratio_table.
 
     Its lines are computed once, when the table is built: lower for "E", each
-    "variant:point" and "generic", upper for "E" and each curve bound.  So is
-    lct, the least positive zero of the A-lines of "E" and the points (None if
-    none has one): past it A(E) or an A(O) is negative, the pair not lc.
+    "variant:point" and "generic", upper for "E" and each curve bound.  So are
+    terms, the integers (_Terms) of "E" and then of each row's ratio, which
+    delta_point evaluates, and lct, the least positive zero of the lower lines
+    of "E" and the points (None if none has one): past it A(E) or an A(O) is
+    negative, the pair not lc.
     """
 
     tau: Fraction  # the model's pseudo-effective threshold at t = 1
@@ -134,13 +152,17 @@ class RatioTable:
     curves: tuple[Ratio, ...]  # the plane-curve upper bounds
     lower: Lines = field(init=False, repr=False, compare=False)
     upper: Lines = field(init=False, repr=False, compare=False)
+    terms: tuple[_Terms, ...] = field(init=False, repr=False, compare=False)
     lct: Fraction | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lower = (self.e, *(ratio for _, _, ratio in self.rows))
-        zeros = [z for z in (-r.a / r.b for r in lower if r.b) if z > 0]
-        object.__setattr__(self, "lower", _lines(lower))
-        object.__setattr__(self, "upper", _lines((self.e, *self.curves)))
+        terms = tuple(map(_terms, lower))
+        object.__setattr__(self, "lower", _lines(lower, terms))
+        object.__setattr__(self, "upper", _lines((self.e, *self.curves), (terms[0], *map(_terms, self.curves))))
+        object.__setattr__(self, "terms", terms)
+        # the zero -a/b of each A-line a + b*lambda, the zero of its line A/s too; positive when a*b < 0
+        zeros = [F(-a_n, b_n) for a_n, b_n, *_ in terms if a_n * b_n < 0]
         object.__setattr__(self, "lct", min(zeros, default=None))
 
 
@@ -248,10 +270,15 @@ def s_divisor(case: str | CaseSpec, d: int, lam) -> Fraction:
 
 
 def s_curve_on_plane(d: int, lam, e: int, l) -> tuple[Fraction, Fraction]:
-    """(S, A) of a degree-e plane curve class appearing with multiplicity l in C."""
-    check_degree(d)
-    lam = rat(lam)
-    ratio = _curve_ratio(e, rat(l))
+    """(S, A) of a degree-e plane curve class appearing with multiplicity l >= 0 in C (l = 0: not in C),
+    for a degree-d curve C at lambda in [0, 3/d)."""
+    if check_degree(d) < 1:
+        raise ValueError(f"curve degree d = {d} must be >= 1")
+    lam = check_lambda(d, lam)
+    l = rat(l)
+    if l < 0:
+        raise ValueError(f"multiplicity l = {l} must be >= 0")
+    ratio = _curve_ratio(e, l)
     return ratio.s * (3 - d * lam), ratio.a + ratio.b * lam
 
 
@@ -264,24 +291,32 @@ def _minimizer_names(labels: list[str]) -> tuple[str, ...]:
 
 
 def delta_point(case: str | CaseSpec, d: int, lam) -> DeltaReport:
-    """Local delta report at rational lambda in [0, 3/d), refused past the case's lct: the ratio table at lambda."""
+    """Local delta report at rational lambda in [0, 3/d), refused past the case's lct: the ratio table at lambda.
+
+    At lambda = p/q, with t = w/q and w = 3q - d*p, each A is one Fraction of the table's terms,
+    each S the t = 1 constant times t, and each row's ratio A/S.  The bounds are one Fraction each
+    of the least integer line values n = x*q + y*p, which decide exactness and the minimizers.
+    """
     spec, row_spec, table, lam, t = _at(case, d, lam)
     if table.lct is not None and lam > table.lct:
         raise ValueError(f"lambda {lam} past the log canonical threshold {table.lct} of case {spec.id}")
-    e = table.e
-    a_e, s_e = e.a + e.b * lam, e.s * t
-    ratio_e = a_e / s_e
+    p, q = lam.numerator, lam.denominator
+    w = 3 * q - d * p
+    (a_n, b_n, a_den, _, _), *terms = table.terms
+    a_e, s_e = F(a_n * q + b_n * p, a_den * q), table.e.s * t
     rows = []
-    for variant, point, ratio in table.rows:
-        a, s = ratio.a + ratio.b * lam, ratio.s * t
+    for (variant, point, ratio), (a_n, b_n, a_den, _, _) in zip(table.rows, terms):
+        a, s = F(a_n * q + b_n * p, a_den * q), ratio.s * t
         rows.append(PointRow(variant, point, a, s, a / s))
-    lower = min(ratio_e, *(row.ratio for row in rows))
-    upper = min([ratio_e] + [(c.a + c.b * lam) / (c.s * t) for c in table.curves])
-    if lower > upper:
+    at = {label: x * q + y * p for label, (x, y) in table.lower.ints.items()}
+    least = min(at.values())
+    least_up = min([x * q + y * p for x, y in table.upper.ints.values()])
+    den, up_den = table.lower.den, table.upper.den
+    lower, upper = F(least, den * w), F(least_up, up_den * w)
+    if least * up_den > least_up * den:
         raise AssertionError(f"{spec.id}: lower bound {lower} exceeds upper bound {upper}")
-    exact = lower == upper
-    least = ["E"] if ratio_e == lower else []
-    minimizers = _minimizer_names(least + [row.label for row in rows if row.ratio == lower])
+    exact = least * up_den == least_up * den
+    minimizers = _minimizer_names([label for label, n in at.items() if n == least])
 
     validity_ok = row_spec.lo <= lam <= row_spec.hi
     expected = None
@@ -322,38 +357,52 @@ def interior_samples(lo: Fraction, hi: Fraction, n: int) -> list[Fraction]:
     return [lo + (hi - lo) * F(k, n + 1) for k in range(1, n + 1)]
 
 
+def _least(table: RatioTable, lo: Fraction, hi: Fraction) -> tuple[list[str], list[str]]:
+    """The labels of the lower and of the upper lines of a table that are least at both ends of [lo, hi].
+
+    The ends are compared on the table's integer lines, each value times its end's denominator.
+    """
+    (lo_p, lo_q), (hi_p, hi_q) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    out = []
+    for lines in (table.lower, table.upper):
+        at_lo = [a * lo_q + b * lo_p for a, b in lines.ints.values()]
+        at_hi = [a * hi_q + b * hi_p for a, b in lines.ints.values()]
+        min_lo, min_hi = min(at_lo), min(at_hi)
+        out.append([label for label, x, y in zip(lines.ints, at_lo, at_hi) if x == min_lo and y == min_hi])
+    return out[0], out[1]
+
+
 def binding(table: RatioTable, lo: Fraction, hi: Fraction) -> tuple[Affine | None, Affine | None, tuple[str, ...]]:
     """(least lower line, least upper line, minimizer names) of a ratio table on [lo, hi]; no tau check.
 
-    A line is least on [lo, hi] when it is least at both ends; None when no line
-    is.  The minimizers name every least lower line.  The ends are compared on
-    the table's integer lines, each value times its end's denominator.
+    A line is least on [lo, hi] when it is least at both ends (_least); None when no line
+    is.  The minimizers name every least lower line.
     """
-
-    def least(lines: Lines) -> list[str]:
-        at_lo = [a * lo.denominator + b * lo.numerator for _, a, b in lines.ints]
-        at_hi = [a * hi.denominator + b * hi.numerator for _, a, b in lines.ints]
-        min_lo, min_hi = min(at_lo), min(at_hi)
-        return [line[0] for line, x, y in zip(lines.ints, at_lo, at_hi) if x == min_lo and y == min_hi]
-
-    low, up = least(table.lower), least(table.upper)
+    low, up = _least(table, lo, hi)
     lower, upper = table.lower.by_label, table.upper.by_label
     return lower[low[0]] if low else None, upper[up[0]] if up else None, _minimizer_names(low)
 
 
-def delta_closed_form(case: str | CaseSpec, d: int) -> RationalFunction:
+def delta_closed_form(case: str | CaseSpec, d: int) -> LinearFractional:
     """delta(lambda) on the validity interval: the least lower line over t = 3 - d*lambda.
 
     NotExactOnInterval unless that line is least at both ends among the upper lines too.
     """
     spec = _spec(case)
     row = spec.row(d)
-    line, upper, _ = binding(_checked_table(spec), row.lo, row.hi)
-    if line is None or line != upper:
-        raise NotExactOnInterval(f"{spec.id} (d={d}): delta is not one certified ratio on [{row.lo}, {row.hi}]")
-    return _over_t(line, d)
+    return _closed_form(spec, row, _least(spec.ratio_table, row.lo, row.hi))
 
 
-def _over_t(line: Affine, d: int) -> RationalFunction:
-    """(a + b*lambda)/(3 - d*lambda) as a RationalFunction, which puts it in lowest terms."""
-    return RationalFunction(Poly(line), Poly((3, -d)))
+def _closed_form(spec: CaseSpec, row: DegreeRow, least: tuple[list[str], list[str]]) -> LinearFractional:
+    """delta_closed_form from the least lines on the row's interval, as _least gives them: the tau
+    check, then NotExactOnInterval, then the least lower line over t."""
+    table = _checked_table(spec)
+    low, up = least
+    if not low or not up or table.lower.by_label[low[0]] != table.upper.by_label[up[0]]:
+        raise NotExactOnInterval(f"{spec.id} (d={row.d}): delta is not one certified ratio on [{row.lo}, {row.hi}]")
+    return _over_t(table.lower.ints[low[0]], table.lower.den, row.d)
+
+
+def _over_t(line: tuple[int, int], den: int, d: int) -> LinearFractional:
+    """The integer line (a + b*lambda)/den over t = 3 - d*lambda, in normal form."""
+    return LinearFractional(line[0], line[1], 3 * den, -d * den)

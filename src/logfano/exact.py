@@ -1,5 +1,6 @@
 """Exact rational arithmetic: polynomials, piecewise polynomials, root finding,
-and rational-function reconstruction from exact samples.
+linear-fractional closed forms, and rational-function reconstruction from exact
+samples.
 
 Every quantity in the engine is a ``fractions.Fraction`` (arbitrary precision,
 always in lowest terms with positive denominator) or is built out of them.  No
@@ -10,8 +11,10 @@ The inner loops of evaluation, multiplication and integration run on integer
 numerators over one common denominator, and each result value or coefficient
 is built as a single Fraction at the end, so the results are Fractions as
 before, with one reduction each instead of one per operation.  Every Poly,
-an arithmetic result included, is built by its constructor, and every
-RationalFunction is put in lowest terms with a monic denominator by its own.
+an arithmetic result included, is built by its constructor.  A closed form of
+delta is a LinearFractional of four integers, put in normal form by one gcd in
+its constructor and evaluated as one Fraction; a RationalFunction, the result
+of the fit only, is put in lowest terms with a monic denominator by its own.
 Root finding runs on integer coefficients: it tests the discriminant for a
 square with ``math.isqrt``, and locates an irrational root by integer sign
 tests.
@@ -45,10 +48,13 @@ def rat(value: int | str | Fraction) -> Fraction:
     """Coerce an int, Fraction, or canonical ``"p/q"`` string to a Fraction.
 
     Floats are refused with TypeError: a binary float is not the rational it
-    was meant to be, so there is no float input path into the engine.
+    was meant to be, so there is no float input path into the engine.  So are
+    bools, which are ints to Python but no rational a caller means.
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise TypeError(f"bool {value!r} is not a rational; pass a Fraction, an int or a 'p/q' string")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
@@ -442,6 +448,78 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if a.is_zero:
         return a
     return a * (1 / a.coeffs[-1])
+
+
+@dataclass(frozen=True)
+class LinearFractional:
+    """(a + b*l)/(c + e*l) with integer coefficients: the shape of every closed form of delta.
+
+    The constructor puts it in normal form with one gcd: a constant (proportional
+    parts, a zero numerator among them) is (n, 0, m, 0); the four coefficients
+    are jointly coprime; and the denominator's first nonzero coefficient, c or
+    else e, is positive.  So two instances are equal exactly when they are the
+    same function, and a value is one Fraction of two integers.
+    """
+
+    a: int
+    b: int
+    c: int
+    e: int
+
+    def __post_init__(self) -> None:
+        a, b, c, e = self.a, self.b, self.c, self.e
+        if not (c or e):
+            raise ZeroDivisionError("zero denominator")
+        if a * e == b * c:  # proportional parts: the constant b/e, or a/c
+            a, b, c, e = (b, 0, e, 0) if e else (a, 0, c, 0)
+        g = math.gcd(a, b, c, e)
+        if c < 0 or not c and e < 0:
+            g = -g
+        set_ = object.__setattr__
+        set_(self, "a", a // g)
+        set_(self, "b", b // g)
+        set_(self, "c", c // g)
+        set_(self, "e", e // g)
+
+    @classmethod
+    def from_coeffs(
+        cls,
+        num: Iterable[int | str | Fraction],
+        den: Iterable[int | str | Fraction],
+    ) -> LinearFractional:
+        """The form num/den from rational coefficients, constant term first; ValueError above degree 1."""
+        num_p, den_p = Poly(_coerce(num)), Poly(_coerce(den))
+        if num_p.degree > 1 or den_p.degree > 1:
+            raise ValueError(f"degrees ({num_p.degree}, {den_p.degree}) above 1: not a linear-fractional form")
+        return cls(*_integers([num_p.coeff(0), num_p.coeff(1), den_p.coeff(0), den_p.coeff(1)])[0])
+
+    @property
+    def num_degree(self) -> int:
+        """Degree of the numerator; -1 for the zero form."""
+        return 1 if self.b else 0 if self.a else -1
+
+    @property
+    def den_degree(self) -> int:
+        return 1 if self.e else 0
+
+    def __call__(self, x: int | str | Fraction) -> Fraction:
+        x = rat(x)
+        p, q = x.numerator, x.denominator
+        den = self.c * q + self.e * p
+        if not den:
+            raise ZeroDivisionError(f"pole at {x}")
+        return Fraction(self.a * q + self.b * p, den)
+
+    def format(self, var: str = "l") -> str:
+        """Display with the coprime integer coefficients, e.g. ``(5-6l)/(5-5l)``, ``3/4`` or ``1-2l``."""
+        num, den = Poly((self.a, self.b)), Poly((self.c, self.e))
+        if num.is_zero:
+            return "0"
+        if den == Poly.const(1):
+            return num.format(var)
+        ns = f"({num.format(var)})" if num.degree > 0 else num.format(var)
+        ds = f"({den.format(var)})" if den.degree > 0 else den.format(var)
+        return f"{ns}/{ds}"
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ value, so a single corrupted catalog entry produces at least one failing check.
 Each case/degree row is checked once, as identities in lambda: with
 t = 3 - d*lambda, D(v) = t*H - v*E is homogeneous, and A(E), S(E)*t, every
 stated ratio and the closed form are lines a + b*lambda over t, equal for all
-lambda exactly when their coefficients are; the minimizers, a lower-bound
-regime and delta(0) = 1 are read off the least lines (delta.binding).  The
+lambda exactly when their coefficients are; the closed form, the minimizers,
+a lower-bound regime and delta(0) = 1 are read off the least lines, computed
+once per interval (delta._least, directly or through delta.binding).  The
 model's decomposition at t = 1 is the reference, its breakpoints, invariants
 and S-integrals checked in full.  It depends on the model alone, so one
 verify_all call computes it once per model (10 for the catalog's 54 rows) and
@@ -30,9 +31,11 @@ from typing import Callable
 from . import threefold
 from .catalog import CASES, Affine, CaseSpec, DegreeRow, _affine_str, validate_catalog
 from .delta import (
+    _closed_form,
+    _least,
+    _minimizer_names,
     _unit_constants,
     binding,
-    delta_closed_form,
     delta_point,
     integrated_s_invariants,
 )
@@ -161,8 +164,7 @@ def verify_case(spec: CaseSpec, d: int, reference: _Reference | None = None) -> 
         add("S(E)", unit.s_e == spec.s_factor, lambda: f"computed {unit.s_e}, stated {spec.s_factor}")
 
         table = spec.ratio_table  # no tau gate: "breakpoints at t=1" compares tau
-        lower, den = table.lower.by_label, table.lower.den
-        ints = {label: (a, b) for label, a, b in table.lower.ints}
+        lower, ints, den = table.lower.by_label, table.lower.ints, table.lower.den
         add("A(E)", _is_line(ints["E"], den, spec.printed_A, spec.s_factor),
             lambda: f"computed {_affine_str(lower['E'])}, stated {_affine_str(_over(spec.printed_A, spec.s_factor))}")
         stated_ratios = [(f"{var.name}:{pt.label}", pt.ratio_num, pt.ratio_den)
@@ -172,14 +174,15 @@ def verify_case(spec: CaseSpec, d: int, reference: _Reference | None = None) -> 
                 lambda: f"computed {_affine_str(lower[label])}, stated {_affine_str(_over(num, s))}")
 
         stated = row.stated_form
+        least = _least(table, row.lo, row.hi)  # the closed form and the minimizers read the same least lines
         try:
-            derived = delta_closed_form(spec, d)
+            derived = _closed_form(spec, row, least)
         except ValueError as exc:  # NotExactOnInterval or a tau mismatch: a failing check, the checks after it run
             add("closed-form reconstruction", False, lambda: str(exc))
         else:
             add("closed-form reconstruction", derived == stated,
                 lambda: f"derived {derived.format()}, stated {stated.format()}")
-        _, _, minimizers = binding(table, row.lo, row.hi)
+        minimizers = _minimizer_names(least[0])
         add("minimizer", minimizers == spec.minimizers, lambda: f"computed {minimizers}, stated {spec.minimizers}")
 
         try:
@@ -191,7 +194,7 @@ def verify_case(spec: CaseSpec, d: int, reference: _Reference | None = None) -> 
             at = {label: a * q + b * p for label, (a, b) in ints.items()}
             got = [rep.a_e / rep.s_e, *(r.ratio for r in rep.rows), rep.lower_bound, rep.upper_bound]
             want = [at["E"], *(at[r.label if r.label == "generic" else f"{r.variant}:{r.label}"] for r in rep.rows)]
-            want += [min(at.values()), min(a * q + b * p for _, a, b in table.upper.ints)]
+            want += [min(at.values()), min(a * q + b * p for a, b in table.upper.ints.values())]
             dens = [den * w] * (len(want) - 1) + [table.upper.den * w]
             add(f"report at l={lam1}", all(x.numerator * m == n * x.denominator for x, n, m in zip(got, want, dens)),
                 lambda: f"reported {list(map(str, got))}, lines {[str(F(n, m)) for n, m in zip(want, dens)]}")

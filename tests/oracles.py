@@ -5,9 +5,9 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction as F
 
-from logfano.catalog import CaseSpec, _affine_str, build_case
-from logfano.delta import DeltaReport, RatioTable
-from logfano.exact import PiecewisePoly, Poly, integrate_piecewise, is_negative_definite
+from logfano.catalog import CASES, CaseSpec, _affine_str, build_case, check_lambda
+from logfano.delta import DeltaReport, PointRow, RatioTable, _minimizer_names
+from logfano.exact import PiecewisePoly, Poly, RationalFunction, integrate_piecewise, is_negative_definite
 from logfano.surface import (
     DivisorExpr,
     SurfaceModel,
@@ -187,3 +187,48 @@ def report_lines(rep: DeltaReport, table: RatioTable, lam, d: int) -> tuple[list
     want = [at["E"], *(at[r.label if r.label == "generic" else f"{r.variant}:{r.label}"] for r in rep.rows)]
     want += [min(at.values()), min((a + b * lam) / t for a, b in table.upper.by_label.values())]
     return got, want
+
+
+def fraction_delta_point(case: str | CaseSpec, d: int, lam) -> DeltaReport:
+    """delta.delta_point in Fraction arithmetic: each A = a + b*lambda, S = s*t and ratio A/S by
+    Fraction operators, the bounds as minima of Fractions, and the stated closed form evaluated as a
+    RationalFunction.  The tau check is left out: it holds on every catalog entry."""
+    spec = case if isinstance(case, CaseSpec) else CASES[case]
+    row_spec = spec.row(d)
+    lam = check_lambda(d, lam)
+    t = 3 - d * lam
+    table = spec.ratio_table
+    if table.lct is not None and lam > table.lct:
+        raise ValueError(f"lambda {lam} past the log canonical threshold {table.lct} of case {spec.id}")
+    e = table.e
+    a_e, s_e = e.a + e.b * lam, e.s * t
+    ratio_e = a_e / s_e
+    rows = []
+    for variant, point, ratio in table.rows:
+        a, s = ratio.a + ratio.b * lam, ratio.s * t
+        rows.append(PointRow(variant, point, a, s, a / s))
+    lower = min(ratio_e, *(row.ratio for row in rows))
+    upper = min([ratio_e] + [(c.a + c.b * lam) / (c.s * t) for c in table.curves])
+    if lower > upper:
+        raise AssertionError(f"{spec.id}: lower bound {lower} exceeds upper bound {upper}")
+    exact = lower == upper
+    least = ["E"] if ratio_e == lower else []
+    minimizers = _minimizer_names(least + [row.label for row in rows if row.ratio == lower])
+
+    validity_ok = row_spec.lo <= lam <= row_spec.hi
+    expected = None
+    matches = None
+    note = ""
+    if validity_ok:
+        expected = RationalFunction.from_coeffs(row_spec.delta_num, row_spec.delta_den)(lam)
+        if exact:
+            matches = upper == expected
+            if not matches:
+                note = f"computed {upper} differs from stated closed form {expected}"
+        else:
+            matches = False
+            note = "not exact inside the stated validity interval"
+    elif not exact:
+        note = "lower bound only"
+    return DeltaReport(spec.id, d, lam, a_e, s_e, tuple(rows), upper, lower, exact, minimizers, validity_ok,
+                       expected, matches, note)

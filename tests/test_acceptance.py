@@ -21,7 +21,7 @@ from logfano.delta import (
     interior_samples,
     s_divisor,
 )
-from logfano.exact import RationalFunction
+from logfano.exact import LinearFractional
 from logfano.surface import invariant_violations, volume_function, zariski_decompose
 from logfano.threefold import corollary_suite
 from logfano.verify import verify_all, verify_threefold_section
@@ -56,9 +56,9 @@ def test_criterion_2_closed_form_reconstruction():
     for spec, row in _all_rows():
         assert delta_closed_form(spec.id, row.d) == row.stated_form, (spec.id, row.d)
     # spot values in the stated normal forms
-    assert delta_closed_form("A2", 4) == RationalFunction.from_coeffs((15, -18), (15, -20))
-    assert delta_closed_form("E6", 4) == RationalFunction.from_coeffs((21, -36), (21, -28))
-    assert delta_closed_form("quadruple_line", 4) == RationalFunction.from_coeffs((3, -12), (3, -4))
+    assert delta_closed_form("A2", 4) == LinearFractional(15, -18, 15, -20)
+    assert delta_closed_form("E6", 4) == LinearFractional(21, -36, 21, -28)
+    assert delta_closed_form("quadruple_line", 4) == LinearFractional(3, -12, 3, -4)
     print("\nACCEPTANCE 2 PASS: derived closed forms identical for all case/degree rows")
 
 

@@ -211,6 +211,8 @@ CRAFTED_VIOLATIONS = [
     ("A2", lambda s: _row(s, 3, lo=F(5, 6)), "A2: empty validity interval for d=3"),
     ("A2", lambda s: _row(s, 4, hi=F(1)), "A2: validity for d=4 exceeds 3/d"),
     ("A2", lambda s: _row(s, 3, delta_den=(F(0),)), "A2: zero denominator in closed form for d=3"),
+    ("A2", lambda s: _row(s, 4, delta_num=(F(1), F(0), F(1))),
+     "A2: closed form for d=4: degrees (2, 1) above 1: not a linear-fractional form"),
     ("A3", lambda s: _first_point(s, "P1", location="on_L"), "A3/tangent_not_component: more than one point at E.L"),
     ("A1", lambda s: _first_point(s, "Q1", location="on_L"), "A1/default: on_L point but no companion curve"),
     ("A2", lambda s: _first_point(s, "Q", location="elsewhere"), "A2/default: bad location 'elsewhere'"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -24,12 +25,12 @@ from logfano.delta import (
     s_curve_on_plane,
     s_divisor,
 )
-from logfano.exact import RationalFunction, fit_rational_function, integrate_piecewise
+from logfano.exact import LinearFractional, fit_rational_function, integrate_piecewise
 from logfano.surface import volume_function, zariski_decompose
 from logfano.catalog import CurveBound, DegreeNotAdmissible, build_case
 
 from conftest import gauss_piecewise, rel_err
-from oracles import flag_integrand
+from oracles import flag_integrand, fraction_delta_point
 
 ROWS = [(spec.id, row.d) for spec in sorted(CASES.values(), key=lambda s: s.order) for row in spec.rows]
 
@@ -194,6 +195,14 @@ class TestBinding:
     def test_at_one_point_every_least_line_binds(self):
         assert binding(self._table(F(1)), F(0), F(0)) == ((F(1), F(0)), (F(3), F(0)), ("P",))
 
+    def test_lct_is_the_least_positive_zero_of_the_lower_a_lines(self):
+        # A-lines 1 - 3l (zero 1/3, over a negative s), l (zero 0), -1 - l (zero -1), 2 - 4l (zero 1/2)
+        e = Ratio("E", F(2), F(-4), F(1))
+        rows = (("v", "P", Ratio("v:P", F(1), F(-3), F(-2))), ("v", "Q", Ratio("v:Q", F(0), F(1), F(1))),
+                ("v", "R", Ratio("v:R", F(-1), F(-1), F(1))))
+        assert RatioTable(F(1), e, rows, ()).lct == F(1, 3)
+        assert RatioTable(F(1), Ratio("E", F(3), F(0), F(1)), rows[1:], ()).lct is None
+
 
 class TestPlaneCurveBounds:
     def test_line_in_reduced_curve(self):
@@ -209,6 +218,16 @@ class TestPlaneCurveBounds:
             s, a = s_curve_on_plane(d, F(0), 1, 0)
             assert (s, a) == (1, 1)
 
+    @pytest.mark.parametrize("args, message", [
+        ((4, 1, 1, 2), r"^lambda 1 outside \[0, 3/4\)$"),  # returned (S, A) = (-1/3, -1)
+        ((4, -1, 1, 2), r"^lambda -1 outside \[0, 3/4\)$"),
+        ((0, F(1, 4), 1, 2), r"^curve degree d = 0 must be >= 1$"),
+        ((4, F(1, 4), 1, -1), r"^multiplicity l = -1 must be >= 0$"),
+    ], ids=["past-3/d", "negative-lambda", "degree-0", "negative-l"])
+    def test_out_of_domain_is_refused(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            s_curve_on_plane(*args)
+
 
 @pytest.mark.parametrize("call", [
     lambda: delta_point("A2", 4.0, "1/2"),  # reported delta = 1.2
@@ -220,6 +239,39 @@ class TestPlaneCurveBounds:
 def test_a_float_degree_is_refused_as_a_float_lambda_is(call):
     with pytest.raises(TypeError, match=r"^degree 4\.0 is not an int$"):
         call()
+
+
+def test_a_bool_degree_is_refused():
+    # bool is an int to Python: this reported a DeltaReport with d = True and delta = 3/5
+    with pytest.raises(TypeError, match=r"^degree True is not an int$"):
+        delta_point("line_component_smooth_point", True, "1/2")
+
+
+def _same_as_fraction_oracle(case_id, d, lam):
+    """delta_point equals oracles.fraction_delta_point, field by field, or raises the same ValueError."""
+    try:
+        want = fraction_delta_point(case_id, d, lam)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            delta_point(case_id, d, lam)
+    else:
+        assert delta_point(case_id, d, lam) == want, (case_id, d, lam)
+
+
+class TestIntegerEvaluation:
+    """delta_point on integer lines against its Fraction-arithmetic oracle, on all 54 rows."""
+
+    def test_at_zero_the_interval_ends_and_the_lct(self):
+        for case_id, d in ROWS:
+            for lam in sorted(_ends(case_id, d)):  # with lct + 1/97, refused past the lct or at 3/d
+                _same_as_fraction_oracle(case_id, d, lam)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_at_drawn_lambda(self, data):
+        for case_id, d in ROWS:
+            lam = data.draw(st.fractions(min_value=0, max_value=F(3, d), max_denominator=500), label=f"{case_id}/d={d}")
+            _same_as_fraction_oracle(case_id, d, lam)
 
 
 class TestDeltaPoint:
@@ -292,10 +344,10 @@ class TestDeltaPoint:
 
 class TestClosedForms:
     def test_cusp_quartic(self):
-        assert delta_closed_form("A2", 4) == RationalFunction.from_coeffs((15, -18), (15, -20))
+        assert delta_closed_form("A2", 4) == LinearFractional(15, -18, 15, -20)
 
     def test_triple_point_cubic(self):
-        assert delta_closed_form("D4", 3) == RationalFunction.from_coeffs((2, -3), (2, -2))
+        assert delta_closed_form("D4", 3) == LinearFractional(2, -3, 2, -2)
 
     def test_a7_derived(self):
         # freeze the evaluations first, then demand the derived form reproduces them
@@ -305,7 +357,7 @@ class TestClosedForms:
         rf = delta_closed_form("A7", 4)
         for lam, val in samples:
             assert rf(lam) == val
-        assert rf == RationalFunction.from_coeffs((15, -24), (12, -16))
+        assert rf == LinearFractional(15, -24, 12, -16)
 
     def test_every_case_matches_stated_form(self):
         for spec in CASES.values():
@@ -317,7 +369,8 @@ class TestClosedForms:
         for case_id, d in ROWS:
             row = CASES[case_id].row(d)
             samples = [(lam, delta_point(case_id, d, lam).upper_bound) for lam in interior_samples(row.lo, row.hi, 7)]
-            assert delta_closed_form(case_id, d) == fit_rational_function(samples, 2, 2), (case_id, d)
+            fit = fit_rational_function(samples, 2, 2)
+            assert delta_closed_form(case_id, d) == LinearFractional.from_coeffs(fit.num.coeffs, fit.den.coeffs), (case_id, d)
 
     @pytest.mark.parametrize("case_id", ["A4", "A5", "A6", "A7"])
     def test_widened_to_lower_regime_not_exact(self, case_id):

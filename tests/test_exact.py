@@ -6,12 +6,13 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from logfano.exact import (
     Degenerate,
     IrrationalRoot,
+    LinearFractional,
     PiecewisePoly,
     Poly,
     RationalFunction,
@@ -41,6 +42,12 @@ class TestRationalStrings:
     def test_float_rejected(self):
         for bad in (0.1, 0.5, 2.0, float("nan")):
             with pytest.raises(TypeError):
+                rat(bad)
+
+    def test_bool_rejected(self):
+        # bool is an int to Python: rat(True) was Fraction(1)
+        for bad in (True, False):
+            with pytest.raises(TypeError, match=r"^bool .* is not a rational"):
                 rat(bad)
 
     @given(rationals)
@@ -195,6 +202,73 @@ class TestRationalFunction:
         a = Poly.of(-2, 1) * Poly.of(3, 1)
         b = Poly.of(-2, 1) * Poly.of(5, 2)
         assert poly_gcd(a, b) == Poly.of(-2, 1)
+
+
+parts = st.tuples(*[st.one_of(st.just(F(0)), rationals)] * 4)
+
+
+def _forms(parts):
+    """(RationalFunction, LinearFractional) of (a + b*l)/(c + e*l)."""
+    a, b, c, e = parts
+    return RationalFunction.from_coeffs((a, b), (c, e)), LinearFractional.from_coeffs((a, b), (c, e))
+
+
+class TestLinearFractional:
+    """exact.LinearFractional against RationalFunction, its reference on parts of degree <= 1."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(parts, rationals)
+    @example((F(2), F(2), F(3), F(3)), F(-1))  # proportional parts: the constant 2/3, no pole at -1
+    @example((F(0), F(0), F(1), F(5)), F(0))  # the zero form
+    @example((F(1), F(2), F(0), F(0)), F(0))  # zero denominator
+    @example((F(1), F(2), F(3), F(-6)), F(1, 2))  # a pole
+    @example((F(-3, 2), F(1), F(0), F(-2, 3)), F(1))  # denominator e*l with e < 0
+    def test_value_pole_format_and_degrees_are_the_rational_functions(self, parts, x):
+        if parts[2] == parts[3] == 0:
+            for build in (RationalFunction.from_coeffs, LinearFractional.from_coeffs):
+                with pytest.raises(ZeroDivisionError):
+                    build(parts[:2], parts[2:])
+            return
+        rf, lf = _forms(parts)
+        assert all(type(v) is int for v in (lf.a, lf.b, lf.c, lf.e))
+        assert math.gcd(lf.a, lf.b, lf.c, lf.e) == 1 and (lf.c > 0 or lf.c == 0 and lf.e > 0)
+        assert (lf.num_degree, lf.den_degree) == (rf.num.degree, rf.den.degree)
+        assert lf.format() == rf.format() and lf.format("λ") == rf.format("λ")
+        if rf.den(x) == 0:
+            for form in (rf, lf):
+                with pytest.raises(ZeroDivisionError, match=f"^pole at {x}$"):
+                    form(x)
+        else:
+            value = lf(x)
+            assert type(value) is F and value == rf(x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(parts, parts, st.booleans(), rationals)
+    @example((F(2), F(2), F(3), F(3)), (F(4), F(0), F(6), F(0)), False, F(1))  # one constant, two ways
+    @example((F(0), F(0), F(1), F(0)), (F(0), F(0), F(-2), F(7)), False, F(1))  # zero, two ways
+    def test_equal_exactly_when_the_rational_functions_are(self, first, second, scaled, k):
+        if scaled:  # the same function, every coefficient times k
+            assume(k != 0)
+            second = tuple(k * x for x in first)
+        assume(first[2:] != (0, 0) and second[2:] != (0, 0))
+        (rf1, lf1), (rf2, lf2) = _forms(first), _forms(second)
+        assert (lf1 == lf2) == (rf1 == rf2)
+        if lf1 == lf2:
+            assert hash(lf1) == hash(lf2)
+
+    def test_normal_form(self):
+        assert LinearFractional(30, -36, 30, -40) == LinearFractional(15, -18, 15, -20)
+        assert (LinearFractional(-2, 4, 0, -6).a, LinearFractional(-2, 4, 0, -6).e) == (1, 3)
+        constant = LinearFractional(2, 2, 3, 3)
+        assert (constant.a, constant.b, constant.c, constant.e) == (2, 0, 3, 0)
+        assert constant.format() == "2/3" and LinearFractional(0, 0, -5, 1).format() == "0"
+
+    def test_degree_above_one_is_refused(self):
+        assert LinearFractional.from_coeffs((1, 2, 0), (3,)) == LinearFractional(1, 2, 3, 0)
+        with pytest.raises(ValueError, match=r"^degrees \(2, 0\) above 1: not a linear-fractional form$"):
+            LinearFractional.from_coeffs((1, 0, 1), (3,))
+        with pytest.raises(ValueError, match=r"^degrees \(0, 2\) above 1: not a linear-fractional form$"):
+            LinearFractional.from_coeffs((1,), (1, 0, 1))
 
 
 class TestFit:

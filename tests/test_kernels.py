@@ -125,6 +125,12 @@ def gcd_reduced(num, den):
     return num * scale, den * scale
 
 
+def monic_parts(lf):
+    """The (num, den) Polys of a LinearFractional scaled to a monic den, as gcd_reduced gives them."""
+    lead = lf.e or lf.c
+    return Poly.affine(F(lf.a, lead), F(lf.b, lead)), Poly.affine(F(lf.c, lead), F(lf.e, lead))
+
+
 def per_end_binding(table, lo, hi):
     """delta.binding with Fraction lines: the lines least at lo and least at hi."""
 
@@ -706,8 +712,9 @@ class TestClosedFormKernel:
     def test_over_t_is_the_gcd_reduction(self, a, b, d, proportional):
         if proportional:  # a multiple of 3 - d*lambda
             b = -a * d / 3
-        rf = _over_t((a, b), d)
-        assert (rf.num, rf.den) == gcd_reduced(Poly.affine(a, b), Poly.affine(3, -d))
+        line, den = _integers([a, b])
+        lf = _over_t(tuple(line), den, d)
+        assert monic_parts(lf) == gcd_reduced(Poly.affine(a, b), Poly.affine(3, -d))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(rationals, max_size=2), st.lists(rationals, min_size=1, max_size=2), st.lists(rationals, max_size=2))

@@ -94,6 +94,14 @@ class TestFlagInvariants:
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             call()
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: delta_bound_smooth(True, "1/2", 1), "surface degree s True is not an int"),  # returned 20/21
+        (lambda: delta_bound_blowup(4, True, "1/2", 1), "multiplicity m True is not an int"),  # returned 5/3
+    ], ids=["smooth-s", "blowup-m"])
+    def test_a_bool_degree_is_refused(self, call, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            call()
+
     @pytest.mark.parametrize("call", [
         lambda: delta_bound_smooth(3, F(2, 3), -1),  # returned -2/3
         lambda: delta_bound_blowup(4, 2, F(1, 2), -1),  # returned -4/3

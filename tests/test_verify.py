@@ -384,6 +384,27 @@ class TestClosedFormFailure:
             assert not normal.ok
 
 
+def test_each_row_interval_computes_its_least_lines_once(monkeypatch):
+    # the closed form and the minimizers read one computation on [lo, hi]; the regime or lambda = 0 check
+    # makes the row's other one, through binding (1620 for ten runs when the minimizers computed their own)
+    import logfano.delta as delta
+
+    calls = []
+    real = delta._least
+
+    def counted(table, lo, hi):
+        calls.append((lo, hi))
+        return real(table, lo, hi)
+
+    monkeypatch.setattr(delta, "_least", counted)
+    monkeypatch.setattr(verify, "_least", counted)
+    _, ok = verify_all()
+    rows = [(spec, row) for spec in CASES.values() for row in spec.rows]
+    assert ok and len(calls) == 2 * len(rows) == 108
+    assert sorted(calls) == sorted([(row.lo, row.hi) for _, row in rows] + [
+        (F(0), spec.lower_regime_hi if spec.lower_regime_hi is not None else F(0)) for spec, _ in rows])
+
+
 def test_stated_s_and_a_faults_fail_their_own_checks():
     spec = CASES["E6"]
     faults = {
