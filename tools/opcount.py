@@ -48,6 +48,11 @@ def count(fn: Callable[[], object]) -> int:
     previous = sys.gettrace()
     sys.settrace(trace)
     try:
+        # Python 3.12 delivers opcode events only after settrace runs again once a traced frame
+        # has asked for them: without this, the first count there reads 0
+        (lambda: None)()
+        sys.settrace(trace)
+        n = 0
         fn()
     finally:
         sys.settrace(previous)
