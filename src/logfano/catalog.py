@@ -939,9 +939,10 @@ def check_degree(value: int, name: str = "degree") -> int:
 
 
 def check_lambda(d: int, lam: Fraction | int | str) -> Fraction:
-    """lambda as a Fraction; ValueError unless it lies in [0, 3/d)."""
+    """lambda as a Fraction; ValueError unless it lies in [0, 3/d), tested on its integers p/q."""
     lam = rat(lam)
-    if lam < 0 or lam * d >= 3:
+    p, q = lam.as_integer_ratio()
+    if p < 0 or p * d >= 3 * q:
         raise ValueError(f"lambda {lam} outside [0, 3/{d})")
     return lam
 

@@ -19,8 +19,9 @@ case's ratio table lists them once (RatioTable, built on first use by each
 CaseSpec instance, the decomposition running once per surface model), and
 every operation reads it.  The table holds each ratio's integers too, so
 delta_point evaluates it at lambda = p/q on integers, with t = w/q and
-w = 3q - d*p: each A and bound is one Fraction of integers, and the bounds,
-exactness and minimizers are decided on the integer lines; and
+w = 3q - d*p: each A, S, ratio and bound is one Fraction of integers, and the
+lambda, lct and validity-interval tests, the bounds, exactness and
+minimizers are decided on integers, with no Fraction operator; and
 delta_closed_form takes the least line A/s over t on the validity interval, an
 exact.LinearFractional of the table's integer line, in normal form by one gcd.
 """
@@ -214,21 +215,23 @@ def _spec(case: str | CaseSpec) -> CaseSpec:
     return case if isinstance(case, CaseSpec) else get_case(case)
 
 
-def _checked_table(spec: CaseSpec, t: Fraction | int = 1) -> RatioTable:
-    """The case's ratio table, once its stated threshold tau_factor is the model's."""
+def _checked_table(spec: CaseSpec, w: int = 1, q: int = 1) -> RatioTable:
+    """The case's ratio table, once its stated threshold tau_factor is the model's; t = w/q names them."""
     table = spec.ratio_table
     if spec.tau_factor != table.tau:
+        t = F(w, q)
         raise ValueError(f"stated tau {t * spec.tau_factor} != computed pseudo-effective threshold {t * table.tau}")
     return table
 
 
-def _at(case: str | CaseSpec, d: int, lam) -> tuple[CaseSpec, DegreeRow, RatioTable, Fraction, Fraction]:
-    """(spec, row of degree d, checked ratio table, lambda, t) once d, lambda and tau pass their checks."""
+def _at(case: str | CaseSpec, d: int, lam) -> tuple[CaseSpec, DegreeRow, RatioTable, Fraction, int, int, int]:
+    """(spec, row of degree d, checked ratio table, lambda = p/q, p, q, w = q*t) once d, lambda and tau pass."""
     spec = _spec(case)
     row = spec.row(d)
     lam = check_lambda(d, lam)
-    t = 3 - d * lam
-    return spec, row, _checked_table(spec, t), lam, t
+    p, q = lam.as_integer_ratio()
+    w = 3 * q - d * p
+    return spec, row, _checked_table(spec, w, q), lam, p, q, w
 
 
 def integrated_s_invariants(pieces: ZariskiPieces) -> tuple[Fraction, Fraction, Fraction | None]:
@@ -265,8 +268,9 @@ def integrated_s_invariants(pieces: ZariskiPieces) -> tuple[Fraction, Fraction, 
 
 def s_divisor(case: str | CaseSpec, d: int, lam) -> Fraction:
     """Expected vanishing order S(E): the normalized volume integral over [0, tau]."""
-    _, _, table, _, t = _at(case, d, lam)
-    return table.e.s * t
+    _, _, table, _, _, q, w = _at(case, d, lam)
+    *_, s_n, s_d = table.terms[0]
+    return F(s_n * w, s_d * q)
 
 
 def s_curve_on_plane(d: int, lam, e: int, l) -> tuple[Fraction, Fraction]:
@@ -278,7 +282,7 @@ def s_curve_on_plane(d: int, lam, e: int, l) -> tuple[Fraction, Fraction]:
     l = rat(l)
     if l < 0:
         raise ValueError(f"multiplicity l = {l} must be >= 0")
-    ratio = _curve_ratio(e, l)
+    ratio = _curve_ratio(check_degree(e, "curve degree e"), l)
     return ratio.s * (3 - d * lam), ratio.a + ratio.b * lam
 
 
@@ -293,21 +297,22 @@ def _minimizer_names(labels: list[str]) -> tuple[str, ...]:
 def delta_point(case: str | CaseSpec, d: int, lam) -> DeltaReport:
     """Local delta report at rational lambda in [0, 3/d), refused past the case's lct: the ratio table at lambda.
 
-    At lambda = p/q, with t = w/q and w = 3q - d*p, each A is one Fraction of the table's terms,
-    each S the t = 1 constant times t, and each row's ratio A/S.  The bounds are one Fraction each
-    of the least integer line values n = x*q + y*p, which decide exactness and the minimizers.
+    At lambda = p/q, with t = w/q and w = 3q - d*p, each value is one Fraction of the table's
+    terms (a_n, b_n, a_den, s_n, s_d): with n = a_n*q + b_n*p, A = n/(a_den*q), S = s_n*w/(s_d*q)
+    and the ratio A/S = n*s_d/(a_den*s_n*w).  The bounds are one Fraction each of the least integer
+    line values x*q + y*p, which decide exactness and the minimizers; the lct and validity-interval
+    tests compare cross-multiplied integers.
     """
-    spec, row_spec, table, lam, t = _at(case, d, lam)
-    if table.lct is not None and lam > table.lct:
-        raise ValueError(f"lambda {lam} past the log canonical threshold {table.lct} of case {spec.id}")
-    p, q = lam.numerator, lam.denominator
-    w = 3 * q - d * p
-    (a_n, b_n, a_den, _, _), *terms = table.terms
-    a_e, s_e = F(a_n * q + b_n * p, a_den * q), table.e.s * t
+    spec, row_spec, table, lam, p, q, w = _at(case, d, lam)
+    lct = table.lct
+    if lct is not None and p * lct.denominator > lct.numerator * q:
+        raise ValueError(f"lambda {lam} past the log canonical threshold {lct} of case {spec.id}")
+    (a_n, b_n, a_den, s_n, s_d), *terms = table.terms
+    a_e, s_e = F(a_n * q + b_n * p, a_den * q), F(s_n * w, s_d * q)
     rows = []
-    for (variant, point, ratio), (a_n, b_n, a_den, _, _) in zip(table.rows, terms):
-        a, s = F(a_n * q + b_n * p, a_den * q), ratio.s * t
-        rows.append(PointRow(variant, point, a, s, a / s))
+    for (variant, point, _), (a_n, b_n, a_den, s_n, s_d) in zip(table.rows, terms):
+        n = a_n * q + b_n * p
+        rows.append(PointRow(variant, point, F(n, a_den * q), F(s_n * w, s_d * q), F(n * s_d, a_den * s_n * w)))
     at = {label: x * q + y * p for label, (x, y) in table.lower.ints.items()}
     least = min(at.values())
     least_up = min([x * q + y * p for x, y in table.upper.ints.values()])
@@ -318,7 +323,8 @@ def delta_point(case: str | CaseSpec, d: int, lam) -> DeltaReport:
     exact = least * up_den == least_up * den
     minimizers = _minimizer_names([label for label, n in at.items() if n == least])
 
-    validity_ok = row_spec.lo <= lam <= row_spec.hi
+    (lo_p, lo_q), (hi_p, hi_q) = row_spec.lo.as_integer_ratio(), row_spec.hi.as_integer_ratio()
+    validity_ok = lo_p * q <= p * lo_q and p * hi_q <= hi_p * q
     expected = None
     matches = None
     note = ""

@@ -85,6 +85,10 @@ class SurfaceModel:
             for j in range(n):
                 if gram[i][j] != gram[j][i]:
                     raise ValueError("gram matrix must be symmetric")
+        object.__setattr__(self, "_hash", hash((self.curves, gram, self.ambient_self, self.ambient_pairings)))
+
+    def __hash__(self) -> int:  # stored: the _unit_constants memo and verify_all look a model up per call
+        return self._hash
 
     def index(self, name: str) -> int:
         try:

@@ -23,10 +23,15 @@ from .exact import PiecewisePoly, Poly, integrate_piecewise, rat
 F = Fraction
 
 
+def _positive_degree(value: int, name: str) -> None:
+    """TypeError unless value is an int (check_degree), ValueError unless it is >= 1."""
+    if check_degree(value, name) < 1:
+        raise ValueError(f"need {name} >= 1")
+
+
 def _flag_base(s: int, lam: Fraction) -> Fraction:
     """4 - lam*s, the gate of the flags below: s >= 1, 0 <= lam and lam*s < 4."""
-    if check_degree(s, "surface degree s") < 1:
-        raise ValueError("need surface degree s >= 1")
+    _positive_degree(s, "surface degree s")
     if lam < 0 or lam * s >= 4:
         raise ValueError("need 0 <= lambda and lambda * s < 4")
     return 4 - lam * s
@@ -70,8 +75,7 @@ def delta_bound_smooth(s: int, lam, delta2d) -> Fraction:
 def delta_bound_blowup(s: int, m: int, lam, delta2d) -> Fraction:
     """Lower bound at a point of multiplicity m from the point-blowup flag."""
     lam, delta2d = rat(lam), rat(delta2d)
-    if check_degree(m, "multiplicity m") < 1:
-        raise ValueError("need multiplicity m >= 1")
+    _positive_degree(m, "multiplicity m")
     flag = s_blowup_flag(s, lam)
     if m > s:
         raise ValueError("need multiplicity m <= s: a point of a degree-s surface has multiplicity at most s")
@@ -83,8 +87,7 @@ def delta_bound_blowup(s: int, m: int, lam, delta2d) -> Fraction:
 def delta_bound_quadric(m: int, lam, delta2d) -> Fraction:
     """Lower bound on the quadric threefold with an anticanonical boundary."""
     lam, delta2d = rat(lam), rat(delta2d)
-    if check_degree(m, "multiplicity m") < 1:
-        raise ValueError("need multiplicity m >= 1")
+    _positive_degree(m, "multiplicity m")
     flag = _s_quadric_flag(lam)
     _plane_gate(lam, m, delta2d)
     first = (3 - lam * m) / flag
@@ -136,7 +139,8 @@ class CorollaryConfig:
     """One threefold configuration whose bound certifies K-stability.
 
     s is the surface degree in P^3 and m the point multiplicity; a kind takes
-    exactly the degrees KIND_DEGREES names, and ValueError refuses any other.
+    exactly the degrees KIND_DEGREES names, each an int >= 1, all checked before
+    the cone is read (ValueError, or TypeError for a degree that is not an int).
     """
 
     name: str
@@ -153,6 +157,9 @@ class CorollaryConfig:
         for name in ("s", "m"):
             if (getattr(self, name) is None) == (name in takes):
                 raise ValueError(f"kind {self.kind!r} {'needs' if name in takes else 'does not use'} --{name}")
+        for name, label in (("s", "surface degree s"), ("m", "multiplicity m")):
+            if name in takes:
+                _positive_degree(getattr(self, name), label)
 
     @property
     def cone_degree(self) -> int:

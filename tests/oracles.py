@@ -192,12 +192,14 @@ def report_lines(rep: DeltaReport, table: RatioTable, lam, d: int) -> tuple[list
 def fraction_delta_point(case: str | CaseSpec, d: int, lam) -> DeltaReport:
     """delta.delta_point in Fraction arithmetic: each A = a + b*lambda, S = s*t and ratio A/S by
     Fraction operators, the bounds as minima of Fractions, and the stated closed form evaluated as a
-    RationalFunction.  The tau check is left out: it holds on every catalog entry."""
+    RationalFunction; the tau check, in Fractions too, comes between the lambda and the lct checks."""
     spec = case if isinstance(case, CaseSpec) else CASES[case]
     row_spec = spec.row(d)
     lam = check_lambda(d, lam)
     t = 3 - d * lam
     table = spec.ratio_table
+    if spec.tau_factor != table.tau:
+        raise ValueError(f"stated tau {t * spec.tau_factor} != computed pseudo-effective threshold {t * table.tau}")
     if table.lct is not None and lam > table.lct:
         raise ValueError(f"lambda {lam} past the log canonical threshold {table.lct} of case {spec.id}")
     e = table.e

@@ -410,6 +410,17 @@ class TestThreefoldCommand:
         assert code == 2 and out == ""
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["smooth", "--s", "0"], "need surface degree s >= 1"),
+        (["quadric", "--m", "0"], "need multiplicity m >= 1"),
+        (["blowup", "--s", "0", "--m", "2"], "need surface degree s >= 1"),
+    ], ids=["smooth-s-zero", "quadric-m-zero", "blowup-s-zero"])
+    def test_each_kind_reports_its_own_degree_gate_first(self, capsys, argv, message):
+        # these named the cone's degree: "case A2 does not admit degree 0" (degree 2 for blowup)
+        code, out = run(["threefold", *argv, "--lambda", "1/2", "--cone", "A2"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_degree_mismatch(self):
         code, _ = run(["threefold", "blowup", "--s", "4", "--m", "3", "--lambda", "1/2",
                        "--cone", "smooth_conic"])

@@ -26,7 +26,7 @@ from logfano.delta import (
     s_divisor,
 )
 from logfano.exact import LinearFractional, fit_rational_function, integrate_piecewise
-from logfano.surface import volume_function, zariski_decompose
+from logfano.surface import SurfaceModel, volume_function, zariski_decompose
 from logfano.catalog import CurveBound, DegreeNotAdmissible, build_case
 
 from conftest import gauss_piecewise, rel_err
@@ -228,6 +228,16 @@ class TestPlaneCurveBounds:
         with pytest.raises(ValueError, match=message):
             s_curve_on_plane(*args)
 
+    @pytest.mark.parametrize("e", [1.0, True], ids=["float", "bool"])
+    def test_a_curve_degree_e_not_an_int_is_refused(self, e):
+        # e = True returned (1/3, 1/2); e = 1.0 died inside Fraction
+        with pytest.raises(TypeError, match=f"^curve degree e {e} is not an int$"):
+            s_curve_on_plane(4, "1/2", e, 1)
+
+    def test_a_curve_degree_e_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="^curve degree must be >= 1$"):
+            s_curve_on_plane(4, "1/2", 0, 1)
+
 
 @pytest.mark.parametrize("call", [
     lambda: delta_point("A2", 4.0, "1/2"),  # reported delta = 1.2
@@ -247,15 +257,17 @@ def test_a_bool_degree_is_refused():
         delta_point("line_component_smooth_point", True, "1/2")
 
 
-def _same_as_fraction_oracle(case_id, d, lam):
-    """delta_point equals oracles.fraction_delta_point, field by field, or raises the same ValueError."""
+def _same_as_fraction_oracle(case, d, lam):
+    """delta_point equals oracles.fraction_delta_point, field by field, or raises an exception of the
+    same type with the same message; case is a catalog id or a CaseSpec."""
     try:
-        want = fraction_delta_point(case_id, d, lam)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            delta_point(case_id, d, lam)
+        want = fraction_delta_point(case, d, lam)
+    except Exception as exc:
+        with pytest.raises(Exception, match=f"^{re.escape(str(exc))}$") as got:
+            delta_point(case, d, lam)
+        assert got.type is type(exc), (case, d, lam)
     else:
-        assert delta_point(case_id, d, lam) == want, (case_id, d, lam)
+        assert delta_point(case, d, lam) == want, (case, d, lam)
 
 
 class TestIntegerEvaluation:
@@ -272,6 +284,24 @@ class TestIntegerEvaluation:
         for case_id, d in ROWS:
             lam = data.draw(st.fractions(min_value=0, max_value=F(3, d), max_denominator=500), label=f"{case_id}/d={d}")
             _same_as_fraction_oracle(case_id, d, lam)
+
+    def test_at_a_negative_lambda(self):
+        for case_id, d in ROWS:
+            for lam in (F(-1, 97), -1):
+                _same_as_fraction_oracle(case_id, d, lam)
+
+    def test_lambda_as_an_int_and_as_a_string(self):
+        for case_id, d in ROWS:
+            row, lct = CASES[case_id].row(d), CASES[case_id].ratio_table.lct
+            for lam in (0, 1, "0", "1/2", str(row.lo), str(row.hi), *(() if lct is None else (str(lct),))):
+                _same_as_fraction_oracle(case_id, d, lam)
+
+    def test_a_spec_whose_tau_does_not_match(self):
+        for case_id, d in ROWS:
+            spec = CASES[case_id]
+            faulty = dataclasses.replace(spec, tau_factor=spec.tau_factor + F(1, 3))
+            for lam in sorted(_ends(case_id, d)) + [F(-1, 5)]:
+                _same_as_fraction_oracle(faulty, d, lam)
 
 
 class TestDeltaPoint:
@@ -457,6 +487,22 @@ class TestUnitDecompositionMemo:
 
         assert delta_point("A2", 4, lam) == report
         assert _unit_constants.cache_info().misses == info.misses + 1
+
+    def test_a_model_hashes_once_by_value(self):
+        spec = CASES["A2"]
+        m = spec.model  # the same values again, as strings: coerced before they are hashed
+        apart = SurfaceModel(m.curves, tuple(tuple(map(str, r)) for r in m.gram), str(m.ambient_self),
+                             tuple(map(str, m.ambient_pairings)))
+        assert apart == spec.model and apart is not spec.model
+        fields = (spec.model.curves, spec.model.gram, spec.model.ambient_self, spec.model.ambient_pairings)
+        assert hash(apart) == hash(spec.model) == hash(fields)
+        assert _unit_constants(apart) is _unit_constants(spec.model)  # one cache entry for both
+        gram = [list(r) for r in spec.model.gram]
+        gram[0][0] -= F(1, 12)  # E.E = -1/4: pseudo-effective threshold 2, not 3
+        faulted = dataclasses.replace(spec.model, gram=tuple(map(tuple, gram)))
+        assert faulted != spec.model
+        assert _unit_constants(faulted) is not _unit_constants(spec.model)
+        assert _unit_constants(faulted) is _unit_constants(dataclasses.replace(faulted))
 
     def test_degree_checked_before_lambda(self):
         for call in (

@@ -231,6 +231,19 @@ class TestCorollaries:
         with pytest.raises(ValueError, match=f"^{message}$"):
             CorollaryConfig("x", kind, s, m, F(1, 2), "smooth_conic")
 
+    @pytest.mark.parametrize("kind, s, m, error, message", [
+        ("smooth", 0, None, ValueError, "need surface degree s >= 1"),
+        ("quadric", None, 0, ValueError, "need multiplicity m >= 1"),
+        ("blowup", 0, 2, ValueError, "need surface degree s >= 1"),
+        ("blowup", 4, -1, ValueError, "need multiplicity m >= 1"),
+        ("blowup", 4, 2.0, TypeError, "multiplicity m 2.0 is not an int"),
+        ("smooth", True, None, TypeError, "surface degree s True is not an int"),
+    ], ids=["smooth-s-zero", "quadric-m-zero", "blowup-s-zero", "blowup-m-negative", "float-m", "bool-s"])
+    def test_config_gates_each_degree_before_the_cone_is_read(self, kind, s, m, error, message):
+        # the cone's row was read first: these said "case A2 does not admit degree 0" (or 2)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            CorollaryConfig("x", kind, s, m, F(1, 2), "A2")
+
     def test_reference_values(self):
         by_name = {r.config.name: r for r in corollary_suite()}
         assert by_name["quartic double solid, node"].bound == F(4, 3)
