@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -489,19 +490,19 @@ class TestUnitDecompositionMemo:
         assert _unit_constants.cache_info().misses == info.misses + 1
 
     def test_a_model_hashes_once_by_value(self):
-        spec = CASES["A2"]
-        m = spec.model  # the same values again, as strings: coerced before they are hashed
+        m = CASES["A2"].model  # the same values again, as strings: coerced before they are hashed
         apart = SurfaceModel(m.curves, tuple(tuple(map(str, r)) for r in m.gram), str(m.ambient_self),
                              tuple(map(str, m.ambient_pairings)))
-        assert apart == spec.model and apart is not spec.model
-        fields = (spec.model.curves, spec.model.gram, spec.model.ambient_self, spec.model.ambient_pairings)
-        assert hash(apart) == hash(spec.model) == hash(fields)
-        assert _unit_constants(apart) is _unit_constants(spec.model)  # one cache entry for both
-        gram = [list(r) for r in spec.model.gram]
+        assert apart == m and apart is not m
+        assert hash(apart) == hash(m) == hash((m.curves, m.gram, m.ambient_self, m.ambient_pairings))
+        with mock.patch.object(F, "__hash__", side_effect=AssertionError("a Fraction was hashed")):
+            assert hash(apart) == hash(m)  # stored when built, not recomputed from its Fractions
+        assert _unit_constants(apart) is _unit_constants(m)  # one cache entry for both
+        gram = [list(r) for r in m.gram]
         gram[0][0] -= F(1, 12)  # E.E = -1/4: pseudo-effective threshold 2, not 3
-        faulted = dataclasses.replace(spec.model, gram=tuple(map(tuple, gram)))
-        assert faulted != spec.model
-        assert _unit_constants(faulted) is not _unit_constants(spec.model)
+        faulted = dataclasses.replace(m, gram=tuple(map(tuple, gram)))
+        assert faulted != m
+        assert _unit_constants(faulted) is not _unit_constants(m)
         assert _unit_constants(faulted) is _unit_constants(dataclasses.replace(faulted))
 
     def test_degree_checked_before_lambda(self):
