@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .exact import LinearFractional, Poly, rat
 from .surface import IntegerDivisor, SurfaceModel, flag_family
@@ -972,30 +973,70 @@ def _affine_str(line: Affine | None) -> str:
     return "none" if line is None else Poly.affine(*line).format("l")
 
 
+_ORDER, _ALIAS = attrgetter("order"), attrgetter("alias_of")
+
+
+def _case_ids(catalog: Mapping[str, CaseSpec], case_ids: Iterable[str] | None) -> list[str] | None:
+    """case_ids as a list without repeats, each a key of catalog; None stays None (every entry).
+
+    A str is refused with TypeError, since it would name its characters, or, by a
+    substring test, every id it contains; an id the mapping lacks with UnknownCase.
+    """
+    if case_ids is None:
+        return None
+    if isinstance(case_ids, str):
+        raise TypeError(f"case_ids must be a collection of case ids, not the str {case_ids!r}")
+    ids = list(dict.fromkeys(case_ids))
+    for case_id in ids:
+        if case_id not in catalog:
+            raise UnknownCase(f"unknown case id {case_id!r}")
+    return ids
+
+
 def validate_catalog(catalog: dict[str, CaseSpec] | None = None, case_ids: list[str] | None = None) -> list[str]:
     """Structural consistency of the catalog; an empty list is the release gate.
 
     The order and alias checks span the whole mapping; the per-entry checks of
-    validate_case run on the entries named in case_ids (all when None).
-    Violations are returned as data rather than raised so that a verification
-    run can report all of them at once.
+    validate_case run on the entries named in case_ids (all when None), which
+    _case_ids refuses unless each is a key of the mapping.  Both catalog-wide
+    checks are first made as set tests, and only when one fails, or with no
+    case_ids, are all entries visited in order; the messages then come per
+    entry in catalog order: a duplicate order, the entry's own, a missing alias
+    target.  Violations are returned as data rather than raised so that a
+    verification run can report all of them at once.
     """
     cat = CASES if catalog is None else catalog
+    ids = _case_ids(cat, case_ids)
+    specs = cat.values()
+    if ids is not None:
+        aliases = set(map(_ALIAS, specs))
+        aliases.discard(None)
+        if len(set(map(_ORDER, specs))) == len(specs) and aliases.issubset(cat):
+            specs = [cat[case_id] for case_id in ids]  # nothing catalog-wide to report
     problems: list[str] = []
     orders_seen: set[int] = set()
-    for spec in sorted(cat.values(), key=lambda s: s.order):
+    for spec in sorted(specs, key=_ORDER):
         if spec.order in orders_seen:
             problems.append(f"{spec.id}: duplicate order {spec.order}")
         orders_seen.add(spec.order)
-        if case_ids is None or spec.id in case_ids:
+        if ids is None or spec.id in ids:
             problems += validate_case(spec)
         if spec.alias_of is not None and spec.alias_of not in cat:
             problems.append(f"{spec.id}: alias target {spec.alias_of!r} missing")
     return problems
 
 
+def _ratios(*values: Fraction) -> list[tuple[int, int]]:
+    """Each value's integer ratio (numerator, denominator > 0)."""
+    return [x.as_integer_ratio() for x in values]
+
+
 def validate_case(spec: CaseSpec) -> list[str]:
-    """Structural consistency of one entry on its own."""
+    """Structural consistency of one entry on its own.
+
+    Each test runs on integer ratios (numerator, denominator > 0), cross-multiplied;
+    a Fraction is built only for a failing test's message.
+    """
     pid = spec.id
     problems: list[str] = []
     model = spec.model  # SurfaceModel refuses an asymmetric gram
@@ -1009,31 +1050,36 @@ def validate_case(spec: CaseSpec) -> list[str]:
             e2 = model.pairing("E", "E")
             el = model.pairing("E", "L")
             l2 = model.pairing("L", "L")
-            if el + spec.m_L * e2 != 0:
+            (e2_p, e2_q), (el_p, el_q), (l2_p, l2_q), (m_p, m_q) = _ratios(e2, el, l2, spec.m_L)
+            if el_p * m_q * e2_q + m_p * e2_p * el_q != 0:  # (L.E) + m_L*(E.E) != 0
                 problems.append(f"{pid}: pullback identity (L.E) + m_L*(E.E) = {el + spec.m_L * e2} != 0")
-            if l2 + spec.m_L * el != 1:
+            if l2_p * m_q * el_q + m_p * el_p * l2_q != l2_q * m_q * el_q:  # (L.L) + m_L*(L.E) != 1
                 problems.append(f"{pid}: pullback identity (L.L) + m_L*(L.E) = {l2 + spec.m_L * el} != 1")
     else:
         if has_e and model.pairing("E", "E") != -1:
             problems.append(f"{pid}: single-blowup model must have E.E = -1")
         if spec.m_L is not None:
             problems.append(f"{pid}: m_L given but model has no companion curve")
-    derived_a = (1 + spec.k_E, -spec.m_C)
-    if derived_a != spec.printed_A:
+    (k_p, k_q), (c_p, c_q), (a_p, a_q), (b_p, b_q) = _ratios(spec.k_E, spec.m_C, *spec.printed_A)
+    if (k_q + k_p) * a_q != a_p * k_q or -c_p * b_q != b_p * c_q:  # (1 + k_E, -m_C) != printed_A
+        derived_a = (1 + spec.k_E, -spec.m_C)
         problems.append(f"{pid}: A(l) mismatch: got {_affine_str(derived_a)}, stated {_affine_str(spec.printed_A)}")
-    if spec.s_factor <= 0 or spec.tau_factor <= 0:
+    (s_p, _), (tau_p, tau_q) = _ratios(spec.s_factor, spec.tau_factor)
+    if s_p <= 0 or tau_p <= 0:
         problems.append(f"{pid}: S/tau factors must be positive")
-    prev = F(0)
+    prev_p, prev_q = 0, 1
     for b in spec.break_factors:
-        if not (prev < b < spec.tau_factor):
+        b_p, b_q = b.as_integer_ratio()
+        if not (prev_p * b_q < b_p * prev_q and b_p * tau_q < tau_p * b_q):  # not prev < b < tau
             problems.append(f"{pid}: breakpoint factor {b} out of order")
-        prev = b
+        prev_p, prev_q = b_p, b_q
     for row in spec.rows:
-        if not (0 <= row.lo < row.hi):
+        (r_lo_p, r_lo_q), (r_hi_p, r_hi_q) = _ratios(row.lo, row.hi)
+        if not (0 <= r_lo_p and r_lo_p * r_hi_q < r_hi_p * r_lo_q):
             problems.append(f"{pid}: empty validity interval for d={row.d}")
-        if row.hi * row.d > 3:
+        if r_hi_p * row.d > 3 * r_hi_q:
             problems.append(f"{pid}: validity for d={row.d} exceeds 3/d")
-        if not row.delta_den or all(c == 0 for c in row.delta_den):
+        if not any(row.delta_den):
             problems.append(f"{pid}: zero denominator in closed form for d={row.d}")
         else:
             try:
@@ -1043,9 +1089,7 @@ def validate_case(spec: CaseSpec) -> list[str]:
     if not spec.rows:  # the checks on the validity range are skipped
         problems.append(f"{pid}: no degree rows")
     else:
-        lo = min(row.lo for row in spec.rows)
-        hi = max(row.hi for row in spec.rows)
-        (lo_p, lo_q), (hi_p, hi_q) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        (lo_p, lo_q), (hi_p, hi_q) = _ratios(min(row.lo for row in spec.rows), max(row.hi for row in spec.rows))
     for var in spec.variants:
         on_l = [pt for pt in var.points if pt.location == "on_L"]
         if len(on_l) > 1:
@@ -1053,7 +1097,7 @@ def validate_case(spec: CaseSpec) -> list[str]:
         if on_l and "L" not in model.curves:
             problems.append(f"{pid}/{var.name}: on_L point but no companion curve")
         for pt in var.points:
-            (a_n, a_d), (b_n, b_d) = (c.as_integer_ratio() for c in pt.coeff)
+            (a_n, a_d), (b_n, b_d) = _ratios(*pt.coeff)
             # a + b*x at x = p/q is (a_n*b_d*q + b_n*a_d*p)/(a_d*b_d*q), each denominator positive;
             # value 1 is tolerated at the upper validity endpoint only
             if spec.rows:
@@ -1065,12 +1109,14 @@ def validate_case(spec: CaseSpec) -> list[str]:
                 problems.append(f"{pid}/{var.name}: point {pt.label} coefficient {pt.coeff[0]} != 1 - 1/{n}")
             if pt.location not in ("on_L", "on_C", "isolated"):
                 problems.append(f"{pid}/{var.name}: bad location {pt.location!r}")
-            if pt.ratio_den <= 0:
+            if pt.ratio_den.as_integer_ratio()[0] <= 0:
                 problems.append(f"{pid}/{var.name}: nonpositive ratio denominator factor")
     labels = {pt.label for var in spec.variants for pt in var.points} | {"E"}
     for m in spec.minimizers:
         if m not in labels:
             problems.append(f"{pid}: minimizer {m!r} is not a declared point")
-    if spec.lower_regime_hi is not None and spec.rows and spec.lower_regime_hi != lo:
-        problems.append(f"{pid}: lower-bound regime must end where validity starts")
+    if spec.lower_regime_hi is not None and spec.rows:
+        reg_p, reg_q = spec.lower_regime_hi.as_integer_ratio()
+        if reg_p * lo_q != lo_p * reg_q:
+            problems.append(f"{pid}: lower-bound regime must end where validity starts")
     return problems

@@ -30,12 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .catalog import Affine, CaseSpec, DegreeRow, check_degree, check_lambda, get_case
-from .exact import LinearFractional, _integral, _integers, _sum, rat
+from .exact import LinearFractional, _integral, _sum, rat
 from .surface import SurfaceModel, ZariskiPieces, _dot, _pairings, flag_family, zariski_decompose
 
 F = Fraction
@@ -109,12 +110,21 @@ class Lines:
     ints maps each label to (a*den, b*den), with den the least common
     denominator of the set, so the lines compare at lambda = p/q as the
     integers n = a*q + b*p, and the ratio there, the line over
-    t = 3 - d*lambda, is n/(den*(3q - d*p)).
+    t = 3 - d*lambda, is n/(den*(3q - d*p)).  by_label holds the same lines
+    as Fraction pairs (a, b), built on first read; line builds one of them.
     """
 
-    by_label: Mapping[str, Affine]
     ints: Mapping[str, tuple[int, int]]
     den: int
+
+    def line(self, label: str) -> Affine:
+        """The line of label as a Fraction pair (a, b)."""
+        a, b = self.ints[label]
+        return F(a, self.den), F(b, self.den)
+
+    @cached_property
+    def by_label(self) -> Mapping[str, Affine]:
+        return MappingProxyType({label: self.line(label) for label in self.ints})
 
 
 # A ratio's integers (a_n, b_n, a_den, s_n, s_d): A = (a_n + b_n*lambda)/a_den and S = (s_n/s_d)*t.
@@ -122,17 +132,21 @@ _Terms = tuple[int, int, int, int, int]
 
 
 def _terms(r: Ratio) -> _Terms:
-    (a_n, b_n), a_den = _integers((r.a, r.b))
-    return (a_n, b_n, a_den, *r.s.as_integer_ratio())
+    (a_n, a_d), (b_n, b_d) = r.a.as_integer_ratio(), r.b.as_integer_ratio()
+    a_den = a_d // gcd(a_d, b_d) * b_d
+    return (a_n * (a_den // a_d), b_n * (a_den // b_d), a_den, *r.s.as_integer_ratio())
 
 
 def _lines(ratios: Sequence[Ratio], terms: Sequence[_Terms]) -> Lines:
-    """The Lines of ratios with the integers terms: each coefficient of A/s is one Fraction, a_n*s_d/(a_den*s_n)."""
-    lines = [(F(a_n * s_d, a_den * s_n), F(b_n * s_d, a_den * s_n)) for a_n, b_n, a_den, s_n, s_d in terms]
-    ints, den = _integers([x for line in lines for x in line])
-    labels = [r.label for r in ratios]
-    ints_by_label = dict(zip(labels, zip(ints[::2], ints[1::2])))
-    return Lines(MappingProxyType(dict(zip(labels, lines))), MappingProxyType(ints_by_label), den)
+    """The Lines of ratios with the integers terms, on integers: each coefficient of A/s is
+    a_n*s_d/(a_den*s_n), and the lines' den is the least common denominator of those in lowest terms."""
+    coeffs = []  # per line: a*s_d, b*s_d over a_den*s_n, and that denominator in lowest terms for each
+    for a_n, b_n, a_den, s_n, s_d in terms:
+        a, b, q = a_n * s_d, b_n * s_d, a_den * s_n
+        coeffs.append((a, b, q, q // gcd(a, q), q // gcd(b, q)))
+    den = lcm(*[x for *_, qa, qb in coeffs for x in (qa, qb)])
+    ints = {r.label: (a * den // q, b * den // q) for r, (a, b, q, *_) in zip(ratios, coeffs)}
+    return Lines(MappingProxyType(ints), den)
 
 
 @dataclass(frozen=True)
@@ -162,9 +176,15 @@ class RatioTable:
         object.__setattr__(self, "lower", _lines(lower, terms))
         object.__setattr__(self, "upper", _lines((self.e, *self.curves), (terms[0], *map(_terms, self.curves))))
         object.__setattr__(self, "terms", terms)
-        # the zero -a/b of each A-line a + b*lambda, the zero of its line A/s too; positive when a*b < 0
-        zeros = [F(-a_n, b_n) for a_n, b_n, *_ in terms if a_n * b_n < 0]
-        object.__setattr__(self, "lct", min(zeros, default=None))
+        # the zero -a/b of each A-line a + b*lambda, the zero of its line A/s too; positive when a*b < 0;
+        # the least as an integer pair (p, q), q > 0, then one Fraction
+        lct = None
+        for a_n, b_n, *_ in terms:
+            if a_n * b_n < 0:
+                zero = (-a_n, b_n) if b_n > 0 else (a_n, -b_n)
+                if lct is None or zero[0] * lct[1] < lct[0] * zero[1]:
+                    lct = zero
+        object.__setattr__(self, "lct", None if lct is None else F(*lct))
 
 
 @lru_cache(maxsize=64)
@@ -250,7 +270,7 @@ def integrated_s_invariants(pieces: ZariskiPieces) -> tuple[Fraction, Fraction, 
     e = model.index("E") + 1
     on_l = "L" in model.curves
     s_e, s_generic, s_on_l = [], [], []
-    bps = pieces.breakpoints
+    bps = [b.as_integer_ratio() for b in pieces.breakpoints]
     for lo, hi, p, n in zip(bps, bps[1:], pieces.positives, pieces.negatives):
         f0, f1, vol = _pairings(table, p)
         e0, e1, dp = f0[e], f1[e], p[2]  # (P.E) = (e0 + e1*v)/(den_t*dp)
@@ -275,7 +295,8 @@ def s_divisor(case: str | CaseSpec, d: int, lam) -> Fraction:
 
 def s_curve_on_plane(d: int, lam, e: int, l) -> tuple[Fraction, Fraction]:
     """(S, A) of a degree-e plane curve class appearing with multiplicity l >= 0 in C (l = 0: not in C),
-    for a degree-d curve C at lambda in [0, 3/d)."""
+    for a degree-d curve C at lambda in [0, 3/d); ValueError past its lct 1/l, where l*lambda > 1
+    makes A negative (tested on integers).  A = 0 at lambda = 1/l is allowed."""
     if check_degree(d) < 1:
         raise ValueError(f"curve degree d = {d} must be >= 1")
     lam = check_lambda(d, lam)
@@ -283,6 +304,9 @@ def s_curve_on_plane(d: int, lam, e: int, l) -> tuple[Fraction, Fraction]:
     if l < 0:
         raise ValueError(f"multiplicity l = {l} must be >= 0")
     ratio = _curve_ratio(check_degree(e, "curve degree e"), l)
+    (l_p, l_q), (p, q) = l.as_integer_ratio(), lam.as_integer_ratio()
+    if l_p * p > l_q * q:  # A = 1 - l*lambda < 0: the pair is not lc along the curve
+        raise ValueError(f"lambda {lam} past the log canonical threshold {F(l_q, l_p)} of a curve of multiplicity {l}")
     return ratio.s * (3 - d * lam), ratio.a + ratio.b * lam
 
 
@@ -385,8 +409,7 @@ def binding(table: RatioTable, lo: Fraction, hi: Fraction) -> tuple[Affine | Non
     is.  The minimizers name every least lower line.
     """
     low, up = _least(table, lo, hi)
-    lower, upper = table.lower.by_label, table.upper.by_label
-    return lower[low[0]] if low else None, upper[up[0]] if up else None, _minimizer_names(low)
+    return table.lower.line(low[0]) if low else None, table.upper.line(up[0]) if up else None, _minimizer_names(low)
 
 
 def delta_closed_form(case: str | CaseSpec, d: int) -> LinearFractional:
@@ -404,9 +427,12 @@ def _closed_form(spec: CaseSpec, row: DegreeRow, least: tuple[list[str], list[st
     check, then NotExactOnInterval, then the least lower line over t."""
     table = _checked_table(spec)
     low, up = least
-    if not low or not up or table.lower.by_label[low[0]] != table.upper.by_label[up[0]]:
-        raise NotExactOnInterval(f"{spec.id} (d={row.d}): delta is not one certified ratio on [{row.lo}, {row.hi}]")
-    return _over_t(table.lower.ints[low[0]], table.lower.den, row.d)
+    if low and up:
+        (a, b), den = table.lower.ints[low[0]], table.lower.den
+        (c, e), up_den = table.upper.ints[up[0]], table.upper.den
+        if a * up_den == c * den and b * up_den == e * den:  # one line, over each set's den
+            return _over_t((a, b), den, row.d)
+    raise NotExactOnInterval(f"{spec.id} (d={row.d}): delta is not one certified ratio on [{row.lo}, {row.hi}]")
 
 
 def _over_t(line: tuple[int, int], den: int, d: int) -> LinearFractional:

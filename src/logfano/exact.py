@@ -17,7 +17,9 @@ its constructor and evaluated as one Fraction; a RationalFunction, the result
 of the fit only, is put in lowest terms with a monic denominator by its own.
 Root finding runs on integer coefficients: it tests the discriminant for a
 square with ``math.isqrt``, and locates an irrational root by integer sign
-tests.
+tests.  Its kernel, _root_pairs, takes and returns integer pairs (numerator,
+denominator), so the decomposition, which calls it directly, builds no
+Fraction for a root; _roots makes each root one Fraction.
 """
 
 from __future__ import annotations
@@ -199,17 +201,19 @@ def integrate(p: Poly, a: int | str | Fraction, b: int | str | Fraction) -> Frac
         raise ValueError(f"integrate: empty interval [{a}, {b}]")
     if not p.coeffs:
         return Fraction(0)
-    return Fraction(*_integral(*_integers(p.coeffs), a, b))
+    return Fraction(*_integral(*_integers(p.coeffs), a.as_integer_ratio(), b.as_integer_ratio()))
 
 
-def _integral(ints: list[int], den: int, a: Fraction, b: Fraction) -> tuple[int, int]:
-    """The integral over [a, b] of sum_k ints[k]*v^k/den, as an integer ratio (numerator, denominator)."""
+def _integral(ints: list[int], den: int, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The integral over [a, b] of sum_k ints[k]*v^k/den, as an integer ratio (numerator, denominator);
+    each end an integer pair (numerator, denominator > 0)."""
     # sum of c_k (b^(k+1) - a^(k+1))/(k+1); with b = u/Q, a = w/Q and L = lcm(1..n) its numerator over
     # den*L*Q^n is, by Horner's rule in Q, the sum of c_k*L/(k+1) (u^(k+1) - w^(k+1)) Q^(n-1-k)
     n = len(ints)
     scale = math.lcm(*range(1, n + 1))
-    q = a.denominator * b.denominator
-    u, w = b.numerator * a.denominator, a.numerator * b.denominator
+    (a_n, a_d), (b_n, b_d) = a, b
+    q = a_d * b_d
+    u, w = b_n * a_d, a_n * b_d
     acc, up, wp = 0, 1, 1
     for k, c in enumerate(ints):
         up, wp = up * u, wp * w
@@ -299,6 +303,19 @@ def _roots(ints: Sequence[int], lo: Fraction | None = None, hi: Fraction | None 
     """The rational roots of sum_k ints[k]*x^k (degree <= 2), ascending, without multiplicity,
     or None where rational_roots raises IrrationalRoot.  With an interval [lo, hi], only the
     roots in it, and None only when an irrational root lies in it (roots_in_interval)."""
+    ends = (None, None) if lo is None else (lo.as_integer_ratio(), hi.as_integer_ratio())
+    pairs = _root_pairs(ints, *ends)
+    return None if pairs is None else [Fraction(*r) for r in pairs]
+
+
+def _root_pairs(
+    ints: Sequence[int], lo: tuple[int, int] | None = None, hi: tuple[int, int] | None = None
+) -> list[tuple[int, int]] | None:
+    """The rational roots of sum_k ints[k]*x^k (degree <= 2), ascending, without multiplicity, as
+    integer pairs (numerator, denominator > 0), not reduced: with lo only those >= lo, with hi only
+    those <= hi, each end an integer pair too.  None for an irrational root: any when hi is None,
+    else one in [lo, hi].  The zero polynomial raises ValueError, a degree above 2 UnsupportedDegree.
+    """
     n = len(ints)
     while n and not ints[n - 1]:
         n -= 1
@@ -307,22 +324,26 @@ def _roots(ints: Sequence[int], lo: Fraction | None = None, hi: Fraction | None 
     if n > 3:
         raise UnsupportedDegree(f"degree {n - 1} > 2")
     if n < 3:
-        roots = [Fraction(-ints[0], ints[1])] if n == 2 else []
+        roots = [] if n == 1 else [(-ints[0], ints[1]) if ints[1] > 0 else (ints[0], -ints[1])]
     else:
         # the quadratic formula: the roots are rational iff the discriminant is a perfect square
         c, b, a = ints[:3]
+        if a < 0:  # the same roots, with a > 0, so that they come ascending
+            c, b, a = -c, -b, -a
         disc = b * b - 4 * a * c
         if disc < 0:
             return []
         root = math.isqrt(disc)
         if root * root != disc:
-            return None if lo is None or _quadratic_has_root_in(c, b, a, lo, hi) else []
-        roots = sorted({Fraction(-b - root, 2 * a), Fraction(-b + root, 2 * a)})
-    return roots if lo is None else [r for r in roots if lo <= r <= hi]
+            return None if hi is None or _quadratic_has_root_in(c, b, a, lo, hi) else []
+        roots = [(-b - root, 2 * a), (-b + root, 2 * a)] if root else [(-b, 2 * a)]
+    return [(p, q) for p, q in roots
+            if (lo is None or p * lo[1] >= lo[0] * q) and (hi is None or p * hi[1] <= hi[0] * q)]
 
 
-def _quadratic_has_root_in(c: int, b: int, a: int, lo: Fraction, hi: Fraction) -> bool:
-    """Whether c + b*x + a*x^2, of positive discriminant, has a root in [lo, hi], by integer sign tests.
+def _quadratic_has_root_in(c: int, b: int, a: int, lo: tuple[int, int], hi: tuple[int, int]) -> bool:
+    """Whether c + b*x + a*x^2, of positive discriminant, has a root in [lo, hi], by integer sign tests;
+    each end an integer pair (numerator, denominator > 0).
 
     Either its sign changes across [lo, hi] (or it is 0 at an end), or both ends
     have the sign of a and the vertex -b/(2a), where the value c - b^2/(4a) has
@@ -331,10 +352,10 @@ def _quadratic_has_root_in(c: int, b: int, a: int, lo: Fraction, hi: Fraction) -
     if a < 0:  # the same roots, with a > 0
         c, b, a = -c, -b, -a
     # the value at x = p/q times q^2
-    at_lo, at_hi = ((c * q + b * p) * q + a * p * p for p, q in (lo.as_integer_ratio(), hi.as_integer_ratio()))
+    at_lo, at_hi = ((c * q + b * p) * q + a * p * p for p, q in (lo, hi))
     if min(at_lo, at_hi) <= 0 <= max(at_lo, at_hi):
         return True
-    return at_lo > 0 and 2 * a * lo.numerator <= -b * lo.denominator and -b * hi.denominator <= 2 * a * hi.numerator
+    return at_lo > 0 and 2 * a * lo[0] <= -b * lo[1] and -b * hi[1] <= 2 * a * hi[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,13 @@ threshold).
 The growth runs on integers: D, P and N are integer vectors over one common
 denominator, the support system is solved by one fraction-free (Bareiss)
 elimination whose pivots also decide negative-definiteness, and the volume's
-roots are found from its integer coefficients.  The pieces returned are
-those integer rows, and their readers (invariant_violations, the S-integrals
-of delta and the homogeneity check of verify) pair them through _pairings,
-shared with the growth, so each test is an integer sign or equality.
+roots after v are found from its integer coefficients as integer pairs
+(exact._root_pairs).  The running v, each crossing and each root are integer
+pairs (numerator, denominator), so a Fraction is built only for each
+breakpoint.  The pieces returned are those integer rows, and their readers
+(invariant_violations, the S-integrals of delta and the homogeneity check of
+verify) pair them through _pairings, shared with the growth, and read the
+breakpoints as integer pairs, so each test is an integer sign or equality.
 
 DivisorExpr (Polys over Fractions) and pair, its plain bilinear sum, are the
 reference for the rows; _integer_divisor turns a DivisorExpr into a row.
@@ -40,8 +43,7 @@ from .exact import (
     Poly,
     _from_integers,
     _integers,
-    _roots,
-    is_negative_definite,
+    _root_pairs,
     rat,
 )
 
@@ -258,8 +260,15 @@ def _solve_support(
     return p, (tuple(nc), tuple(ns), det * den)
 
 
+_ZERO = Fraction(0)
+
+
 def zariski_decompose(model: SurfaceModel, d: IntegerDivisor) -> ZariskiPieces:
-    """Full decomposition on [0, tau] of the row d = (c + s*v)/den; ValueError unless it fits the model."""
+    """Full decomposition on [0, tau] of the row d = (c + s*v)/den; ValueError unless it fits the model.
+
+    v, each crossing and each volume root are integer pairs (numerator, denominator > 0),
+    compared cross-multiplied; each breakpoint is built as one Fraction.
+    """
     c, s, den = d
     if len(c) != len(model.curves) + 1 or len(s) != len(c) or den <= 0:
         raise ValueError(f"D(v) must be a row of {len(model.curves) + 1} coefficients over den > 0")
@@ -267,9 +276,9 @@ def zariski_decompose(model: SurfaceModel, d: IntegerDivisor) -> ZariskiPieces:
     for name, g in zip(model.curves, table[1:]):
         if _dot(g, c) < 0:
             raise NotPseudoEffective(f"D(0) pairs negatively with {name}")
-    v = Fraction(0)
+    v_p, v_q = 0, 1  # v = v_p/v_q
     support: tuple[str, ...] = ()
-    breakpoints = [Fraction(0)]
+    breakpoints = [_ZERO]
     positives: list[IntegerDivisor] = []
     negatives: list[IntegerDivisor] = []
     supports: list[tuple[str, ...]] = []
@@ -279,30 +288,34 @@ def zariski_decompose(model: SurfaceModel, d: IntegerDivisor) -> ZariskiPieces:
         # (P . C) = (f0 + f1*v) / (den_t*den_p) for every curve outside the support, shared by both tests below
         outside = [(name, tc[i], ts[i]) for i, name in enumerate(model.curves, 1) if name not in support]
         # absorb curves whose pairing is already zero and strictly decreasing at v
-        entering = tuple(name for name, f0, f1 in outside if f1 < 0 and f0 * v.denominator + f1 * v.numerator == 0)
+        entering = tuple(name for name, f0, f1 in outside if f1 < 0 and f0 * v_q + f1 * v_p == 0)
         if entering:
             support = support + entering
             continue
-        roots = [(Fraction(-f0, f1), name) for name, f0, f1 in outside if f1 < 0]
-        crossings = [(r, name) for r, name in roots if r > v]
-        cross_v = min((r for r, _ in crossings), default=None)
+        # a falling pairing crosses zero at f0/(-f1); the least crossing after v, and the curves crossing there
+        cross, crossing = None, []
+        for name, f0, f1 in outside:
+            if f1 < 0 and f0 * v_q > -f1 * v_p:
+                if cross is None or f0 * cross[1] < cross[0] * -f1:
+                    cross, crossing = (f0, -f1), [name]
+                elif f0 * cross[1] == cross[0] * -f1:
+                    crossing.append(name)
         # volume roots matter only before the next support change; an irrational
         # root beyond it belongs to a regime with a different volume polynomial
-        vol_hits = _roots(vol_ints) if cross_v is None else _roots(vol_ints, v, cross_v)
-        if vol_hits is None:  # as exact.rational_roots and roots_in_interval raise it
+        hits = _root_pairs(vol_ints, (v_p, v_q), cross)
+        if hits is None:  # as exact.rational_roots and roots_in_interval raise it
             raise IrrationalRoot(f"irrational roots of {_from_integers(vol_ints, den_t * p[2] * p[2]).format()}")
-        vol_hits = [r for r in vol_hits if r >= v]
-        if not vol_hits and cross_v is None:
+        if not hits and cross is None:
             raise Unbounded("volume never reaches zero and no curve enters the support")
         positives.append(p)
         negatives.append(n)
         supports.append(support)
-        if vol_hits:
-            breakpoints.append(min(vol_hits))
+        if hits:
+            breakpoints.append(Fraction(*hits[0]))
             return ZariskiPieces(model, tuple(breakpoints), tuple(positives), tuple(negatives), tuple(supports))
-        breakpoints.append(cross_v)
-        support = support + tuple(name for r, name in crossings if r == cross_v)
-        v = cross_v
+        breakpoints.append(Fraction(*cross))
+        support = support + tuple(crossing)
+        v_p, v_q = cross
     raise AssertionError("support grew beyond the curve count")
 
 
@@ -311,6 +324,24 @@ def volume_function(z: ZariskiPieces) -> PiecewisePoly:
     table, den_t = z.model._integer_table
     volumes = (_from_integers(_pairings(table, p)[2], den_t * p[2] ** 2) for p in z.positives)
     return PiecewisePoly(z.breakpoints, tuple(volumes))
+
+
+def _negative_definite(gram: list[list[int]]) -> bool:
+    """Sylvester's test on an integer Gram matrix: its k-th leading principal minor has the sign of (-1)^k.
+
+    The minors are the pivots of this function's own fraction-free elimination, without row
+    swaps, stopped at the first that fails (a zero minor included).
+    """
+    m, det = [list(row) for row in gram], 1
+    for k in range(len(m)):
+        pivot = m[k][k]
+        if pivot == 0 or (pivot < 0) != (k % 2 == 0):
+            return False
+        for r in range(k + 1, len(m)):
+            f = m[r][k]
+            m[r] = [(x * pivot - f * y) // det for x, y in zip(m[r], m[k])]  # exact: Bareiss
+        det = pivot
+    return True
 
 
 def invariant_violations(z: ZariskiPieces) -> list[str]:
@@ -324,23 +355,24 @@ def invariant_violations(z: ZariskiPieces) -> list[str]:
     volume non-increasing; globally: volume continuity at breakpoints (which
     makes the volume non-increasing on all of [0, tau]) and volume zero at tau.
 
-    An affine f0 + f1*v has the sign of f0*q + f1*p at v = p/q, and two
-    pieces' volumes meet at a breakpoint when their numerators there, each
-    times the other's den^2, agree.  The support Gram is re-tested by
-    exact.is_negative_definite, apart from the Bareiss pivots of the
-    decomposition.
+    The piece ends are read as integer pairs p/q: an affine f0 + f1*v has the
+    sign of f0*q + f1*p there, and two pieces' volumes meet at a breakpoint
+    when their numerators there, each times the other's den^2, agree.  The
+    support Gram is re-tested on the model's integer table by _negative_definite,
+    apart from the Bareiss pivots of the decomposition.
     """
     problems: list[str] = []
     model = z.model
     table, _ = model._integer_table
     column = {name: k for k, name in enumerate(model.curves, 1)}  # a curve's row of the table
+    ends = [b.as_integer_ratio() for b in z.breakpoints]
     volumes = []  # per piece: the numerator coefficients of (P . P), and den_p^2
 
-    def at(f0: int, f1: int, v: Fraction) -> int:  # f0 + f1*v times the denominator of v
-        return f0 * v.denominator + f1 * v.numerator
+    def at(f0: int, f1: int, v: tuple[int, int]) -> int:  # f0 + f1*v times the denominator of v
+        return f0 * v[1] + f1 * v[0]
 
     for i, (p, n, support) in enumerate(zip(z.positives, z.negatives, z.supports)):
-        lo, hi = z.breakpoints[i], z.breakpoints[i + 1]
+        lo, hi = ends[i], ends[i + 1]
         f0, f1, vol = _pairings(table, p)
         volumes.append((vol, p[2] ** 2))
         for name in support:
@@ -348,7 +380,7 @@ def invariant_violations(z: ZariskiPieces) -> list[str]:
                 problems.append(f"piece {i}: (P . {name}) not identically zero on support")
         for name, k in column.items():
             if at(f0[k], f1[k], lo) < 0 or at(f0[k], f1[k], hi) < 0:
-                problems.append(f"piece {i}: (P . {name}) negative on [{lo}, {hi}]")
+                problems.append(f"piece {i}: (P . {name}) negative on [{z.breakpoints[i]}, {z.breakpoints[i + 1]}]")
         nc, ns, _ = n
         for name in support:
             c0, c1 = nc[column[name]], ns[column[name]]
@@ -357,21 +389,20 @@ def invariant_violations(z: ZariskiPieces) -> list[str]:
             if c1 < 0:  # falling, as lo < hi
                 problems.append(f"piece {i}: negative-part coefficient of {name} decreasing")
         if support:
-            idx = [model.index(name) for name in support]
-            if not is_negative_definite([[model.gram[a][b] for b in idx] for a in idx]):
+            idx = [column[name] for name in support]
+            if not _negative_definite([[table[a][b] for b in idx] for a in idx]):
                 problems.append(f"piece {i}: support Gram not negative definite")
         if at(vol[1], 2 * vol[2], lo) > 0 or at(vol[1], 2 * vol[2], hi) > 0:
-            problems.append(f"piece {i}: volume increasing on [{lo}, {hi}]")
+            problems.append(f"piece {i}: volume increasing on [{z.breakpoints[i]}, {z.breakpoints[i + 1]}]")
 
-    def volume_at(i: int, v: Fraction) -> int:  # piece i's (P . P) at v times den_t*den_p^2*q^2, v = p/q
+    def volume_at(i: int, v: tuple[int, int]) -> int:  # piece i's (P . P) at v times den_t*den_p^2*q^2, v = p/q
         (a0, a1, a2), _ = volumes[i]
-        p, q = v.numerator, v.denominator
+        p, q = v
         return (a0 * q + a1 * p) * q + a2 * p * p
 
-    for i in range(1, len(z.breakpoints) - 1):
-        b = z.breakpoints[i]
-        if volume_at(i - 1, b) * volumes[i][1] != volume_at(i, b) * volumes[i - 1][1]:
-            problems.append(f"volume discontinuous at {b}")
-    if volume_at(-1, z.tau):
+    for i in range(1, len(ends) - 1):
+        if volume_at(i - 1, ends[i]) * volumes[i][1] != volume_at(i, ends[i]) * volumes[i - 1][1]:
+            problems.append(f"volume discontinuous at {z.breakpoints[i]}")
+    if volume_at(-1, ends[-1]):
         problems.append("volume nonzero at tau")
     return problems

@@ -7,35 +7,39 @@ t = 3 - d*lambda, D(v) = t*H - v*E is homogeneous, and A(E), S(E)*t, every
 stated ratio and the closed form are lines a + b*lambda over t, equal for all
 lambda exactly when their coefficients are; the closed form, the minimizers,
 a lower-bound regime and delta(0) = 1 are read off the least lines, computed
-once per interval (delta._least, directly or through delta.binding).  The
-model's decomposition at t = 1 is the reference, its breakpoints, invariants
-and S-integrals checked in full.  It depends on the model alone, so one
-verify_all call computes it once per model (10 for the catalog's 54 rows) and
-every row of that model reads it; nothing is kept between calls.  Each row
-gets one fresh decomposition at lambda_1, which must be the reference scaled
-by t_1 (_is_scaled, which compares the two on integer rows), so homogeneity
-is tested, not assumed.  The stated A(E) and ratios and the report at
-lambda_1 are compared with the integer lines of delta.Lines over their common
-denominator, each stated or reported Fraction by cross-multiplication; a
-Fraction of a line is built only for a failing check's detail.  Structural
-validation covers the cases being verified, plus the catalog-wide order and
-alias checks.
+once per interval (delta._least).  The model's decomposition at t = 1 is the
+reference, its breakpoints, invariants and S-integrals checked in full.  It
+depends on the model alone, so one verify_all call computes it once per model
+(10 for the catalog's 54 rows) and every row of that model reads it; nothing
+is kept between calls.  Each row gets one fresh decomposition at lambda_1,
+which must be the reference scaled by t_1 (_is_scaled, which compares the two
+on integer rows), so homogeneity is tested, not assumed.
+
+Each row's checks run on integers: lambda_1 = (6*lo + hi)/7 is one Fraction
+of the ends' integers, and the stated A(E) and ratios, the report at
+lambda_1, the regime and the normalization are compared with the integer
+lines of delta.Lines over their common denominator, each stated or reported
+Fraction read as its integer ratio and cross-multiplied; a Fraction of a
+line is built only for a failing check's detail.  Structural validation
+covers the cases being verified, plus the catalog-wide order and alias
+checks; verify_all verifies only ids of the mapping it is given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable
 
 from . import threefold
-from .catalog import CASES, Affine, CaseSpec, DegreeRow, _affine_str, validate_catalog
+from .catalog import _ORDER, CASES, Affine, CaseSpec, DegreeRow, _affine_str, _case_ids, validate_catalog
 from .delta import (
+    Lines,
     _closed_form,
     _least,
     _minimizer_names,
     _unit_constants,
-    binding,
     delta_point,
     integrated_s_invariants,
 )
@@ -67,15 +71,17 @@ def _is_scaled(fresh: ZariskiPieces, ref: ZariskiPieces, t: Fraction) -> bool:
     c'_j*d0*p^j*q = c_j*d1*p*q^j.
     """
     rows = fresh.positives + fresh.negatives, ref.positives + ref.negatives
-    p, q = t.numerator, t.denominator
+    p, q = t.as_integer_ratio()
     if (fresh.model, fresh.supports, len(fresh.breakpoints), len(rows[0])) != (
-            ref.model, ref.supports, len(ref.breakpoints), len(rows[1])) or any(
-            b1.numerator * b0.denominator * q != b0.numerator * b1.denominator * p
-            for b1, b0 in zip(fresh.breakpoints, ref.breakpoints)):
+            ref.model, ref.supports, len(ref.breakpoints), len(rows[1])):
         return False
+    for b1, b0 in zip(fresh.breakpoints, ref.breakpoints):
+        (n1, d1), (n0, d0) = b1.as_integer_ratio(), b0.as_integer_ratio()
+        if n1 * d0 * q != n0 * d1 * p:
+            return False
     for (c1, s1, d1), (c0, s0, d0) in zip(*rows):
         for got, want, x, y in ((c1, c0, q, p), (s1, s0, p * q, p * q)):  # j = 0, then j = 1
-            if any(a * d0 * x != b * d1 * y for a, b in zip(got, want)):
+            if list(map((d0 * x).__mul__, got)) != list(map((d1 * y).__mul__, want)):
                 return False
     return True
 
@@ -84,7 +90,13 @@ def _is_line(line: tuple[int, int], den: int, num: Affine, s: Fraction) -> bool:
     """Whether the integer line (a, b)/den is the stated line num/s with s != 0, that is whether
     a*s = num_0*den and b*s = num_1*den, on integer ratios and without building num/s."""
     s_n, s_d = s.as_integer_ratio()
-    return s_n != 0 and all(a * s_n * x.denominator == x.numerator * den * s_d for a, x in zip(line, num))
+    if s_n == 0:
+        return False
+    for a, x in zip(line, num):
+        x_n, x_d = x.as_integer_ratio()
+        if a * s_n * x_d != x_n * den * s_d:
+            return False
+    return True
 
 
 def _over(num: Affine, s: Fraction) -> Affine:
@@ -93,6 +105,13 @@ def _over(num: Affine, s: Fraction) -> Affine:
     return num[0] / s, num[1] / s
 
 
+def _first(lines: Lines, labels: list[str]) -> Affine | None:
+    """The line of the first of labels as Fractions, for a failing check's detail; None for no label."""
+    return lines.line(labels[0]) if labels else None
+
+
+_ZERO = F(0)
+_OK = attrgetter("ok")
 _Reference = tuple[list, Exception | None]
 
 
@@ -111,8 +130,10 @@ def _reference(model: SurfaceModel) -> _Reference:
 
 
 def _probe_lambda(row: DegreeRow) -> Fraction:
-    """lo + (hi - lo)/7, where t_1 = 3 - d*lambda_1 is 1 on no row (at the midpoint A7/d=4 has t = 1)."""
-    return row.lo + (row.hi - row.lo) / 7
+    """lo + (hi - lo)/7 = (6*lo + hi)/7, one Fraction of integers, where t_1 = 3 - d*lambda_1
+    is 1 on no row (at the midpoint A7/d=4 has t = 1)."""
+    (lo_p, lo_q), (hi_p, hi_q) = row.lo.as_integer_ratio(), row.hi.as_integer_ratio()
+    return F(6 * lo_p * hi_q + hi_p * lo_q, 7 * lo_q * hi_q)
 
 
 def verify_case(spec: CaseSpec, d: int, reference: _Reference | None = None) -> list[Check]:
@@ -131,8 +152,8 @@ def verify_case(spec: CaseSpec, d: int, reference: _Reference | None = None) -> 
     scope = f"{spec.id}/d={d}"
     checks: list[Check] = []
 
-    def add(name: str, ok: bool, detail: Callable[[], str]) -> None:
-        checks.append(_check(scope, name, ok, detail))
+    def add(name: str, ok: bool, detail: Callable[[], str]) -> None:  # _check, inlined
+        checks.append(Check(scope, name, True, "") if ok else Check(scope, name, False, detail()))
 
     row = spec.row(d)
     model = spec.model
@@ -145,13 +166,13 @@ def verify_case(spec: CaseSpec, d: int, reference: _Reference | None = None) -> 
 
     try:
         ref = stage(0)
-        stated_bps = (F(0), *spec.break_factors, spec.tau_factor)
+        stated_bps = (_ZERO, *spec.break_factors, spec.tau_factor)
         add("breakpoints at t=1", ref.breakpoints == stated_bps,
             lambda: f"computed {ref.breakpoints}, stated {stated_bps}")
         defects = stage(1)
         add("decomposition invariants at t=1", not defects, lambda: "; ".join(defects))
         lam1 = _probe_lambda(row)
-        p, q = lam1.numerator, lam1.denominator
+        p, q = lam1.as_integer_ratio()
         w = 3 * q - d * p  # t_1 = w/q
         t1 = F(w, q)
         add(f"homogeneity at l={lam1}", _is_scaled(zariski_decompose(model, flag_family(model, t1)), ref, t1),
@@ -164,14 +185,15 @@ def verify_case(spec: CaseSpec, d: int, reference: _Reference | None = None) -> 
         add("S(E)", unit.s_e == spec.s_factor, lambda: f"computed {unit.s_e}, stated {spec.s_factor}")
 
         table = spec.ratio_table  # no tau gate: "breakpoints at t=1" compares tau
-        lower, ints, den = table.lower.by_label, table.lower.ints, table.lower.den
+        lower, upper = table.lower, table.upper  # their Fraction lines only for a failing check's detail
+        ints, den, up_ints, up_den = lower.ints, lower.den, upper.ints, upper.den
         add("A(E)", _is_line(ints["E"], den, spec.printed_A, spec.s_factor),
-            lambda: f"computed {_affine_str(lower['E'])}, stated {_affine_str(_over(spec.printed_A, spec.s_factor))}")
+            lambda: f"computed {_affine_str(_first(lower, ['E']))}, stated {_affine_str(_over(spec.printed_A, spec.s_factor))}")
         stated_ratios = [(f"{var.name}:{pt.label}", pt.ratio_num, pt.ratio_den)
                          for var in spec.variants for pt in var.points]
         for label, num, s in stated_ratios + [("generic", spec.gen_ratio_num, spec.gen_ratio_den)]:
             add(f"ratio {label}", _is_line(ints[label], den, num, s),
-                lambda: f"computed {_affine_str(lower[label])}, stated {_affine_str(_over(num, s))}")
+                lambda: f"computed {_affine_str(_first(lower, [label]))}, stated {_affine_str(_over(num, s))}")
 
         stated = row.stated_form
         least = _least(table, row.lo, row.hi)  # the closed form and the minimizers read the same least lines
@@ -190,28 +212,38 @@ def verify_case(spec: CaseSpec, d: int, reference: _Reference | None = None) -> 
         except ValueError as exc:  # a tau mismatch, as for the closed form
             add(f"report at l={lam1}", False, lambda: str(exc))
         else:
-            # on the integer lines: at lambda_1 = p/q the line of integer value n is the ratio n/(den*w)
+            # on the integer lines: at lambda_1 = p/q the line of integer value n is the ratio n/(den*w);
+            # each reported Fraction x/y is compared as x*den*w = n*y, A(E)/S(E) as a pair of them
             at = {label: a * q + b * p for label, (a, b) in ints.items()}
-            got = [rep.a_e / rep.s_e, *(r.ratio for r in rep.rows), rep.lower_bound, rep.upper_bound]
+            (a_n, a_d), (s_n, s_d) = rep.a_e.as_integer_ratio(), rep.s_e.as_integer_ratio()
+            got = [(a_n * s_d, a_d * s_n), *(r.ratio.as_integer_ratio() for r in rep.rows),
+                   rep.lower_bound.as_integer_ratio(), rep.upper_bound.as_integer_ratio()]
             want = [at["E"], *(at[r.label if r.label == "generic" else f"{r.variant}:{r.label}"] for r in rep.rows)]
-            want += [min(at.values()), min(a * q + b * p for a, b in table.upper.ints.values())]
-            dens = [den * w] * (len(want) - 1) + [table.upper.den * w]
-            add(f"report at l={lam1}", all(x.numerator * m == n * x.denominator for x, n, m in zip(got, want, dens)),
-                lambda: f"reported {list(map(str, got))}, lines {[str(F(n, m)) for n, m in zip(want, dens)]}")
+            want += [min(at.values()), min([a * q + b * p for a, b in up_ints.values()])]
+            dens = [den * w] * (len(want) - 1) + [up_den * w]
+            add(f"report at l={lam1}", all(x * m == n * y for (x, y), n, m in zip(got, want, dens)),
+                lambda: f"reported {[str(F(x, y)) for x, y in got]}, lines {[str(F(n, m)) for n, m in zip(want, dens)]}")
 
         if spec.lower_regime_hi is not None:
             # bound-only on [0, hi): the least lower line is 3/2 (delta >= 3/(2t)), and the least
-            # upper line, concave minus it, lies above it at 0 and not below it at hi
+            # upper line, concave minus it, lies above it at 0 and not below it at hi; on the integer
+            # lines, a line (a, b) over den is 3/2 at 0 when 2a = 3*den
             hi = spec.lower_regime_hi
-            low, up, _ = binding(table, F(0), hi)
-            above = up is not None and up[0] > F(3, 2) and up[0] + up[1] * hi >= F(3, 2)
-            add("lower-bound regime", low == (F(3, 2), 0) and above,
-                lambda: f"least lines on [0, {hi}]: lower {_affine_str(low)}, upper {_affine_str(up)}, stated lower 3/2")
+            hi_p, hi_q = hi.as_integer_ratio()
+            low, up = _least(table, _ZERO, hi)
+            ok = bool(low and up)
+            if ok:
+                (a, b), (c, e) = ints[low[0]], up_ints[up[0]]
+                ok = 2 * a == 3 * den and b == 0 and 2 * c > 3 * up_den and 2 * (c * hi_q + e * hi_p) >= 3 * up_den * hi_q
+            add("lower-bound regime", ok,
+                lambda: f"least lines on [0, {hi}]: lower {_affine_str(_first(lower, low))}, "
+                        f"upper {_affine_str(_first(upper, up))}, stated lower 3/2")
 
         if row.lo == 0:
-            low, up, _ = binding(table, F(0), F(0))
-            add("normalization at l=0", low[0] == 3 and up[0] == 3,
-                lambda: f"least lines at 0: lower {_affine_str(low)}, upper {_affine_str(up)}; delta(0) = 1 needs 3")
+            low, up = _least(table, _ZERO, _ZERO)
+            add("normalization at l=0", ints[low[0]][0] == 3 * den and up_ints[up[0]][0] == 3 * up_den,
+                lambda: f"least lines at 0: lower {_affine_str(_first(lower, low))}, "
+                        f"upper {_affine_str(_first(upper, up))}; delta(0) = 1 needs 3")
     except Exception as exc:  # surfaced as a failing check, not a crash
         checks.append(Check(scope, "computation", False, f"{type(exc).__name__}: {exc}"))
     return checks
@@ -238,13 +270,15 @@ def verify_all(
 
     With case_ids, only those cases are verified and structurally validated;
     the catalog-wide order and alias checks still cover the whole mapping.
+    Each id must be a key of the mapping in use: a str is refused with
+    TypeError and a missing id with catalog.UnknownCase (catalog._case_ids),
+    so no id passes unchecked.
     """
     cat = CASES if catalog is None else catalog
-    viol = validate_catalog(cat, case_ids)
+    ids = _case_ids(cat, case_ids)
+    viol = validate_catalog(cat, ids)
     checks = [Check("catalog", "structural validation", not viol, "; ".join(viol))]
-    specs = sorted(cat.values(), key=lambda s: s.order)
-    if case_ids is not None:
-        specs = [s for s in specs if s.id in case_ids]
+    specs = sorted(cat.values() if ids is None else [cat[case_id] for case_id in ids], key=_ORDER)
     references: dict[SurfaceModel, _Reference] = {}
     for spec in specs:
         ref = references.get(spec.model)
@@ -254,7 +288,7 @@ def verify_all(
             checks.extend(verify_case(spec, d, ref))
     if case_ids is None:
         checks.extend(verify_threefold_section())
-    return checks, all(c.ok for c in checks)
+    return checks, all(map(_OK, checks))
 
 
 def summarize(checks: list[Check]) -> list[str]:

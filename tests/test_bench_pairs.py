@@ -40,3 +40,21 @@ def test_spread_and_the_gain_against_the_base_interquartile_range():
         assert tail["median_gain"] == -shift and tail["base_iqr"] == 4.0
         assert tail["gain_exceeds_base_iqr"] is exceeds
         assert tail["median_change"] == pytest.approx(shift / 13.0)
+
+
+def test_a_run_keeps_its_setup_runs_as_floats():
+    out = "\n".join([
+        "# workload: verify",
+        "# load_digest: abc123",
+        "# rounds: 12",
+        "# setup_runs: [0.051234, 0.0497, 0.085, 0.05, 0.0502, 0.0511, 0.0499]",
+        "# ops_per_s = 1800 1/s",
+        '{"correct": true, "attempted": 1128, "failed": 0, "metrics": {"setup_s": {"value": 0.0511}}}',
+    ])
+    run = bench_pairs.parse_run(out)
+    assert run["meta"] == {
+        "load_digest": "abc123", "rounds": "12",
+        "setup_runs": [0.051234, 0.0497, 0.085, 0.05, 0.0502, 0.0511, 0.0499],
+    }
+    assert all(type(x) is float for x in run["meta"]["setup_runs"])
+    assert run["metrics"] == {"setup_s": 0.0511} and run["correct"] and run["attempted"] == 1128

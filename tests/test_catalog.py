@@ -208,6 +208,7 @@ CRAFTED_VIOLATIONS = [
     ("A1", lambda s: {"m_L": F(1)}, "A1: m_L given but model has no companion curve"),
     ("A2", lambda s: {"s_factor": F(0)}, "A2: S/tau factors must be positive"),
     ("A2", lambda s: {"break_factors": (F(3),)}, "A2: breakpoint factor 3 out of order"),
+    ("A2", lambda s: {"break_factors": (F(0),)}, "A2: breakpoint factor 0 out of order"),  # not after 0
     ("A2", lambda s: _row(s, 3, lo=F(5, 6)), "A2: empty validity interval for d=3"),
     ("A2", lambda s: _row(s, 4, hi=F(1)), "A2: validity for d=4 exceeds 3/d"),
     ("A2", lambda s: _row(s, 3, delta_den=(F(0),)), "A2: zero denominator in closed form for d=3"),

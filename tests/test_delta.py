@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from fractions import Fraction as F
 from unittest import mock
@@ -203,6 +204,19 @@ class TestBinding:
                 ("v", "R", Ratio("v:R", F(-1), F(-1), F(1))))
         assert RatioTable(F(1), e, rows, ()).lct == F(1, 3)
         assert RatioTable(F(1), Ratio("E", F(3), F(0), F(1)), rows[1:], ()).lct is None
+        # -1 + 5l rises through 0 at 1/5: a zero with b > 0 is compared with those with b < 0
+        rising = ("v", "S", Ratio("v:S", F(-1), F(5), F(1)))
+        assert RatioTable(F(1), e, (*rows, rising), ()).lct == F(1, 5)
+
+    def test_lines_are_each_ratio_over_s_on_the_least_common_denominator(self):
+        # the lines are built from integer ratios; the reference divides each ratio's Fractions by s
+        for spec in CASES.values():
+            table = spec.ratio_table
+            lower = (table.e, *(ratio for _, _, ratio in table.rows))
+            for lines, ratios in ((table.lower, lower), (table.upper, (table.e, *table.curves))):
+                want = {r.label: (r.a / r.s, r.b / r.s) for r in ratios}
+                assert dict(lines.by_label) == want, spec.id
+                assert lines.den == math.lcm(*[x.denominator for line in want.values() for x in line]), spec.id
 
 
 class TestPlaneCurveBounds:
@@ -228,6 +242,31 @@ class TestPlaneCurveBounds:
     def test_out_of_domain_is_refused(self, args, message):
         with pytest.raises(ValueError, match=message):
             s_curve_on_plane(*args)
+
+    @pytest.mark.parametrize("d, lam, l", [
+        (4, "1/2", 10**9),  # returned (1/3, -499999999)
+        (4, F(1, 4), F(4) + F(1, 10**12)),  # l*lambda = 1 + 1/(4*10^12)
+        (1, F(1, 2), 3),
+        (2, F(2, 3) + F(1, 10**30), F(3, 2)),  # l*lambda just past 1, with a large denominator
+    ], ids=["huge-l", "just-past-1/l", "line", "large-denominator"])
+    def test_past_its_lct_is_refused_on_integers(self, d, lam, l):
+        with pytest.raises(ValueError, match=r"past the log canonical threshold"):
+            s_curve_on_plane(d, lam, 1, l)
+
+    def test_at_its_lct_the_log_discrepancy_is_0(self):
+        for d, lam, l in ((4, F(1, 4), 4), (2, F(2, 3), F(3, 2)), (4, F(1, 2), 2), (1, F(1), 1)):
+            s, a = s_curve_on_plane(d, lam, 1, l)
+            assert a == 0 and s == F(3 - d * F(lam), 3), (d, lam, l)
+
+    def test_every_entry_with_a_multiple_line_has_lct_1_over_l(self):
+        # so the cli's line clause, read at a reported lambda (at most the lct), is never refused
+        bounds = [(spec, cb.l) for spec in CASES.values() for cb in spec.extra_upper_bounds if cb.e == 1 and cb.l >= 2]
+        assert len(bounds) == 17
+        for spec, l in bounds:
+            assert spec.ratio_table.lct == 1 / l, spec.id
+            for row in spec.rows:
+                s, a = s_curve_on_plane(row.d, spec.ratio_table.lct, 1, l)
+                assert a == 0 and s > 0, (spec.id, row.d)
 
     @pytest.mark.parametrize("e", [1.0, True], ids=["float", "bool"])
     def test_a_curve_degree_e_not_an_int_is_refused(self, e):

@@ -35,6 +35,7 @@ from logfano.exact import (
     RationalFunction,
     UnsupportedDegree,
     _integers,
+    _root_pairs,
     _quadratic_has_root_in,
     _roots,
     integrate,
@@ -443,6 +444,41 @@ def located_quadratics(draw):
     return p * draw(st.one_of(small_rationals, huge).filter(bool)), min(ends), max(ends)
 
 
+@st.composite
+def root_pair_cases(draw):
+    """(ints, lo, hi): integer coefficients of a linear or a quadratic, often with a rational or a double
+    root at an end, or an irrational root near one (from quadratics and located_quadratics), and ends as
+    integer pairs, unreduced by a drawn factor; hi is None (open above) or the upper end."""
+    kind = draw(st.sampled_from(("located", "any", "linear", "double")))
+    if kind == "located":
+        p, a, b = draw(located_quadratics())
+    else:
+        if kind == "any":
+            p = draw(quadratics())
+        elif kind == "linear":
+            p = Poly.of(draw(rationals), draw(small_rationals.filter(bool)))
+        else:
+            r = draw(small_rationals)
+            p = Poly.of(r * r, -2 * r, 1) * draw(small_rationals.filter(bool))
+        r = quadratic_roots_or_zero(p)
+        a, b = sorted([draw(st.sampled_from([r, r + F(1, 7), r - F(1, 7)])), draw(small_rationals)])
+    ints = tuple(_integers(p.coeffs)[0]) if p.coeffs else (0,)
+
+    def pair(x):
+        k = draw(st.integers(1, 3))
+        return x.numerator * k, x.denominator * k
+
+    return ints, pair(a), draw(st.sampled_from([None, pair(b)]))
+
+
+def quadratic_roots_or_zero(p):
+    """A rational root of p when it has one, else 0: an end for root_pair_cases to sit on."""
+    try:
+        return min(quadratic_formula_roots(p), default=F(0))
+    except (ValueError, ArithmeticError):
+        return F(0)
+
+
 class TestRootKernels:
     @settings(max_examples=200, deadline=None)
     @given(quadratics(), small_rationals, small_rationals)
@@ -476,7 +512,46 @@ class TestRootKernels:
         assert outcome(_roots, ints, a, b) == (None if irrational else want)
         c, q, k = ints
         if q * q - 4 * k * c > 0:  # the location test's domain, rational roots included
-            assert _quadratic_has_root_in(c, q, k, a, b) == (irrational or bool(want))
+            assert _quadratic_has_root_in(c, q, k, a.as_integer_ratio(), b.as_integer_ratio()) == (irrational or bool(want))
+
+    @settings(max_examples=300, deadline=None)
+    @given(root_pair_cases())
+    @example(((6, -5, 1), (2, 1), (5, 2)))  # a root at lo, the interval closed
+    @example(((6, -5, 1), (4, 2), None))  # the same root at an unreduced lo, open above
+    @example(((9, -12, 4), (3, 2), None))  # the double root 3/2 at lo
+    @example(((9, -12, 4), (1, 1), (3, 2)))  # the double root at hi
+    @example(((-2, 0, 1), (0, 1), (7, 5)))  # sqrt(2) just outside a closed interval: no root
+    @example(((-2, 0, 1), (0, 1), (3, 2)))  # sqrt(2) inside: refused
+    @example(((-2, 0, 1), (2, 1), None))  # open above, both roots below lo: refused all the same
+    @example(((3, -2), (3, 2), None))  # a linear root at lo
+    @example(((3, 2), (0, 1), None))  # a linear root below lo
+    @example(((5,), (0, 1), None))  # a nonzero constant
+    @example(((0, 0, 0), (0, 1), (1, 1)))  # the zero polynomial
+    def test_root_pairs_are_the_quadratic_formula(self, case):
+        """The decomposition's roots on integer coefficients and integer-pair ends: those of
+        quadratic_formula_roots_in(p, lo, hi) with a closed end, the rational roots at or above lo
+        with an open one (hi None), where any irrational root refuses as rational_roots does."""
+        ints, lo, hi = case
+        p = Poly(tuple(map(F, ints)))
+        a = F(*lo)
+        try:
+            if hi is None:
+                want = [r for r in quadratic_formula_roots(p) if r >= a]
+            else:
+                want = quadratic_formula_roots_in(p, a, F(*hi))
+        except IrrationalRoot:
+            want = None
+        except (ValueError, ArithmeticError) as exc:  # UnsupportedDegree, the zero polynomial
+            want = type(exc), str(exc)
+        try:
+            got = _root_pairs(ints, lo, hi)
+        except (ValueError, ArithmeticError) as exc:
+            got = type(exc), str(exc)
+        else:
+            if got is not None:
+                assert all(q > 0 for _, q in got)
+                got = [F(*r) for r in got]
+        assert got == want
 
     def test_irrational_root_names_the_fraction_polynomial(self):
         with pytest.raises(IrrationalRoot, match=r"^irrational roots of 1-6v\^2/7$"):
@@ -577,6 +652,15 @@ class TestDecompositionKernels:
         z = zariski_decompose(model, flag_family(model, 1))
         assert exprs(z) == fraction_grow(model, divisor_expr(model, flag_family(model, 1)))
         assert z.breakpoints == (0, 0)
+
+    def test_two_volume_roots_after_v_end_at_the_first(self):
+        # H.H = -1 and E.E = 1: D = ((2v - 3)/2)*H + E/2 pairs with E as 1/2 throughout, so no curve
+        # crosses, and its volume (2 - v)(v - 1) has both roots after v = 0; the growth ends at the first
+        model = SurfaceModel(("E",), ((F(1),),), F(-1), (F(0),))
+        d = ((-3, 1), (2, 0), 2)
+        z = zariski_decompose(model, d)
+        assert z.breakpoints == (0, 1)
+        assert exprs(z) == fraction_grow(model, divisor_expr(model, d))
 
     def test_non_affine_family_is_refused(self):
         model = SurfaceModel(("E",), ((F(-1),),), F(1), (F(0),))

@@ -32,3 +32,8 @@ def test_count_puts_the_previous_trace_function_back():
         assert sys.gettrace() is outer
     finally:
         sys.settrace(None)
+
+
+def test_the_four_counted_calls_by_name():
+    assert list(opcount.workloads()) == [
+        "54 x delta_point", "54 x delta_closed_form", "verify_all()", "46 x verify_all(case_ids=[c])"]

@@ -10,7 +10,8 @@ from fractions import Fraction as F
 import pytest
 
 import logfano.verify as verify
-from logfano.catalog import CASES
+from logfano.catalog import CASES, UnknownCase, _affine_str, validate_catalog
+from logfano.delta import Ratio, RatioTable, binding
 from logfano.exact import Poly
 from logfano.surface import SurfaceModel, flag_family
 from logfano.verify import verify_all, verify_case
@@ -273,39 +274,46 @@ def test_every_printed_datum_fault_is_detected():
 
 
 class TestRegimeAndNormalization:
-    """The lower-bound regime and delta(0) = 1 as identities on the least lines of delta.binding."""
+    """The lower-bound regime and delta(0) = 1 as identities on the least lines of the case's ratio table."""
 
     REGIME = (F(3, 2), F(0))
 
-    def _with_regime_lines(self, monkeypatch, spec, low, up):
-        real = verify.binding
-
-        def crafted(table, lo, hi):
-            if (lo, hi) == (0, spec.lower_regime_hi):
-                return low, up, ()
-            return real(table, lo, hi)
-
-        monkeypatch.setattr(verify, "binding", crafted)
+    @staticmethod
+    def _with_regime_lines(lower, upper):
+        """The failing checks of A4 at d = 4 with lines added to its ratio table, each (a, b) with s = 1:
+        lower ones as points of a variant "fault", upper ones as curve bounds.  Its row starts at 2/5, past
+        the end 3/8 of its regime, so that a line least on [0, 3/8] can be above the closed form's on
+        [2/5, 7/10]; with no line added, every check passes (verify_case makes no structural check)."""
+        spec = CASES["A4"]
+        (row,) = spec.rows
+        spec = dataclasses.replace(spec, rows=(dataclasses.replace(row, lo=F(2, 5)),))
+        real = spec.ratio_table
+        rows = real.rows + tuple(("fault", f"X{k}", Ratio(f"fault:X{k}", a, b, F(1))) for k, (a, b) in enumerate(lower))
+        curves = real.curves + tuple(Ratio(f"curve{k}", a, b, F(1)) for k, (a, b) in enumerate(upper))
+        vars(spec)["ratio_table"] = RatioTable(real.tau, real.e, rows, curves)  # read by every check
         return _failing(verify_case(spec, 4))
 
     def test_stated_regimes_hold(self):
         for case_id in ("A4", "A5", "A6", "A7"):
             spec = CASES[case_id]
-            low, up, _ = verify.binding(spec.ratio_table, F(0), spec.lower_regime_hi)
+            low, up, _ = binding(spec.ratio_table, F(0), spec.lower_regime_hi)
             assert low == self.REGIME and up[0] > F(3, 2) and up[0] + up[1] * spec.lower_regime_hi >= F(3, 2)
             (regime,) = _named(verify_case(spec, 4), "lower-bound regime")
             assert regime.ok
+        assert self._with_regime_lines((), ()) == []
 
-    @pytest.mark.parametrize("low,up", [
-        ((F(3, 2), F(1, 100)), (F(42, 13), F(-60, 13))),  # the least lower line is not 3/2
-        ((F(3, 2), F(0)), (F(3, 2), F(4))),  # exact at 0: the upper line meets 3/2 there
-        ((F(3, 2), F(0)), (F(3), F(-8))),  # the upper line falls below 3/2 before 3/8
-        ((F(3, 2), F(0)), None),  # no single least upper line
-        (None, (F(42, 13), F(-60, 13))),  # no single least lower line
+    @pytest.mark.parametrize("lower,upper,low,up", [
+        # the least lower line is not 3/2: 1197/800 + lambda/100, 3/2 at 3/8
+        ([(F(1197, 800), F(1, 100))], [], (F(1197, 800), F(1, 100)), (F(42, 13), F(-60, 13))),
+        ([], [(F(3, 2), F(0))], REGIME, (F(3, 2), F(0))),  # exact at 0: the upper line meets 3/2 there
+        ([], [(F(299, 100), F(-4))], REGIME, (F(299, 100), F(-4))),  # the upper line is 149/100 at 3/8
+        ([], [(F(3), F(0))], REGIME, None),  # least at 0 only, E least at 3/8: no single least upper line
+        ([(F(373, 200), F(-1))], [], None, (F(42, 13), F(-60, 13))),  # least at 3/8 only: no single lower line
     ], ids=["lower_not_three_halves", "upper_meets_it_at_0", "upper_below_it_at_hi", "no_upper_line", "no_lower_line"])
-    def test_regime_off_its_lines_fails_the_regime_check_only(self, monkeypatch, low, up):
-        (bad,) = self._with_regime_lines(monkeypatch, CASES["A4"], low, up)
+    def test_regime_off_its_lines_fails_the_regime_check_only(self, lower, upper, low, up):
+        (bad,) = self._with_regime_lines(lower, upper)
         assert bad.name == "lower-bound regime" and bad.detail.startswith("least lines on [0, 3/8]")
+        assert f"lower {_affine_str(low)}, upper {_affine_str(up)}," in bad.detail
 
     def test_regime_stated_where_delta_is_exact_fails(self):
         # A3 is exact from 0 on: a stated regime ending at its lo = 0 has 3 as its least line
@@ -313,15 +321,18 @@ class TestRegimeAndNormalization:
         checks = verify_case(spec, 4)
         assert [c.name for c in _failing(checks)] == ["lower-bound regime"]
 
-    def test_normalization_reads_the_lines_at_0(self, monkeypatch):
-        real = verify.binding
-
-        def off_at_0(table, lo, hi):
-            low, up, names = real(table, lo, hi)
-            return (low if (lo, hi) != (0, 0) else (low[0] + 1, low[1])), up, names
-
-        monkeypatch.setattr(verify, "binding", off_at_0)
-        (bad,) = _failing(verify_case(CASES["A2"], 4))
+    def test_normalization_reads_the_lines_at_0(self):
+        # A2 with A(E), A(P1) and A(P2) scaled by 4/3, and their stated ratios and closed form with them:
+        # every line check holds, and only delta(0) = 1 sees that the least lines at 0 are 4
+        spec = CASES["A2"]
+        var = spec.variants[0]
+        p1, p2, q = var.points
+        points = (dataclasses.replace(p1, coeff=(F(5, 9), F(0)), ratio_num=(F(4), F(0))),
+                  dataclasses.replace(p2, coeff=(F(1, 3), F(0)), ratio_num=(F(4), F(0))), q)
+        rows = tuple(dataclasses.replace(r, delta_num=tuple(c * F(4, 3) for c in r.delta_num)) for r in spec.rows)
+        scaled = dataclasses.replace(spec, k_E=F(17, 3), m_C=F(8), printed_A=(F(20, 3), F(-8)),
+                                     variants=(dataclasses.replace(var, points=points),), rows=rows)
+        (bad,) = _failing(verify_case(scaled, 4))
         assert bad.name == "normalization at l=0" and "lower 4-" in bad.detail
 
 
@@ -341,16 +352,49 @@ class TestScopedValidation:
         checks, ok = verify_all(catalog=bad, case_ids=["D5"])
         assert ok and _named(checks, "structural validation")[0].ok
 
-    def test_catalog_wide_checks_span_the_mapping(self):
+    @pytest.mark.parametrize("faults", [("order", "alias"), ("order",), ("alias",)])
+    def test_catalog_wide_checks_span_the_mapping(self, faults):
         bad = dict(CASES)
-        bad["A3"] = dataclasses.replace(CASES["A3"], order=CASES["A2"].order)
-        bad["D5"] = dataclasses.replace(CASES["D5"], alias_of="no_such_case")
+        if "order" in faults:
+            bad["A3"] = dataclasses.replace(CASES["A3"], order=CASES["A2"].order)
+        if "alias" in faults:
+            bad["D5"] = dataclasses.replace(CASES["D5"], alias_of="no_such_case")
         checks, ok = verify_all(catalog=bad, case_ids=["E6"])
         (structural,) = _named(checks, "structural validation")
         assert not ok and not structural.ok
-        assert "duplicate order" in structural.detail
-        assert "D5: alias target 'no_such_case' missing" in structural.detail
+        assert ("duplicate order" in structural.detail) == ("order" in faults)
+        assert ("D5: alias target 'no_such_case' missing" in structural.detail) == ("alias" in faults)
+        assert structural.detail.split("; ") == validate_catalog(bad)  # E6 itself is sound: the messages of a full run
 
+
+    @pytest.mark.parametrize("case_ids", [["nope"], ["A2", "nope"], ["A2_line"]])
+    def test_an_id_missing_from_the_mapping_is_refused(self, case_ids):
+        # ["nope"] passed with one passing "structural validation" check and all_ok True
+        with pytest.raises(UnknownCase, match=r"^unknown case id '(nope|A2_line)'$"):
+            verify_all(case_ids=case_ids)
+        with pytest.raises(UnknownCase):
+            validate_catalog(case_ids=case_ids)
+
+    def test_an_id_is_looked_up_in_the_mapping_in_use(self):
+        # the benchmark's fault operation: a one-entry mapping, verified by its one id
+        faulty = dataclasses.replace(CASES["A2"], k_E=CASES["A2"].k_E + 1)
+        checks, ok = verify_all(catalog={"A2": faulty}, case_ids=["A2"])
+        assert not ok and {c.scope for c in checks} == {"catalog", "A2/d=3", "A2/d=4"}
+        with pytest.raises(UnknownCase, match=r"^unknown case id 'D5'$"):
+            verify_all(catalog={"A2": faulty}, case_ids=["D5"])
+
+    @pytest.mark.parametrize("case_ids", ["A2", "A2_line", ""])
+    def test_a_str_is_refused(self, case_ids):
+        # "A2_line" verified A2 by a substring test (29 checks) and returned True
+        with pytest.raises(TypeError, match=r"^case_ids must be a collection of case ids, not the str "):
+            verify_all(case_ids=case_ids)
+
+    def test_ids_given_twice_or_out_of_order_verify_each_case_once_in_catalog_order(self):
+        checks, ok = verify_all(case_ids=["D5", "A2", "D5"])
+        once, _ = verify_all(case_ids=["A2", "D5"])
+        assert ok and checks == once
+        assert [c.scope for c in checks if c.scope != "catalog"] == sorted(
+            (c.scope for c in checks if c.scope != "catalog"), key=lambda scope: CASES[scope.split("/")[0]].order)
 
     @pytest.mark.parametrize("case_id, changes, message", [
         ("A4", {"rows": ()}, "no degree rows"),  # died in min() of no rows

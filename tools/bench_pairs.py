@@ -15,7 +15,8 @@ base first when i is even and head first when it is odd, so a drift of the
 machine's speed falls on both sides alike.  The record holds every run's
 metrics and, per end-to-end metric of ``BENCHMARK.json``, each side's median
 and quartiles, the pairs the head wins (ties count for neither) and whether
-the median gain exceeds the base's interquartile range.  It also holds the
+the median gain exceeds the base's interquartile range.  Each run keeps its
+metadata, with ``setup_runs``, the seven import times behind its ``setup_s``.  It also holds the
 seeds, both SHAs, the Python version and ``nproc``.  It is written to
 ``<prefix>_<workload>.json`` at the repository root.
 """
@@ -61,15 +62,25 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv[1:])} in {tree} exited {proc.returncode}: {proc.stderr.strip()}")
-    lines = proc.stdout.strip().splitlines()
+    return parse_run(proc.stdout)
+
+
+def parse_run(stdout: str) -> dict:
+    """The record of one run from its output: the result line, and the metadata of the '# key: value'
+    lines before it.  setup_runs, the import times behind setup_s, is kept as a list of floats, so that
+    a record tells one slow process from a slower revision."""
+    lines = stdout.strip().splitlines()
     meta = dict(line[2:].split(": ", 1) for line in lines[:-1] if line.startswith("# ") and ": " in line)
     result = json.loads(lines[-1])
+    kept = {key: meta[key] for key in ("load_digest", "rounds", "tail_percentile", "tail_n") if key in meta}
+    if "setup_runs" in meta:
+        kept["setup_runs"] = [float(x) for x in json.loads(meta["setup_runs"])]
     return {
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
-        "meta": {key: meta[key] for key in ("load_digest", "rounds", "tail_percentile", "tail_n") if key in meta},
+        "meta": kept,
     }
 
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Deterministic work counts: the Python bytecodes three engine calls execute.
+"""Deterministic work counts: the Python bytecodes four engine calls execute.
 
 Usage, from anywhere inside the repository:
 
@@ -13,7 +13,10 @@ function that sets ``frame.f_trace_opcodes`` on every frame and counts its
 - ``delta_point`` at lambda = lo + (hi - lo)/3 on each of the catalog's 54
   case/degree rows, the lambdas made inside the counted call;
 - ``delta_closed_form`` on each of the 54 rows;
-- one ``verify_all()``.
+- one ``verify_all()``;
+- ``verify_all(case_ids=[c])`` for each of the catalog's 46 cases, in catalog
+  order: the shape of a ``verify`` benchmark operation, each call validating
+  its case and computing its own t = 1 reference.
 
 A count is exact and repeats across runs, processes and hash seeds, but it sees
 Python bytecode only: big-integer arithmetic, ``math.gcd`` and dict lookups
@@ -60,18 +63,20 @@ def count(fn: Callable[[], object]) -> int:
 
 
 def workloads() -> dict[str, Callable[[], object]]:
-    """The three counted calls, by name; logfano must be importable."""
+    """The four counted calls, by name; logfano must be importable."""
     from logfano.catalog import CASES
     from logfano.delta import delta_closed_form, delta_point
     from logfano.verify import verify_all
 
     n = sum(len(spec.rows) for spec in CASES.values())
+    ids = sorted(CASES, key=lambda case_id: CASES[case_id].order)
     return {
         f"{n} x delta_point": lambda: [
             delta_point(c, r.d, r.lo + (r.hi - r.lo) / 3) for c, s in CASES.items() for r in s.rows
         ],
         f"{n} x delta_closed_form": lambda: [delta_closed_form(c, r.d) for c, s in CASES.items() for r in s.rows],
         "verify_all()": lambda: verify_all(),
+        f"{len(ids)} x verify_all(case_ids=[c])": lambda: [verify_all(case_ids=[c]) for c in ids],
     }
 
 
