@@ -29,7 +29,7 @@ from functools import cached_property
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .exact import LinearFractional, Poly, rat
+from .exact import LinearFractional, _format, rat
 from .surface import IntegerDivisor, SurfaceModel, flag_family
 
 if TYPE_CHECKING:
@@ -970,7 +970,7 @@ def build_case(case_id: str, d: int, catalog: dict[str, CaseSpec] | None = None)
 
 def _affine_str(line: Affine | None) -> str:
     """The line a + b*lambda as text, e.g. "5-6l"; "none" for no line."""
-    return "none" if line is None else Poly.affine(*line).format("l")
+    return "none" if line is None else _format(line, "l")
 
 
 _ORDER, _ALIAS = attrgetter("order"), attrgetter("alias_of")

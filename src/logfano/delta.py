@@ -40,6 +40,7 @@ from .exact import LinearFractional, _integral, _sum, rat
 from .surface import SurfaceModel, ZariskiPieces, _dot, _pairings, flag_family, zariski_decompose
 
 F = Fraction
+_ZERO, _ONE = F(0), F(1)  # shared: a Fraction operator with an int operand converts it on every call
 
 
 class NotExactOnInterval(ValueError):
@@ -205,7 +206,7 @@ def _curve_ratio(e: int, l: Fraction) -> Ratio:
     """A degree-e plane curve class with multiplicity l in C: A = 1 - l*lambda, S = t/(3e)."""
     if e < 1:
         raise ValueError("curve degree must be >= 1")
-    return Ratio(f"curve(e={e},l={l})", F(1), -l, F(1, 3 * e))
+    return Ratio(f"curve(e={e},l={l})", _ONE, -l, F(1, 3 * e))
 
 
 def ratio_table(spec: CaseSpec) -> RatioTable:
@@ -215,17 +216,17 @@ def ratio_table(spec: CaseSpec) -> RatioTable:
     tau_factor: the readers that report a value (_checked_table) do.
     """
     unit = _unit_constants(spec.model)
-    generic = Ratio("generic", F(1), F(0), unit.s_generic)
+    generic = Ratio("generic", _ONE, _ZERO, unit.s_generic)
     rows = []
     for var in spec.variants:
         for pt in var.points:
             a, b = pt.coeff
             s = unit.s_on_l if pt.location == "on_L" else unit.s_generic
-            rows.append((var.name, pt.label, Ratio(f"{var.name}:{pt.label}", 1 - a, -b, s)))
+            rows.append((var.name, pt.label, Ratio(f"{var.name}:{pt.label}", _ONE - a, -b, s)))
         rows.append((var.name, "generic", generic))
     return RatioTable(
         unit.tau,
-        Ratio("E", 1 + spec.k_E, -spec.m_C, unit.s_e),
+        Ratio("E", _ONE + spec.k_E, -spec.m_C, unit.s_e),
         tuple(rows),
         tuple(_curve_ratio(cb.e, cb.l) for cb in spec.extra_upper_bounds),
     )

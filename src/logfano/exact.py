@@ -157,30 +157,27 @@ class Poly:
 
     def format(self, var: str = "v") -> str:
         """Human-readable form, constant term first: e.g. ``3-4v`` or ``9-v^2/2``."""
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                term = str(mag)
+        return _format(self.coeffs, var)
+
+
+def _format(coeffs: Sequence[Fraction], var: str) -> str:
+    """Poly.format of these coefficients, each read as its integer ratio; "0" when all are 0."""
+    parts: list[str] = []
+    for k, c in enumerate(coeffs):
+        n, d = c.as_integer_ratio()
+        if n == 0:
+            continue
+        mag = abs(n)
+        if k == 0:
+            term = str(mag) if d == 1 else f"{mag}/{d}"
+        else:
+            vpart = var if k == 1 else f"{var}^{k}"
+            if d == 1:
+                term = vpart if mag == 1 else f"{mag}{vpart}"
             else:
-                vpart = var if k == 1 else f"{var}^{k}"
-                if mag == 1:
-                    term = vpart
-                elif mag.denominator == 1:
-                    term = f"{mag}{vpart}"
-                elif mag.numerator == 1:
-                    term = f"{vpart}/{mag.denominator}"
-                else:
-                    term = f"{mag.numerator}{vpart}/{mag.denominator}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+{term}" if c > 0 else f"-{term}")
-        return "".join(parts)
+                term = f"{vpart}/{d}" if mag == 1 else f"{mag}{vpart}/{d}"
+        parts.append(f"-{term}" if n < 0 else f"+{term}" if parts else term)
+    return "".join(parts) or "0"
 
 
 def _integers(values: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -214,7 +214,7 @@ def _pairings(table: list[list[int]], d: IntegerDivisor) -> tuple[list[int], lis
     the curve of table row j, and (d . d) = (vol[0] + vol[1]*v + vol[2]*v^2)/(den_t*den^2).
     """
     c, s, _ = d
-    f0, f1 = [_dot(g, c) for g in table], [_dot(g, s) for g in table]
+    f0, f1 = [sum(map(mul, g, c)) for g in table], [sum(map(mul, g, s)) for g in table]  # _dot, inlined
     return f0, f1, [_dot(c, f0), 2 * _dot(c, f1), _dot(s, f1)]
 
 

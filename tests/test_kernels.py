@@ -1,20 +1,20 @@
 """The integer inner loops of the exact core against plain-Fraction references.
 
-Poly evaluation, multiplication and integration, delta.binding, the
+Poly evaluation, multiplication, integration and formatting, delta.binding, the
 quadratic formula and the location of an irrational root, the support
 solve and support growth of the Zariski decomposition, the
 decomposition's invariant checks, its S-integrals and verify's homogeneity
 comparison, and the closed form's reduction run on integers over a common
 denominator.  Each reference below is the Fraction loop they replace, kept
 here as the oracle: Horner's rule, the convolution, the antiderivative, the
-naive bilinear sum, the per-end minimum of the ratio lines, the quadratic
-formula with a rational square root (and, for an irrational one, each
-comparison with a root made through its square), Gaussian elimination with
-Sylvester's minors, the Fraction support growth, the Poly checks and
-integrals of tests/oracles.py and the polynomial gcd.  The engine's pieces
-are integer rows; the oracles read them as DivisorExprs through
-oracles.exprs and pair them through surface.pair, itself checked here
-against the naive bilinear sum.
+Fraction format, the naive bilinear sum, the per-end minimum of the ratio
+lines, the quadratic formula with a rational square root (and, for an
+irrational one, each comparison with a root made through its square),
+Gaussian elimination with Sylvester's minors, the Fraction support growth,
+the Poly checks and integrals of tests/oracles.py and the polynomial gcd.
+The engine's pieces are integer rows; the oracles read them as DivisorExprs
+through oracles.exprs and pair them through surface.pair, itself checked
+here against the naive bilinear sum.
 """
 
 from __future__ import annotations
@@ -97,6 +97,32 @@ def convolution(a, b):
 def antiderivative_integral(coeffs, a, b):
     anti = [F(0)] + [c / (k + 1) for k, c in enumerate(coeffs)]
     return horner(anti, b) - horner(anti, a)
+
+
+def fraction_format(coeffs, var):
+    """Poly.format on Fractions: each term from abs(c), its numerator and denominator."""
+    parts = []
+    for k, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        mag = abs(c)
+        if k == 0:
+            term = str(mag)
+        else:
+            vpart = var if k == 1 else f"{var}^{k}"
+            if mag == 1:
+                term = vpart
+            elif mag.denominator == 1:
+                term = f"{mag}{vpart}"
+            elif mag.numerator == 1:
+                term = f"{vpart}/{mag.denominator}"
+            else:
+                term = f"{mag.numerator}{vpart}/{mag.denominator}"
+        if not parts:
+            parts.append(term if c > 0 else f"-{term}")
+        else:
+            parts.append(f"+{term}" if c > 0 else f"-{term}")
+    return "".join(parts) or "0"
 
 
 def bilinear_pair(model, d1, d2):
@@ -294,6 +320,13 @@ class TestPolyKernels:
         a, b = min(a, b), max(a, b)
         got = integrate(Poly(tuple(coeffs)), a, b)
         assert got == antiderivative_integral(coeffs, a, b) and type(got) is F
+
+    @settings(max_examples=150, deadline=None)
+    @given(coeff_lists, st.sampled_from(["v", "l", "λ"]))
+    @example([F(0), F(-1), F(1, 2), F(-3, 4)], "l")
+    @example([F(5, 3), F(0), F(-7, 2), F(0)], "v")
+    def test_format_is_the_fraction_format(self, coeffs, var):
+        assert Poly(tuple(coeffs)).format(var) == fraction_format(coeffs, var)
 
     def test_integrate_refuses_an_empty_interval(self):
         with pytest.raises(ValueError):
