@@ -352,20 +352,29 @@ class TestScopedValidation:
         checks, ok = verify_all(catalog=bad, case_ids=["D5"])
         assert ok and _named(checks, "structural validation")[0].ok
 
-    @pytest.mark.parametrize("faults", [("order", "alias"), ("order",), ("alias",)])
-    def test_catalog_wide_checks_span_the_mapping(self, faults):
+    def test_catalog_wide_checks_span_the_mapping(self):
         bad = dict(CASES)
-        if "order" in faults:
+        bad["A3"] = dataclasses.replace(CASES["A3"], order=CASES["A2"].order)
+        bad["D5"] = dataclasses.replace(CASES["D5"], alias_of="no_such_case")
+        checks, ok = verify_all(catalog=bad, case_ids=["E6"])
+        (structural,) = _named(checks, "structural validation")
+        assert not ok and not structural.ok
+        assert "duplicate order" in structural.detail
+        assert "D5: alias target 'no_such_case' missing" in structural.detail
+
+    @pytest.mark.parametrize("fault", ["order", "alias"])
+    def test_each_catalog_wide_fault_alone_spans_the_mapping(self, fault):
+        bad = dict(CASES)
+        if fault == "order":
             bad["A3"] = dataclasses.replace(CASES["A3"], order=CASES["A2"].order)
-        if "alias" in faults:
+        else:
             bad["D5"] = dataclasses.replace(CASES["D5"], alias_of="no_such_case")
         checks, ok = verify_all(catalog=bad, case_ids=["E6"])
         (structural,) = _named(checks, "structural validation")
         assert not ok and not structural.ok
-        assert ("duplicate order" in structural.detail) == ("order" in faults)
-        assert ("D5: alias target 'no_such_case' missing" in structural.detail) == ("alias" in faults)
+        assert ("duplicate order" in structural.detail) == (fault == "order")
+        assert ("D5: alias target 'no_such_case' missing" in structural.detail) == (fault == "alias")
         assert structural.detail.split("; ") == validate_catalog(bad)  # E6 itself is sound: the messages of a full run
-
 
     @pytest.mark.parametrize("case_ids", [["nope"], ["A2", "nope"], ["A2_line"]])
     def test_an_id_missing_from_the_mapping_is_refused(self, case_ids):
