@@ -18,12 +18,15 @@ entry is then guaranteed to surface as a mismatch.
 Conventions: the flag parameter interval scales with t = 3 - d*lambda, so
 thresholds and breakpoints are stored as multiples of t; affine functions of
 lambda are (a, b) pairs meaning a + b*lambda; per-point ratios are stored as
-ratio = (a + b*lambda) / (den_factor * t).
+ratio = (a + b*lambda) / (den_factor * t).  An entry
+that declares alias_of is built from its target, which comes earlier in the
+catalog: only its id, label, order and degree rows are its own, so its local
+data is the target's by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
@@ -195,7 +198,6 @@ def _case(
     minimizers: tuple[str, ...],
     extra: tuple[CurveBound, ...] = (),
     lower_regime_hi=None,
-    alias_of: str | None = None,
 ) -> CaseSpec:
     variants = points if points and isinstance(points[0], Variant) else (Variant("default", tuple(points)),)
     return CaseSpec(
@@ -217,8 +219,26 @@ def _case(
         rows=rows,
         minimizers=minimizers,
         lower_regime_hi=None if lower_regime_hi is None else rat(lower_regime_hi),
-        alias_of=alias_of,
     )
+
+
+# an alias entry as (id, label, order, alias_of, rows): its target's entry with these five fields replaced
+_Alias = tuple[str, str, int, str, tuple[DegreeRow, ...]]
+
+
+def _alias(id: str, label: str, order: int, target: str, row: DegreeRow) -> _Alias:
+    return id, label, order, target, (row,)
+
+
+def _build(entries: Iterable[CaseSpec | _Alias]) -> dict[str, CaseSpec]:
+    """The entries by id, in order; an alias's target comes before it."""
+    cases: dict[str, CaseSpec] = {}
+    for entry in entries:
+        if not isinstance(entry, CaseSpec):
+            id, label, order, target, rows = entry
+            entry = replace(cases[target], id=id, label=label, order=order, rows=rows, alias_of=target)
+        cases[entry.id] = entry
+    return cases
 
 
 _LINE_BOUND = CurveBound(1, F(1))
@@ -227,7 +247,7 @@ _TRIPLE_LINE_BOUND = CurveBound(1, F(3))
 _QUADRUPLE_LINE_BOUND = CurveBound(1, F(4))
 
 
-_RAW_CASES: tuple[CaseSpec, ...] = (
+_RAW_CASES: tuple[CaseSpec | _Alias, ...] = (
     _case(
         "line_component_smooth_point",
         "smooth point on a line component",
@@ -572,34 +592,12 @@ _RAW_CASES: tuple[CaseSpec, ...] = (
         ("Q",),
         extra=(_DOUBLE_LINE_BOUND,),
     ),
-    _case(
-        "double_line_plus_line_smooth",
-        "double line plus a line, smooth point on the simple line",
-        23,
-        _SINGLE, None, 1, 1, (2, -1), F(2, 3), 1, (),
-        (
-            _pt("Q", 0, 1, "on_C", 3, -3),
-        ),
-        (3, 0), 1,
-        (_row(3, 0, 1, (1,), (1,)),),
-        ("Q",),
-        extra=(_LINE_BOUND,),
-        alias_of="line_component_smooth_point",
-    ),
-    _case(
-        "double_line_plus_line_point_on_double",
-        "double line plus a line, smooth point on the double line",
-        24,
-        _SINGLE, None, 2, 1, (2, -2), F(2, 3), 1, (),
-        (
-            _pt("Q", 0, 2, "on_C", 3, -6),
-        ),
-        (3, 0), 1,
-        (_row(3, 0, F(1, 2), (3, -6), (3, -3)),),
-        ("Q",),
-        extra=(_DOUBLE_LINE_BOUND,),
-        alias_of="double_line",
-    ),
+    _alias("double_line_plus_line_smooth",
+           "double line plus a line, smooth point on the simple line",
+           23, "line_component_smooth_point", _row(3, 0, 1, (1,), (1,))),
+    _alias("double_line_plus_line_point_on_double",
+           "double line plus a line, smooth point on the double line",
+           24, "double_line", _row(3, 0, F(1, 2), (3, -6), (3, -3))),
     _case(
         "double_line_plus_line_singular",
         "double line plus a line, crossing point",
@@ -641,35 +639,12 @@ _RAW_CASES: tuple[CaseSpec, ...] = (
         (_row(4, 0, F(3, 8), (1,), (1,)),),
         ("E",),
     ),
-    _case(
-        "conic_double_chord_on_conic",
-        "conic plus double chord, smooth point on the conic",
-        28,
-        _TANGENT2, 2, 2, 2, (3, -2), 1, 2, (1,),
-        (
-            _pt("EL", 0, 0, "on_L", 3, 0),
-            _pt("P1", F(1, 2), 0, "isolated", 3, 0, order=2),
-            _pt("Q", 0, 1, "on_C", 6, -6),
-        ),
-        (6, 0), 1,
-        (_row(4, 0, F(3, 4), (3, -2), (3, -4)),),
-        ("E",),
-        alias_of="smooth_quartic_tangent2",
-    ),
-    _case(
-        "conic_double_chord_on_chord",
-        "conic plus double chord, smooth point on the chord",
-        29,
-        _SINGLE, None, 2, 1, (2, -2), F(2, 3), 1, (),
-        (
-            _pt("Q", 0, 2, "on_C", 3, -6),
-        ),
-        (3, 0), 1,
-        (_row(4, 0, F(1, 2), (3, -6), (3, -4)),),
-        ("Q",),
-        extra=(_DOUBLE_LINE_BOUND,),
-        alias_of="double_line",
-    ),
+    _alias("conic_double_chord_on_conic",
+           "conic plus double chord, smooth point on the conic",
+           28, "smooth_quartic_tangent2", _row(4, 0, F(3, 4), (3, -2), (3, -4))),
+    _alias("conic_double_chord_on_chord",
+           "conic plus double chord, smooth point on the chord",
+           29, "double_line", _row(4, 0, F(1, 2), (3, -6), (3, -4))),
     _case(
         "conic_double_chord_node",
         "conic plus double chord, crossing point",
@@ -684,35 +659,12 @@ _RAW_CASES: tuple[CaseSpec, ...] = (
         ("Q2",),
         extra=(_DOUBLE_LINE_BOUND,),
     ),
-    _case(
-        "conic_double_tangent_on_conic",
-        "conic plus double tangent, smooth point on the conic",
-        31,
-        _TANGENT2, 2, 2, 2, (3, -2), 1, 2, (1,),
-        (
-            _pt("EL", 0, 0, "on_L", 3, 0),
-            _pt("P1", F(1, 2), 0, "isolated", 3, 0, order=2),
-            _pt("Q", 0, 1, "on_C", 6, -6),
-        ),
-        (6, 0), 1,
-        (_row(4, 0, F(3, 4), (3, -2), (3, -4)),),
-        ("E",),
-        alias_of="smooth_quartic_tangent2",
-    ),
-    _case(
-        "conic_double_tangent_on_line",
-        "conic plus double tangent, smooth point on the tangent",
-        32,
-        _SINGLE, None, 2, 1, (2, -2), F(2, 3), 1, (),
-        (
-            _pt("Q", 0, 2, "on_C", 3, -6),
-        ),
-        (3, 0), 1,
-        (_row(4, 0, F(1, 2), (3, -6), (3, -4)),),
-        ("Q",),
-        extra=(_DOUBLE_LINE_BOUND,),
-        alias_of="conic_double_chord_on_chord",
-    ),
+    _alias("conic_double_tangent_on_conic",
+           "conic plus double tangent, smooth point on the conic",
+           31, "smooth_quartic_tangent2", _row(4, 0, F(3, 4), (3, -2), (3, -4))),
+    _alias("conic_double_tangent_on_line",
+           "conic plus double tangent, smooth point on the tangent",
+           32, "conic_double_chord_on_chord", _row(4, 0, F(1, 2), (3, -6), (3, -4))),
     _case(
         "conic_double_tangent_tangency",
         "conic plus double tangent, tangency point",
@@ -728,48 +680,15 @@ _RAW_CASES: tuple[CaseSpec, ...] = (
         ("Q2",),
         extra=(_DOUBLE_LINE_BOUND,),
     ),
-    _case(
-        "double_line_two_lines_general_smooth",
-        "double line plus two general lines, smooth point on a simple line",
-        34,
-        _SINGLE, None, 1, 1, (2, -1), F(2, 3), 1, (),
-        (
-            _pt("Q", 0, 1, "on_C", 3, -3),
-        ),
-        (3, 0), 1,
-        (_row(4, 0, F(3, 4), (3, -3), (3, -4)),),
-        ("Q",),
-        extra=(_LINE_BOUND,),
-        alias_of="line_component_smooth_point",
-    ),
-    _case(
-        "double_line_two_lines_general_node",
-        "double line plus two general lines, node of the simple lines",
-        35,
-        _SINGLE, None, 2, 1, (2, -2), F(2, 3), 1, (),
-        (
-            _pt("Q1", 0, 1, "on_C", 3, -3),
-            _pt("Q2", 0, 1, "on_C", 3, -3),
-        ),
-        (3, 0), 1,
-        (_row(4, 0, F(3, 4), (3, -3), (3, -4)),),
-        ("E", "Q1", "Q2"),
-        alias_of="A1",
-    ),
-    _case(
-        "double_line_two_lines_general_on_double",
-        "double line plus two general lines, smooth point on the double line",
-        36,
-        _SINGLE, None, 2, 1, (2, -2), F(2, 3), 1, (),
-        (
-            _pt("Q", 0, 2, "on_C", 3, -6),
-        ),
-        (3, 0), 1,
-        (_row(4, 0, F(1, 2), (3, -6), (3, -4)),),
-        ("Q",),
-        extra=(_DOUBLE_LINE_BOUND,),
-        alias_of="double_line",
-    ),
+    _alias("double_line_two_lines_general_smooth",
+           "double line plus two general lines, smooth point on a simple line",
+           34, "line_component_smooth_point", _row(4, 0, F(3, 4), (3, -3), (3, -4))),
+    _alias("double_line_two_lines_general_node",
+           "double line plus two general lines, node of the simple lines",
+           35, "A1", _row(4, 0, F(3, 4), (3, -3), (3, -4))),
+    _alias("double_line_two_lines_general_on_double",
+           "double line plus two general lines, smooth point on the double line",
+           36, "double_line", _row(4, 0, F(1, 2), (3, -6), (3, -4))),
     _case(
         "double_line_two_lines_general_singular",
         "double line plus two general lines, crossing on the double line",
@@ -784,34 +703,12 @@ _RAW_CASES: tuple[CaseSpec, ...] = (
         ("Q2",),
         extra=(_DOUBLE_LINE_BOUND,),
     ),
-    _case(
-        "double_line_two_lines_concurrent_smooth",
-        "double line plus two concurrent lines, smooth point",
-        38,
-        _SINGLE, None, 1, 1, (2, -1), F(2, 3), 1, (),
-        (
-            _pt("Q", 0, 1, "on_C", 3, -3),
-        ),
-        (3, 0), 1,
-        (_row(4, 0, F(3, 4), (3, -3), (3, -4)),),
-        ("Q",),
-        extra=(_LINE_BOUND,),
-        alias_of="line_component_smooth_point",
-    ),
-    _case(
-        "double_line_two_lines_concurrent_on_double",
-        "double line plus two concurrent lines, smooth point on the double line",
-        39,
-        _SINGLE, None, 2, 1, (2, -2), F(2, 3), 1, (),
-        (
-            _pt("Q", 0, 2, "on_C", 3, -6),
-        ),
-        (3, 0), 1,
-        (_row(4, 0, F(1, 2), (3, -6), (3, -4)),),
-        ("Q",),
-        extra=(_DOUBLE_LINE_BOUND,),
-        alias_of="double_line",
-    ),
+    _alias("double_line_two_lines_concurrent_smooth",
+           "double line plus two concurrent lines, smooth point",
+           38, "line_component_smooth_point", _row(4, 0, F(3, 4), (3, -3), (3, -4))),
+    _alias("double_line_two_lines_concurrent_on_double",
+           "double line plus two concurrent lines, smooth point on the double line",
+           39, "double_line", _row(4, 0, F(1, 2), (3, -6), (3, -4))),
     _case(
         "double_line_two_lines_concurrent_center",
         "double line plus two concurrent lines, common point",
@@ -827,20 +724,9 @@ _RAW_CASES: tuple[CaseSpec, ...] = (
         ("E", "Q3"),
         extra=(_DOUBLE_LINE_BOUND,),
     ),
-    _case(
-        "two_double_lines_on_line",
-        "two double lines, smooth point on one of them",
-        41,
-        _SINGLE, None, 2, 1, (2, -2), F(2, 3), 1, (),
-        (
-            _pt("Q", 0, 2, "on_C", 3, -6),
-        ),
-        (3, 0), 1,
-        (_row(4, 0, F(1, 2), (3, -6), (3, -4)),),
-        ("Q",),
-        extra=(_DOUBLE_LINE_BOUND,),
-        alias_of="double_line",
-    ),
+    _alias("two_double_lines_on_line",
+           "two double lines, smooth point on one of them",
+           41, "double_line", _row(4, 0, F(1, 2), (3, -6), (3, -4))),
     _case(
         "two_double_lines_node",
         "two double lines, crossing point",
@@ -855,34 +741,12 @@ _RAW_CASES: tuple[CaseSpec, ...] = (
         ("E", "Q1", "Q2"),
         extra=(_DOUBLE_LINE_BOUND,),
     ),
-    _case(
-        "triple_line_plus_line_smooth",
-        "triple line plus a line, smooth point on the simple line",
-        43,
-        _SINGLE, None, 1, 1, (2, -1), F(2, 3), 1, (),
-        (
-            _pt("Q", 0, 1, "on_C", 3, -3),
-        ),
-        (3, 0), 1,
-        (_row(4, 0, F(3, 4), (3, -3), (3, -4)),),
-        ("Q",),
-        extra=(_LINE_BOUND,),
-        alias_of="line_component_smooth_point",
-    ),
-    _case(
-        "triple_line_plus_line_on_triple",
-        "triple line plus a line, smooth point on the triple line",
-        44,
-        _SINGLE, None, 3, 1, (2, -3), F(2, 3), 1, (),
-        (
-            _pt("Q", 0, 3, "on_C", 3, -9),
-        ),
-        (3, 0), 1,
-        (_row(4, 0, F(1, 3), (3, -9), (3, -4)),),
-        ("Q",),
-        extra=(_TRIPLE_LINE_BOUND,),
-        alias_of="triple_line",
-    ),
+    _alias("triple_line_plus_line_smooth",
+           "triple line plus a line, smooth point on the simple line",
+           43, "line_component_smooth_point", _row(4, 0, F(3, 4), (3, -3), (3, -4))),
+    _alias("triple_line_plus_line_on_triple",
+           "triple line plus a line, smooth point on the triple line",
+           44, "triple_line", _row(4, 0, F(1, 3), (3, -9), (3, -4))),
     _case(
         "triple_line_plus_line_singular",
         "triple line plus a line, crossing point",
@@ -913,7 +777,7 @@ _RAW_CASES: tuple[CaseSpec, ...] = (
 )
 
 
-CASES: dict[str, CaseSpec] = {spec.id: spec for spec in _RAW_CASES}
+CASES: dict[str, CaseSpec] = _build(_RAW_CASES)
 
 
 def get_case(case_id: str) -> CaseSpec:
@@ -940,7 +804,9 @@ def check_degree(value: int, name: str = "degree") -> int:
 
 
 def check_lambda(d: int, lam: Fraction | int | str) -> Fraction:
-    """lambda as a Fraction; ValueError unless it lies in [0, 3/d), tested on its integers p/q."""
+    """lambda as a Fraction; ValueError unless d >= 1 and lambda lies in [0, 3/d), tested on its integers p/q."""
+    if d < 1:
+        raise ValueError(f"curve degree d = {d} must be >= 1")
     lam = rat(lam)
     p, q = lam.as_integer_ratio()
     if p < 0 or p * d >= 3 * q:

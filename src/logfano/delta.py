@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -111,8 +111,8 @@ class Lines:
     ints maps each label to (a*den, b*den), with den the least common
     denominator of the set, so the lines compare at lambda = p/q as the
     integers n = a*q + b*p, and the ratio there, the line over
-    t = 3 - d*lambda, is n/(den*(3q - d*p)).  by_label holds the same lines
-    as Fraction pairs (a, b), built on first read; line builds one of them.
+    t = 3 - d*lambda, is n/(den*(3q - d*p)).  line gives one of them as a
+    Fraction pair (a, b).
     """
 
     ints: Mapping[str, tuple[int, int]]
@@ -122,10 +122,6 @@ class Lines:
         """The line of label as a Fraction pair (a, b)."""
         a, b = self.ints[label]
         return F(a, self.den), F(b, self.den)
-
-    @cached_property
-    def by_label(self) -> Mapping[str, Affine]:
-        return MappingProxyType({label: self.line(label) for label in self.ints})
 
 
 # A ratio's integers (a_n, b_n, a_den, s_n, s_d): A = (a_n + b_n*lambda)/a_den and S = (s_n/s_d)*t.
@@ -298,9 +294,7 @@ def s_curve_on_plane(d: int, lam, e: int, l) -> tuple[Fraction, Fraction]:
     """(S, A) of a degree-e plane curve class appearing with multiplicity l >= 0 in C (l = 0: not in C),
     for a degree-d curve C at lambda in [0, 3/d); ValueError past its lct 1/l, where l*lambda > 1
     makes A negative (tested on integers).  A = 0 at lambda = 1/l is allowed."""
-    if check_degree(d) < 1:
-        raise ValueError(f"curve degree d = {d} must be >= 1")
-    lam = check_lambda(d, lam)
+    lam = check_lambda(check_degree(d), lam)
     l = rat(l)
     if l < 0:
         raise ValueError(f"multiplicity l = {l} must be >= 0")
@@ -401,16 +395,6 @@ def _least(table: RatioTable, lo: Fraction, hi: Fraction) -> tuple[list[str], li
         min_lo, min_hi = min(at_lo), min(at_hi)
         out.append([label for label, x, y in zip(lines.ints, at_lo, at_hi) if x == min_lo and y == min_hi])
     return out[0], out[1]
-
-
-def binding(table: RatioTable, lo: Fraction, hi: Fraction) -> tuple[Affine | None, Affine | None, tuple[str, ...]]:
-    """(least lower line, least upper line, minimizer names) of a ratio table on [lo, hi]; no tau check.
-
-    A line is least on [lo, hi] when it is least at both ends (_least); None when no line
-    is.  The minimizers name every least lower line.
-    """
-    low, up = _least(table, lo, hi)
-    return table.lower.line(low[0]) if low else None, table.upper.line(up[0]) if up else None, _minimizer_names(low)
 
 
 def delta_closed_form(case: str | CaseSpec, d: int) -> LinearFractional:

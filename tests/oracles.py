@@ -1,4 +1,8 @@
-"""Reference computations for the tests, kept apart from the engine they check."""
+"""Reference computations for the tests, kept apart from the engine they check.
+
+It imports nothing beyond logfano and the standard library, so that
+``python tests/test_golden.py`` runs without the test extras.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ import dataclasses
 from fractions import Fraction as F
 
 from logfano.catalog import CASES, CaseSpec, _affine_str, build_case, check_lambda
-from logfano.delta import DeltaReport, PointRow, RatioTable, _minimizer_names
+from logfano.delta import DeltaReport, Lines, PointRow, RatioTable, _least, _minimizer_names
 from logfano.exact import PiecewisePoly, Poly, RationalFunction, integrate_piecewise, is_negative_definite
 from logfano.surface import (
     DivisorExpr,
@@ -17,6 +21,7 @@ from logfano.surface import (
     pair_curve,
     zariski_decompose,
 )
+from logfano.verify import verify_all
 
 
 def poly_family(model: SurfaceModel, t) -> DivisorExpr:
@@ -178,14 +183,69 @@ def point_problems(spec: CaseSpec) -> list[str]:
     return problems
 
 
+def fault_checks(faulty):
+    """verify_all on one faulty entry inside the full catalog, so that an alias entry finds
+    its target and fails verification only through its fault."""
+    return verify_all(catalog={**CASES, faulty.id: faulty}, case_ids=[faulty.id])
+
+
+def criterion_9_faults(spec):
+    """(fault, changes) for each single-number fault of one catalog entry: the E.E and E.L
+    intersection entries, m_C, k_E, m_L, both parts of each different coefficient of the first
+    variant, and the constant terms of each row's stated closed form."""
+    # intersection entry: bend the self-intersection of E (stays symmetric)
+    gram = [list(r) for r in spec.model.gram]
+    gram[0][0] += F(1, 7)
+    yield "E.E", {"model": dataclasses.replace(spec.model, gram=tuple(tuple(r) for r in gram))}
+    if "L" in spec.model.curves:
+        gram = [list(r) for r in spec.model.gram]
+        gram[0][1] += F(1, 9)
+        gram[1][0] += F(1, 9)
+        yield "E.L", {"model": dataclasses.replace(spec.model, gram=tuple(tuple(r) for r in gram))}
+    # multiplicities
+    yield "m_C", {"m_C": spec.m_C + 1}
+    yield "k_E", {"k_E": spec.k_E + 1}
+    if spec.m_L is not None:
+        yield "m_L", {"m_L": spec.m_L + 1}
+    # different coefficients: both the constant and the lambda part
+    var = spec.variants[0]
+    for idx, pt in enumerate(var.points):
+        for part in (0, 1):
+            coeff = list(pt.coeff)
+            coeff[part] += F(1, 8)
+            pts = list(var.points)
+            pts[idx] = dataclasses.replace(pt, coeff=tuple(coeff))
+            yield f"different at {pt.label}[{part}]", {"variants": (dataclasses.replace(var, points=tuple(pts)),) + spec.variants[1:]}
+    # stated closed form: the constant term of the numerator, then of the denominator
+    for k, row in enumerate(spec.rows):
+        for field in ("delta_num", "delta_den"):
+            coeffs = list(getattr(row, field))
+            coeffs[0] += F(1, 11)
+            rows = spec.rows[:k] + (dataclasses.replace(row, **{field: tuple(coeffs)}),) + spec.rows[k + 1 :]
+            yield f"{field}[0] at d={row.d}", {"rows": rows}
+
+
+def fraction_lines(lines: Lines) -> dict[str, tuple[F, F]]:
+    """Each label's line as a Fraction pair (a, b), by Lines.line."""
+    return {label: lines.line(label) for label in lines.ints}
+
+
+def least_lines(table: RatioTable, lo, hi) -> tuple[tuple[F, F] | None, tuple[F, F] | None, tuple[str, ...]]:
+    """(least lower line, least upper line, minimizer names) of a ratio table on [lo, hi], read from
+    delta._least: a line is least when it is least at both ends, None when no line is; the minimizers
+    name every least lower line."""
+    low, up = _least(table, lo, hi)
+    return table.lower.line(low[0]) if low else None, table.upper.line(up[0]) if up else None, _minimizer_names(low)
+
+
 def report_lines(rep: DeltaReport, table: RatioTable, lam, d: int) -> tuple[list[F], list[F]]:
     """(reported, lines) of verify's report check, in Fractions: the report's A(E)/S(E), per-point
     ratios, lower and upper bound, and the values there of the ratio lines over t = 3 - d*lambda."""
     t = 3 - d * lam
-    at = {label: (a + b * lam) / t for label, (a, b) in table.lower.by_label.items()}
+    at = {label: (a + b * lam) / t for label, (a, b) in fraction_lines(table.lower).items()}
     got = [rep.a_e / rep.s_e, *(r.ratio for r in rep.rows), rep.lower_bound, rep.upper_bound]
     want = [at["E"], *(at[r.label if r.label == "generic" else f"{r.variant}:{r.label}"] for r in rep.rows)]
-    want += [min(at.values()), min((a + b * lam) / t for a, b in table.upper.by_label.values())]
+    want += [min(at.values()), min((a + b * lam) / t for a, b in fraction_lines(table.upper).values())]
     return got, want
 
 

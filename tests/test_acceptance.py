@@ -24,10 +24,10 @@ from logfano.delta import (
 from logfano.exact import LinearFractional
 from logfano.surface import invariant_violations, volume_function, zariski_decompose
 from logfano.threefold import corollary_suite
-from logfano.verify import verify_all, verify_threefold_section
+from logfano.verify import verify_threefold_section
 
 from conftest import gauss_piecewise, rel_err
-from oracles import flag_integrand
+from oracles import criterion_9_faults, fault_checks, flag_integrand
 
 
 def _all_rows():
@@ -138,48 +138,6 @@ def test_criterion_8_threefold_suite():
     triple = results["quartic double solid, ordinary triple point"]
     assert triple.bound == 1 and not triple.strict
     print("\nACCEPTANCE 8 PASS: threefold volumes exact; corollary bounds certify (4/3, 20/19, all >= 1)")
-
-
-def fault_checks(faulty):
-    """verify_all on one faulty entry inside the full catalog, so that an alias entry finds
-    its target and fails verification only through its fault."""
-    return verify_all(catalog={**CASES, faulty.id: faulty}, case_ids=[faulty.id])
-
-
-def criterion_9_faults(spec):
-    """(fault, changes) for each single-number fault of one catalog entry: the E.E and E.L
-    intersection entries, m_C, k_E, m_L, both parts of each different coefficient of the first
-    variant, and the constant terms of each row's stated closed form."""
-    # intersection entry: bend the self-intersection of E (stays symmetric)
-    gram = [list(r) for r in spec.model.gram]
-    gram[0][0] += F(1, 7)
-    yield "E.E", {"model": dataclasses.replace(spec.model, gram=tuple(tuple(r) for r in gram))}
-    if "L" in spec.model.curves:
-        gram = [list(r) for r in spec.model.gram]
-        gram[0][1] += F(1, 9)
-        gram[1][0] += F(1, 9)
-        yield "E.L", {"model": dataclasses.replace(spec.model, gram=tuple(tuple(r) for r in gram))}
-    # multiplicities
-    yield "m_C", {"m_C": spec.m_C + 1}
-    yield "k_E", {"k_E": spec.k_E + 1}
-    if spec.m_L is not None:
-        yield "m_L", {"m_L": spec.m_L + 1}
-    # different coefficients: both the constant and the lambda part
-    var = spec.variants[0]
-    for idx, pt in enumerate(var.points):
-        for part in (0, 1):
-            coeff = list(pt.coeff)
-            coeff[part] += F(1, 8)
-            pts = list(var.points)
-            pts[idx] = dataclasses.replace(pt, coeff=tuple(coeff))
-            yield f"different at {pt.label}[{part}]", {"variants": (dataclasses.replace(var, points=tuple(pts)),) + spec.variants[1:]}
-    # stated closed form: the constant term of the numerator, then of the denominator
-    for k, row in enumerate(spec.rows):
-        for field in ("delta_num", "delta_den"):
-            coeffs = list(getattr(row, field))
-            coeffs[0] += F(1, 11)
-            rows = spec.rows[:k] + (dataclasses.replace(row, **{field: tuple(coeffs)}),) + spec.rows[k + 1 :]
-            yield f"{field}[0] at d={row.d}", {"rows": rows}
 
 
 def test_criterion_9_fault_injection():

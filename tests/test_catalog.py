@@ -14,6 +14,7 @@ from logfano.catalog import (
     DegreeNotAdmissible,
     UnknownCase,
     build_case,
+    check_lambda,
     list_cases,
     validate_case,
     validate_catalog,
@@ -70,6 +71,21 @@ class TestShippedCatalog:
         for spec in CASES.values():
             if spec.alias_of is not None:
                 assert spec.alias_of in CASES
+
+    def test_each_alias_is_its_target_but_for_its_own_fields(self):
+        own = {"id", "label", "order", "rows", "alias_of"}
+        ids = list(CASES)
+        aliases = [spec for spec in CASES.values() if spec.alias_of is not None]
+        assert len(aliases) == 14
+        for spec in aliases:
+            target = CASES[spec.alias_of]
+            assert ids.index(target.id) < ids.index(spec.id), spec.id
+            for field in dataclasses.fields(spec):
+                if field.name not in own:
+                    assert getattr(spec, field.name) == getattr(target, field.name), (spec.id, field.name)
+
+    def test_insertion_order_is_the_order_of_order(self):
+        assert list(CASES) == sorted(CASES, key=lambda cid: CASES[cid].order)
 
 
 # Classical log canonical thresholds of the ADE curve singularities (Kollar,
@@ -137,6 +153,13 @@ class TestBuildCase:
     def test_degree_not_admissible(self):
         with pytest.raises(DegreeNotAdmissible):
             build_case("A2", 2)
+
+
+# a float lambda would be refused with TypeError if lambda were read first
+@pytest.mark.parametrize("d, lam", [(0, "1/2"), (-4, "100"), (0, "-1"), (0, 0.5)])
+def test_check_lambda_refuses_a_degree_below_1_before_lambda(d, lam):
+    with pytest.raises(ValueError, match=rf"^curve degree d = {d} must be >= 1$"):
+        check_lambda(d, lam)
 
 
 def _mutated(spec, **changes):

@@ -20,7 +20,6 @@ from logfano.delta import (
     RatioTable,
     _minimizer_names,
     _unit_constants,
-    binding,
     delta_closed_form,
     delta_point,
     interior_samples,
@@ -32,7 +31,7 @@ from logfano.surface import SurfaceModel, volume_function, zariski_decompose
 from logfano.catalog import CurveBound, DegreeNotAdmissible, build_case
 
 from conftest import gauss_piecewise, rel_err
-from oracles import flag_integrand, fraction_delta_point
+from oracles import flag_integrand, fraction_delta_point, fraction_lines, least_lines
 
 ROWS = [(spec.id, row.d) for spec in sorted(CASES.values(), key=lambda s: s.order) for row in spec.rows]
 
@@ -176,7 +175,7 @@ def test_minimizer_names_drop_the_variant_once_and_put_generic_last():
     assert _minimizer_names(labels) == ("E", "P", "Q", "generic")
 
 
-class TestBinding:
+class TestLeastLines:
     @staticmethod
     def _table(p2_b):
         # lines A/s: E = 3, generic = 2 - l, v1:P = 1, v2:P = 1 + p2_b*l; one curve bound 3e(1 - l) = 3 - 3l
@@ -185,17 +184,17 @@ class TestBinding:
         rows = (("v1", "P", p1), ("v1", "generic", gen), ("v2", "P", p2), ("v2", "generic", gen))
         return RatioTable(F(1), e, rows, (Ratio("curve(e=1,l=1)", F(1), F(-1), F(1, 3)),))
 
-    def test_shared_point_binding_in_two_variants_is_named_once(self):
-        assert binding(self._table(F(0)), F(0), F(1, 2)) == ((F(1), F(0)), (F(3), F(-3)), ("P",))
+    def test_shared_point_least_in_two_variants_is_named_once(self):
+        assert least_lines(self._table(F(0)), F(0), F(1, 2)) == ((F(1), F(0)), (F(3), F(-3)), ("P",))
 
     def test_ties_at_one_end_and_no_line_least_at_both_ends(self):
         # on [0, 1/2] v2:P = 1 - l ties v1:P at 0 and alone is least at 1/2
-        assert binding(self._table(F(-1)), F(0), F(1, 2)) == ((F(1), F(-1)), (F(3), F(-3)), ("P",))
+        assert least_lines(self._table(F(-1)), F(0), F(1, 2)) == ((F(1), F(-1)), (F(3), F(-3)), ("P",))
         # on [-1/2, 1/2] v2:P = 1 + l is least at -1/2 only, v1:P at 1/2 only; E and the curve bound likewise
-        assert binding(self._table(F(1)), F(-1, 2), F(1, 2)) == (None, None, ())
+        assert least_lines(self._table(F(1)), F(-1, 2), F(1, 2)) == (None, None, ())
 
     def test_at_one_point_every_least_line_binds(self):
-        assert binding(self._table(F(1)), F(0), F(0)) == ((F(1), F(0)), (F(3), F(0)), ("P",))
+        assert least_lines(self._table(F(1)), F(0), F(0)) == ((F(1), F(0)), (F(3), F(0)), ("P",))
 
     def test_lct_is_the_least_positive_zero_of_the_lower_a_lines(self):
         # A-lines 1 - 3l (zero 1/3, over a negative s), l (zero 0), -1 - l (zero -1), 2 - 4l (zero 1/2)
@@ -215,7 +214,7 @@ class TestBinding:
             lower = (table.e, *(ratio for _, _, ratio in table.rows))
             for lines, ratios in ((table.lower, lower), (table.upper, (table.e, *table.curves))):
                 want = {r.label: (r.a / r.s, r.b / r.s) for r in ratios}
-                assert dict(lines.by_label) == want, spec.id
+                assert fraction_lines(lines) == want, spec.id
                 assert lines.den == math.lcm(*[x.denominator for line in want.values() for x in line]), spec.id
 
 

@@ -47,7 +47,7 @@ if __name__ == "__main__":  # run as a script from a checkout: import logfano fr
 
 from logfano.catalog import CASES
 from logfano.cli import main
-from test_acceptance import criterion_9_faults, fault_checks
+from oracles import criterion_9_faults, fault_checks
 
 GOLDEN = {
     "delta": "11a45db955896c898e6c1ddc86d09a33da439ac0a96e3b5397102bb067d5bc26",

@@ -1,6 +1,6 @@
 """The integer inner loops of the exact core against plain-Fraction references.
 
-Poly evaluation, multiplication, integration and formatting, delta.binding, the
+Poly evaluation, multiplication, integration and formatting, delta._least, the
 quadratic formula and the location of an irrational root, the support
 solve and support growth of the Zariski decomposition, the
 decomposition's invariant checks, its S-integrals and verify's homogeneity
@@ -28,7 +28,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from logfano.catalog import CASES
-from logfano.delta import Ratio, RatioTable, _minimizer_names, _over_t, binding, integrated_s_invariants
+from logfano.delta import Ratio, RatioTable, _minimizer_names, _over_t, integrated_s_invariants
 from logfano.exact import (
     IrrationalRoot,
     Poly,
@@ -67,6 +67,7 @@ from oracles import (
     difference,
     divisor_expr,
     exprs,
+    least_lines,
     poly_family,
     poly_invariant_violations,
     poly_s_invariants,
@@ -158,8 +159,8 @@ def monic_parts(lf):
     return Poly.affine(F(lf.a, lead), F(lf.b, lead)), Poly.affine(F(lf.c, lead), F(lf.e, lead))
 
 
-def per_end_binding(table, lo, hi):
-    """delta.binding with Fraction lines: the lines least at lo and least at hi."""
+def per_end_least_lines(table, lo, hi):
+    """oracles.least_lines with Fraction lines: the lines least at lo and least at hi."""
 
     def lines(ratios):
         return {r.label: (r.a / r.s, r.b / r.s) for r in ratios}
@@ -420,17 +421,17 @@ def tables(draw):
     return RatioTable(F(1), ratio("E"), tuple(rows), curves)
 
 
-class TestBindingKernel:
+class TestLeastLinesKernel:
     @settings(max_examples=150, deadline=None)
     @given(tables(), pool, pool)
-    def test_binding_is_the_per_end_minimum(self, table, lo, hi):
-        assert binding(table, lo, hi) == per_end_binding(table, lo, hi)
+    def test_least_lines_are_the_per_end_minimum(self, table, lo, hi):
+        assert least_lines(table, lo, hi) == per_end_least_lines(table, lo, hi)
 
     def test_catalog_tables_on_their_intervals_and_at_0(self):
         for spec in CASES.values():
             for row in spec.rows:
                 for lo, hi in ((row.lo, row.hi), (F(0), F(0)), (F(0), row.hi), (row.hi, row.hi)):
-                    assert binding(spec.ratio_table, lo, hi) == per_end_binding(spec.ratio_table, lo, hi)
+                    assert least_lines(spec.ratio_table, lo, hi) == per_end_least_lines(spec.ratio_table, lo, hi)
 
 
 # ---------------------------------------------------------------------------

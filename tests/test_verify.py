@@ -11,13 +11,11 @@ import pytest
 
 import logfano.verify as verify
 from logfano.catalog import CASES, UnknownCase, _affine_str, validate_catalog
-from logfano.delta import Ratio, RatioTable, binding
+from logfano.delta import Ratio, RatioTable
 from logfano.exact import Poly
 from logfano.surface import SurfaceModel, flag_family
 from logfano.verify import verify_all, verify_case
-from oracles import exprs, report_lines, rows
-from test_acceptance import fault_checks
-
+from oracles import exprs, fault_checks, least_lines, report_lines, rows
 
 def _named(checks, name):
     return [c for c in checks if c.name == name]
@@ -296,7 +294,7 @@ class TestRegimeAndNormalization:
     def test_stated_regimes_hold(self):
         for case_id in ("A4", "A5", "A6", "A7"):
             spec = CASES[case_id]
-            low, up, _ = binding(spec.ratio_table, F(0), spec.lower_regime_hi)
+            low, up, _ = least_lines(spec.ratio_table, F(0), spec.lower_regime_hi)
             assert low == self.REGIME and up[0] > F(3, 2) and up[0] + up[1] * spec.lower_regime_hi >= F(3, 2)
             (regime,) = _named(verify_case(spec, 4), "lower-bound regime")
             assert regime.ok
@@ -439,7 +437,7 @@ class TestClosedFormFailure:
 
 def test_each_row_interval_computes_its_least_lines_once(monkeypatch):
     # the closed form and the minimizers read one computation on [lo, hi]; the regime or lambda = 0 check
-    # makes the row's other one, through binding (1620 for ten runs when the minimizers computed their own)
+    # makes the row's other one (1620 for ten runs when the minimizers computed their own)
     import logfano.delta as delta
 
     calls = []
