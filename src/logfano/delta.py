@@ -19,9 +19,12 @@ case's ratio table lists them once (RatioTable, built on first use by each
 CaseSpec instance, the decomposition running once per surface model), and
 every operation reads it.  The table holds each ratio's integers too, so
 delta_point evaluates it at lambda = p/q on integers, with t = w/q and
-w = 3q - d*p: each A, S, ratio and bound is one Fraction of integers, and the
-lambda, lct and validity-interval tests, the bounds, exactness and
-minimizers are decided on integers, with no Fraction operator; and
+w = 3q - d*p: each distinct A, S, ratio and bound is built once, one Fraction
+of integers by exact._fraction (rows with equal integers share theirs, as do an
+exact report's bounds and a stated value equal to them), and the lambda, lct
+and validity-interval tests, the bounds, exactness and minimizers are decided
+on integers, with no Fraction operator.  _value, which the threefold bounds
+read, gives its (value, exact) through the same gates without the report; and
 delta_closed_form takes the least line A/s over t on the validity interval, an
 exact.LinearFractional of the table's integer line, in normal form by one gcd.
 """
@@ -36,7 +39,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .catalog import Affine, CaseSpec, DegreeRow, check_degree, check_lambda, get_case
-from .exact import LinearFractional, _integral, _sum, rat
+from .exact import LinearFractional, _fraction, _integral, _sum, rat
 from .surface import SurfaceModel, ZariskiPieces, _dot, _pairings, flag_family, zariski_decompose
 
 F = Fraction
@@ -152,8 +155,9 @@ class RatioTable:
 
     Its lines are computed once, when the table is built: lower for "E", each
     "variant:point" and "generic", upper for "E" and each curve bound.  So are
-    terms, the integers (_Terms) of "E" and then of each row's ratio, which
-    delta_point evaluates, and lct, the least positive zero of the lower lines
+    terms, the integers (_Terms) of "E" and then of each distinct row ratio,
+    which delta_point evaluates once each, slots, the index of each row's
+    among the latter, and lct, the least positive zero of the lower lines
     of "E" and the points (None if none has one): past it A(E) or an A(O) is
     negative, the pair not lc.
     """
@@ -165,6 +169,7 @@ class RatioTable:
     lower: Lines = field(init=False, repr=False, compare=False)
     upper: Lines = field(init=False, repr=False, compare=False)
     terms: tuple[_Terms, ...] = field(init=False, repr=False, compare=False)
+    slots: tuple[int, ...] = field(init=False, repr=False, compare=False)
     lct: Fraction | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -172,7 +177,9 @@ class RatioTable:
         terms = tuple(map(_terms, lower))
         object.__setattr__(self, "lower", _lines(lower, terms))
         object.__setattr__(self, "upper", _lines((self.e, *self.curves), (terms[0], *map(_terms, self.curves))))
-        object.__setattr__(self, "terms", terms)
+        distinct = list(dict.fromkeys(terms[1:]))  # equal rows, such as each variant's "generic", share values
+        object.__setattr__(self, "terms", (terms[0], *distinct))
+        object.__setattr__(self, "slots", tuple(map(distinct.index, terms[1:])))
         # the zero -a/b of each A-line a + b*lambda, the zero of its line A/s too; positive when a*b < 0;
         # the least as an integer pair (p, q), q > 0, then one Fraction
         lct = None
@@ -287,7 +294,7 @@ def s_divisor(case: str | CaseSpec, d: int, lam) -> Fraction:
     """Expected vanishing order S(E): the normalized volume integral over [0, tau]."""
     _, _, table, _, _, q, w = _at(case, d, lam)
     *_, s_n, s_d = table.terms[0]
-    return F(s_n * w, s_d * q)
+    return _fraction(s_n * w, s_d * q)
 
 
 def s_curve_on_plane(d: int, lam, e: int, l) -> tuple[Fraction, Fraction]:
@@ -313,44 +320,60 @@ def _minimizer_names(labels: list[str]) -> tuple[str, ...]:
     return tuple(names)
 
 
+def _envelopes(spec: CaseSpec, table: RatioTable, lam: Fraction, p: int, q: int, w: int) -> tuple[list[int], int, int]:
+    """The lower lines at lambda = p/q as integers x*q + y*p, their least and the least upper one, refused past
+    the case's lct; AssertionError when the lower bound exceeds the upper.  delta_point and _value share it."""
+    lct, den, up_den = table.lct, table.lower.den, table.upper.den
+    if lct is not None and p * lct.denominator > lct.numerator * q:
+        raise ValueError(f"lambda {lam} past the log canonical threshold {lct} of case {spec.id}")
+    at = [x * q + y * p for x, y in table.lower.ints.values()]
+    least, least_up = min(at), min([x * q + y * p for x, y in table.upper.ints.values()])
+    if least * up_den > least_up * den:
+        raise AssertionError(f"{spec.id}: lower bound {F(least, den * w)} exceeds upper bound {F(least_up, up_den * w)}")
+    return at, least, least_up
+
+
+def _value(case: str | CaseSpec, d: int, lam) -> tuple[Fraction, bool]:
+    """(value, exact) of delta_point(case, d, lam), with its gates and refusals, without the report."""
+    spec, _, table, lam, p, q, w = _at(case, d, lam)
+    _, least, least_up = _envelopes(spec, table, lam, p, q, w)
+    return _fraction(least, table.lower.den * w), least * table.upper.den == least_up * table.lower.den
+
+
 def delta_point(case: str | CaseSpec, d: int, lam) -> DeltaReport:
     """Local delta report at rational lambda in [0, 3/d), refused past the case's lct: the ratio table at lambda.
 
     At lambda = p/q, with t = w/q and w = 3q - d*p, each value is one Fraction of the table's
     terms (a_n, b_n, a_den, s_n, s_d): with n = a_n*q + b_n*p, A = n/(a_den*q), S = s_n*w/(s_d*q)
-    and the ratio A/S = n*s_d/(a_den*s_n*w).  The bounds are one Fraction each of the least integer
-    line values x*q + y*p, which decide exactness and the minimizers; the lct and validity-interval
-    tests compare cross-multiplied integers.
+    and the ratio A/S = n*s_d/(a_den*s_n*w); rows with equal terms share theirs.  The bounds are
+    one Fraction each of the least integer line values x*q + y*p, which decide exactness and the
+    minimizers, and one object when exact; the stated form is that object too where it equals the
+    bound on integers.  The lct and validity-interval tests compare cross-multiplied integers.
     """
     spec, row_spec, table, lam, p, q, w = _at(case, d, lam)
-    lct = table.lct
-    if lct is not None and p * lct.denominator > lct.numerator * q:
-        raise ValueError(f"lambda {lam} past the log canonical threshold {lct} of case {spec.id}")
+    at, least, least_up = _envelopes(spec, table, lam, p, q, w)
     (a_n, b_n, a_den, s_n, s_d), *terms = table.terms
-    a_e, s_e = F(a_n * q + b_n * p, a_den * q), F(s_n * w, s_d * q)
-    rows = []
-    for (variant, point, _), (a_n, b_n, a_den, s_n, s_d) in zip(table.rows, terms):
+    a_e, s_e = _fraction(a_n * q + b_n * p, a_den * q), _fraction(s_n * w, s_d * q)
+    values = []
+    for a_n, b_n, a_den, s_n, s_d in terms:
         n = a_n * q + b_n * p
-        rows.append(PointRow(variant, point, F(n, a_den * q), F(s_n * w, s_d * q), F(n * s_d, a_den * s_n * w)))
-    at = {label: x * q + y * p for label, (x, y) in table.lower.ints.items()}
-    least = min(at.values())
-    least_up = min([x * q + y * p for x, y in table.upper.ints.values()])
+        values.append((_fraction(n, a_den * q), _fraction(s_n * w, s_d * q), _fraction(n * s_d, a_den * s_n * w)))
+    rows = [PointRow(variant, point, *values[i]) for (variant, point, _), i in zip(table.rows, table.slots)]
     den, up_den = table.lower.den, table.upper.den
-    lower, upper = F(least, den * w), F(least_up, up_den * w)
-    if least * up_den > least_up * den:
-        raise AssertionError(f"{spec.id}: lower bound {lower} exceeds upper bound {upper}")
+    lower = _fraction(least, den * w)
     exact = least * up_den == least_up * den
-    minimizers = _minimizer_names([label for label, n in at.items() if n == least])
+    upper = lower if exact else _fraction(least_up, up_den * w)
+    minimizers = _minimizer_names([label for label, n in zip(table.lower.ints, at) if n == least])
 
     (lo_p, lo_q), (hi_p, hi_q) = row_spec.lo.as_integer_ratio(), row_spec.hi.as_integer_ratio()
     validity_ok = lo_p * q <= p * lo_q and p * hi_q <= hi_p * q
-    expected = None
-    matches = None
-    note = ""
+    expected, matches, note = None, None, ""
     if validity_ok:
-        expected = row_spec.stated_form(lam)
+        form = row_spec.stated_form  # (a + b*lambda)/(c + e*lambda) = lower where the cross products agree
+        stated = (form.a * q + form.b * p) * den * w == least * (form.c * q + form.e * p)
+        expected = lower if stated else form(lam)
         if exact:
-            matches = upper == expected
+            matches = stated
             if not matches:
                 note = f"computed {upper} differs from stated closed form {expected}"
         else:
@@ -360,19 +383,8 @@ def delta_point(case: str | CaseSpec, d: int, lam) -> DeltaReport:
         note = "lower bound only"
 
     return DeltaReport(
-        case_id=spec.id,
-        d=d,
-        lam=lam,
-        a_e=a_e,
-        s_e=s_e,
-        rows=tuple(rows),
-        upper_bound=upper,
-        lower_bound=lower,
-        exact=exact,
-        minimizers=minimizers,
-        validity_ok=validity_ok,
-        expected=expected,
-        matches_expected=matches,
+        case_id=spec.id, d=d, lam=lam, a_e=a_e, s_e=s_e, rows=tuple(rows), upper_bound=upper, lower_bound=lower,
+        exact=exact, minimizers=minimizers, validity_ok=validity_ok, expected=expected, matches_expected=matches,
         note=note,
     )
 

@@ -13,8 +13,10 @@ is built as a single Fraction at the end, so the results are Fractions as
 before, with one reduction each instead of one per operation.  Every Poly,
 an arithmetic result included, is built by its constructor.  A closed form of
 delta is a LinearFractional of four integers, put in normal form by one gcd in
-its constructor and evaluated as one Fraction; a RationalFunction, the result
-of the fit only, is put in lowest terms with a monic denominator by its own.
+its constructor and evaluated as one Fraction by _fraction, Fraction(n, d) of
+two ints with one gcd and no type dispatch, the kernel delta's values share; a
+RationalFunction, the result of the fit only, is put in lowest terms with a
+monic denominator by its own.
 Root finding runs on integer coefficients: it tests the discriminant for a
 square with ``math.isqrt``, and locates an irrational root by integer sign
 tests.  Its kernel, _root_pairs, takes and returns integer pairs (numerator,
@@ -67,6 +69,16 @@ def rat(value: int | str | Fraction) -> Fraction:
 def rat_str(value: int | Fraction) -> str:
     """Canonical string form: ``"p/q"``, or ``"p"`` when the denominator is 1."""
     return str(Fraction(value))
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """Fraction(n, d) for ints n and d, with one gcd and no type dispatch: lowest terms, d > 0."""
+    if not d:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")
+    g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = n // g, d // g
+    return value
 
 
 def _coerce(values: Iterable[int | str | Fraction]) -> tuple[Fraction, ...]:
@@ -476,7 +488,7 @@ class LinearFractional:
     parts, a zero numerator among them) is (n, 0, m, 0); the four coefficients
     are jointly coprime; and the denominator's first nonzero coefficient, c or
     else e, is positive.  So two instances are equal exactly when they are the
-    same function, and a value is one Fraction of two integers.
+    same function, and a value is one Fraction of two integers (_fraction).
     """
 
     a: int
@@ -526,7 +538,7 @@ class LinearFractional:
         den = self.c * q + self.e * p
         if not den:
             raise ZeroDivisionError(f"pole at {x}")
-        return Fraction(self.a * q + self.b * p, den)
+        return _fraction(self.a * q + self.b * p, den)
 
     def format(self, var: str = "l") -> str:
         """Display with the coprime integer coefficients, e.g. ``(5-6l)/(5-5l)``, ``3/4`` or ``1-2l``."""

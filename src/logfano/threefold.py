@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import check_degree
-from .delta import delta_point, interior_samples
+from .delta import _value, interior_samples
 from .exact import PiecewisePoly, Poly, integrate_piecewise, rat
 
 F = Fraction
@@ -140,7 +140,8 @@ class CorollaryConfig:
 
     s is the surface degree in P^3 and m the point multiplicity; a kind takes
     exactly the degrees KIND_DEGREES names, each an int >= 1, all checked before
-    the cone is read (ValueError, or TypeError for a degree that is not an int).
+    the cone is read (ValueError, or TypeError for a degree that is not an int),
+    and then lam is made a Fraction by rat, which refuses a float or a bool.
     """
 
     name: str
@@ -160,6 +161,7 @@ class CorollaryConfig:
         for name, label in (("s", "surface degree s"), ("m", "multiplicity m")):
             if name in takes:
                 _positive_degree(getattr(self, name), label)
+        object.__setattr__(self, "lam", rat(self.lam))
 
     @property
     def cone_degree(self) -> int:
@@ -206,10 +208,9 @@ class CorollaryResult:
 
 
 def tangent_cone_delta(cone_case: str, cone_degree: int, lam) -> tuple[Fraction, bool]:
-    """Delta of the plane pair cut out by the flag; falls back to the certified
-    lower bound when the catalog value is not exact at this lambda."""
-    report = delta_point(cone_case, cone_degree, lam)
-    return report.value, report.exact
+    """Delta of the plane pair cut out by the flag, or the certified lower bound where the
+    catalog value is not exact at this lambda: delta_point's (value, exact), with no report."""
+    return _value(cone_case, cone_degree, lam)
 
 
 def evaluate_corollary(config: CorollaryConfig) -> CorollaryResult:

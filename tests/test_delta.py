@@ -20,6 +20,7 @@ from logfano.delta import (
     RatioTable,
     _minimizer_names,
     _unit_constants,
+    _value,
     delta_closed_form,
     delta_point,
     interior_samples,
@@ -32,6 +33,7 @@ from logfano.catalog import CurveBound, DegreeNotAdmissible, build_case
 
 from conftest import gauss_piecewise, rel_err
 from oracles import flag_integrand, fraction_delta_point, fraction_lines, least_lines
+from test_golden import _delta_lambdas
 
 ROWS = [(spec.id, row.d) for spec in sorted(CASES.values(), key=lambda s: s.order) for row in spec.rows]
 
@@ -343,7 +345,50 @@ class TestIntegerEvaluation:
                 _same_as_fraction_oracle(faulty, d, lam)
 
 
+def _same_as_report(case, d, lam):
+    """delta._value is (value, exact) of delta_point, or raises an exception of the same type with
+    the same message; case is a catalog id or a CaseSpec."""
+    try:
+        rep = delta_point(case, d, lam)
+    except Exception as exc:
+        with pytest.raises(Exception, match=f"^{re.escape(str(exc))}$") as got:
+            _value(case, d, lam)
+        assert got.type is type(exc), (case, d, lam)
+    else:
+        value, exact = _value(case, d, lam)
+        assert type(value) is F and (value, exact) == (rep.value, rep.exact), (case, d, lam)
+
+
+class TestValueWithoutReport:
+    """delta._value, the threefold bounds' reading of a tangent cone, against delta_point on all 54 rows."""
+
+    def test_on_the_golden_grid_and_past_it(self):
+        for case_id, d in ROWS:
+            spec, row = CASES[case_id], CASES[case_id].row(d)
+            past = {F(3, d), F(-1, 5)} | _ends(case_id, d)  # 3/d, a negative lambda, the lct and past it
+            for lam in sorted(set(_delta_lambdas(spec, row)) | past):
+                _same_as_report(case_id, d, lam)
+
+    def test_refused_degrees_cases_and_thresholds(self):
+        for case_id, d in ROWS:
+            spec = CASES[case_id]
+            _same_as_report(case_id, True, "1/2")  # a bool degree
+            _same_as_report(case_id, 7, "1/2")  # no catalog row has degree 7
+            faulty = dataclasses.replace(spec, tau_factor=spec.tau_factor + F(1, 3))
+            for lam in (F(0), spec.row(d).lo, F(1, 2 * d)):
+                _same_as_report(faulty, d, lam)
+        _same_as_report("no_such_case", 4, "1/2")
+
+
 class TestDeltaPoint:
+    def test_each_distinct_value_is_one_object(self):
+        rep = delta_point("A3", 4, F(1, 2))  # exact and as stated; each of the two variants has a generic row
+        assert rep.exact and rep.matches_expected
+        assert rep.upper_bound is rep.lower_bound and rep.expected is rep.lower_bound
+        first, second = [r for r in rep.rows if r.label == "generic"]
+        assert (first.a_value, first.s_value, first.ratio) == (second.a_value, second.s_value, second.ratio)
+        assert first.a_value is second.a_value and first.s_value is second.s_value and first.ratio is second.ratio
+
     def test_cusp_full_report(self):
         rep = delta_point("A2", 4, F(1, 2))
         assert rep.exact and rep.upper_bound == F(6, 5)

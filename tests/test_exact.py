@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +18,7 @@ from logfano.exact import (
     Poly,
     RationalFunction,
     UnsupportedDegree,
+    _fraction,
     fit_rational_function,
     integrate,
     integrate_piecewise,
@@ -58,6 +60,33 @@ class TestRationalStrings:
         val = integrate(Poly.of(F(2, 4), F(6, 8)), 0, F(10, 5))
         assert val == F(5, 2)
         assert math.gcd(val.numerator, val.denominator) == 1 and val.denominator > 0
+
+
+class TestFractionKernel:
+    """_fraction(n, d) is Fraction(n, d) for ints: value, type, repr, hash and parts, or its refusal."""
+
+    big = st.integers(min_value=-10**40, max_value=10**40)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(big, st.integers(-50, 50)), st.one_of(big, st.integers(-50, 50)))
+    @example(0, 7)
+    @example(0, -7)
+    @example(6, -4)
+    @example(-10**40, -10**40)
+    @example(5, 0)
+    @example(0, 0)
+    def test_is_fraction_of_the_two_ints(self, n, d):
+        if d == 0:
+            with pytest.raises(ZeroDivisionError) as want:
+                F(n, d)
+            with pytest.raises(ZeroDivisionError, match=f"^{re.escape(str(want.value))}$") as got:
+                _fraction(n, d)
+            assert got.type is want.type and str(got.value) == f"Fraction({n}, 0)"
+            return
+        got, want = _fraction(n, d), F(n, d)
+        assert type(got) is type(want) and got == want and repr(got) == repr(want) and hash(got) == hash(want)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert type(got.numerator) is int and type(got.denominator) is int
 
 
 class TestPolyArithmetic:

@@ -244,6 +244,26 @@ class TestCorollaries:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             CorollaryConfig("x", kind, s, m, F(1, 2), "A2")
 
+    def test_config_keeps_lambda_as_a_fraction(self):
+        # a "p/q" string was stored as given, and evaluate_corollary returned it in result.config.lam
+        config = CorollaryConfig("x", "blowup", 4, 2, "1/2", "smooth_conic")
+        assert type(config.lam) is F and config.lam == F(1, 2)
+        result = threefold.evaluate_corollary(config)
+        assert type(result.config.lam) is F and result.bound == F(4, 3)
+
+    @pytest.mark.parametrize("lam, message", [
+        (0.5, "float 0.5 is not an exact rational; pass a Fraction, an int or a 'p/q' string"),
+        (True, "bool True is not a rational; pass a Fraction, an int or a 'p/q' string"),
+    ], ids=["float", "bool"])
+    def test_config_refuses_a_float_or_bool_lambda(self, lam, message):
+        # accepted at construction, these were refused only when delta_point read the cone
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            CorollaryConfig("x", "blowup", 4, 2, lam, "smooth_conic")
+
+    def test_config_checks_its_degrees_before_lambda(self):
+        with pytest.raises(ValueError, match="^need multiplicity m >= 1$"):
+            CorollaryConfig("x", "blowup", 4, 0, 0.5, "smooth_conic")
+
     def test_reference_values(self):
         by_name = {r.config.name: r for r in corollary_suite()}
         assert by_name["quartic double solid, node"].bound == F(4, 3)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Deterministic work counts: the Python bytecodes four engine calls execute.
+"""Deterministic work counts: the Python bytecodes five engine calls execute.
 
 Usage, from anywhere inside the repository:
 
@@ -16,7 +16,10 @@ function that sets ``frame.f_trace_opcodes`` on every frame and counts its
 - one ``verify_all()``;
 - ``verify_all(case_ids=[c])`` for each of the catalog's 46 cases, in catalog
   order: the shape of a ``verify`` benchmark operation, each call validating
-  its case and computing its own t = 1 reference.
+  its case and computing its own t = 1 reference;
+- ``tangent_cone_delta`` for each of the 14 threefold corollaries, at its
+  cone case, cone degree and lambda: the delta a ``scan`` benchmark
+  operation reads for a threefold bound.
 
 A count is exact and repeats across runs, processes and hash seeds, but it sees
 Python bytecode only: big-integer arithmetic, ``math.gcd`` and dict lookups
@@ -63,9 +66,10 @@ def count(fn: Callable[[], object]) -> int:
 
 
 def workloads() -> dict[str, Callable[[], object]]:
-    """The four counted calls, by name; logfano must be importable."""
+    """The five counted calls, by name; logfano must be importable."""
     from logfano.catalog import CASES
     from logfano.delta import delta_closed_form, delta_point
+    from logfano.threefold import COROLLARY_CONFIGS, tangent_cone_delta
     from logfano.verify import verify_all
 
     n = sum(len(spec.rows) for spec in CASES.values())
@@ -77,6 +81,9 @@ def workloads() -> dict[str, Callable[[], object]]:
         f"{n} x delta_closed_form": lambda: [delta_closed_form(c, r.d) for c, s in CASES.items() for r in s.rows],
         "verify_all()": lambda: verify_all(),
         f"{len(ids)} x verify_all(case_ids=[c])": lambda: [verify_all(case_ids=[c]) for c in ids],
+        f"{len(COROLLARY_CONFIGS)} x tangent_cone_delta": lambda: [
+            tangent_cone_delta(c.cone_case, c.cone_degree, c.lam) for c in COROLLARY_CONFIGS
+        ],
     }
 
 
