@@ -19,14 +19,12 @@ case's ratio table lists them once (RatioTable, built on first use by each
 CaseSpec instance, the decomposition running once per surface model), and
 every operation reads it.  The table holds each ratio's integers too, so
 delta_point evaluates it at lambda = p/q on integers, with t = w/q and
-w = 3q - d*p: each distinct A, S, ratio and bound is built once, one Fraction
-of integers by exact._fraction (rows with equal integers share theirs, as do an
-exact report's bounds and a stated value equal to them), and the lambda, lct
-and validity-interval tests, the bounds, exactness and minimizers are decided
-on integers, with no Fraction operator.  _value, which the threefold bounds
-read, gives its (value, exact) through the same gates without the report; and
-delta_closed_form takes the least line A/s over t on the validity interval, an
-exact.LinearFractional of the table's integer line, in normal form by one gcd.
+w = 3q - d*p: each distinct A, S, ratio and bound is one exact._fraction of
+integers, and the lambda, lct and validity-interval tests, the bounds,
+exactness and minimizers are decided on integers, with no Fraction operator;
+_value gives (value, exact) without the report; and delta_closed_form takes
+the least line A/s over t on the validity interval, an exact.LinearFractional
+of the table's integer line, in normal form by one gcd.
 """
 
 from __future__ import annotations
@@ -155,11 +153,10 @@ class RatioTable:
 
     Its lines are computed once, when the table is built: lower for "E", each
     "variant:point" and "generic", upper for "E" and each curve bound.  So are
-    terms, the integers (_Terms) of "E" and then of each distinct row ratio,
-    which delta_point evaluates once each, slots, the index of each row's
-    among the latter, and lct, the least positive zero of the lower lines
-    of "E" and the points (None if none has one): past it A(E) or an A(O) is
-    negative, the pair not lc.
+    terms, the integers (_Terms) of "E" and then of each distinct row ratio, with
+    slots, each row's index among the latter, which delta_point evaluates, and lct,
+    the least positive zero of the lower lines of "E" and the points (None if none
+    has one): past it A(E) or an A(O) is negative, the pair not lc.
     """
 
     tau: Fraction  # the model's pseudo-effective threshold at t = 1
@@ -320,9 +317,9 @@ def _minimizer_names(labels: list[str]) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _envelopes(spec: CaseSpec, table: RatioTable, lam: Fraction, p: int, q: int, w: int) -> tuple[list[int], int, int]:
-    """The lower lines at lambda = p/q as integers x*q + y*p, their least and the least upper one, refused past
-    the case's lct; AssertionError when the lower bound exceeds the upper.  delta_point and _value share it."""
+def _envelopes(spec: CaseSpec, table: RatioTable, lam: Fraction, p: int, q: int, w: int):
+    """(lower bound, exact, the lower lines' integer values x*q + y*p at lambda = p/q, their least, upper
+    bound, the lower one when exact), refused past the case's lct and asserting lower <= upper."""
     lct, den, up_den = table.lct, table.lower.den, table.upper.den
     if lct is not None and p * lct.denominator > lct.numerator * q:
         raise ValueError(f"lambda {lam} past the log canonical threshold {lct} of case {spec.id}")
@@ -330,14 +327,14 @@ def _envelopes(spec: CaseSpec, table: RatioTable, lam: Fraction, p: int, q: int,
     least, least_up = min(at), min([x * q + y * p for x, y in table.upper.ints.values()])
     if least * up_den > least_up * den:
         raise AssertionError(f"{spec.id}: lower bound {F(least, den * w)} exceeds upper bound {F(least_up, up_den * w)}")
-    return at, least, least_up
+    lower, exact = _fraction(least, den * w), least * up_den == least_up * den
+    return lower, exact, at, least, lower if exact else _fraction(least_up, up_den * w)
 
 
 def _value(case: str | CaseSpec, d: int, lam) -> tuple[Fraction, bool]:
-    """(value, exact) of delta_point(case, d, lam), with its gates and refusals, without the report."""
+    """(value, exact) of delta_point(case, d, lam), through its gates and _envelopes, without the report."""
     spec, _, table, lam, p, q, w = _at(case, d, lam)
-    _, least, least_up = _envelopes(spec, table, lam, p, q, w)
-    return _fraction(least, table.lower.den * w), least * table.upper.den == least_up * table.lower.den
+    return _envelopes(spec, table, lam, p, q, w)[:2]
 
 
 def delta_point(case: str | CaseSpec, d: int, lam) -> DeltaReport:
@@ -345,13 +342,13 @@ def delta_point(case: str | CaseSpec, d: int, lam) -> DeltaReport:
 
     At lambda = p/q, with t = w/q and w = 3q - d*p, each value is one Fraction of the table's
     terms (a_n, b_n, a_den, s_n, s_d): with n = a_n*q + b_n*p, A = n/(a_den*q), S = s_n*w/(s_d*q)
-    and the ratio A/S = n*s_d/(a_den*s_n*w); rows with equal terms share theirs.  The bounds are
-    one Fraction each of the least integer line values x*q + y*p, which decide exactness and the
-    minimizers, and one object when exact; the stated form is that object too where it equals the
-    bound on integers.  The lct and validity-interval tests compare cross-multiplied integers.
+    and the ratio A/S = n*s_d/(a_den*s_n*w), shared by rows with equal terms.  The bounds are one
+    Fraction each of the least integer line values x*q + y*p, which decide exactness and the
+    minimizers; an exact report's bounds and a stated value equal to them are one object.  The lct
+    and validity-interval tests compare cross-multiplied integers.
     """
     spec, row_spec, table, lam, p, q, w = _at(case, d, lam)
-    at, least, least_up = _envelopes(spec, table, lam, p, q, w)
+    lower, exact, at, least, upper = _envelopes(spec, table, lam, p, q, w)
     (a_n, b_n, a_den, s_n, s_d), *terms = table.terms
     a_e, s_e = _fraction(a_n * q + b_n * p, a_den * q), _fraction(s_n * w, s_d * q)
     values = []
@@ -359,18 +356,16 @@ def delta_point(case: str | CaseSpec, d: int, lam) -> DeltaReport:
         n = a_n * q + b_n * p
         values.append((_fraction(n, a_den * q), _fraction(s_n * w, s_d * q), _fraction(n * s_d, a_den * s_n * w)))
     rows = [PointRow(variant, point, *values[i]) for (variant, point, _), i in zip(table.rows, table.slots)]
-    den, up_den = table.lower.den, table.upper.den
-    lower = _fraction(least, den * w)
-    exact = least * up_den == least_up * den
-    upper = lower if exact else _fraction(least_up, up_den * w)
     minimizers = _minimizer_names([label for label, n in zip(table.lower.ints, at) if n == least])
 
     (lo_p, lo_q), (hi_p, hi_q) = row_spec.lo.as_integer_ratio(), row_spec.hi.as_integer_ratio()
     validity_ok = lo_p * q <= p * lo_q and p * hi_q <= hi_p * q
-    expected, matches, note = None, None, ""
+    expected = None
+    matches = None
+    note = ""
     if validity_ok:
-        form = row_spec.stated_form  # (a + b*lambda)/(c + e*lambda) = lower where the cross products agree
-        stated = (form.a * q + form.b * p) * den * w == least * (form.c * q + form.e * p)
+        form = row_spec.stated_form  # (a + b*lambda)/(c + e*lambda) is lower where the cross products agree
+        stated = (form.a * q + form.b * p) * table.lower.den * w == least * (form.c * q + form.e * p)
         expected = lower if stated else form(lam)
         if exact:
             matches = stated
@@ -383,8 +378,19 @@ def delta_point(case: str | CaseSpec, d: int, lam) -> DeltaReport:
         note = "lower bound only"
 
     return DeltaReport(
-        case_id=spec.id, d=d, lam=lam, a_e=a_e, s_e=s_e, rows=tuple(rows), upper_bound=upper, lower_bound=lower,
-        exact=exact, minimizers=minimizers, validity_ok=validity_ok, expected=expected, matches_expected=matches,
+        case_id=spec.id,
+        d=d,
+        lam=lam,
+        a_e=a_e,
+        s_e=s_e,
+        rows=tuple(rows),
+        upper_bound=upper,
+        lower_bound=lower,
+        exact=exact,
+        minimizers=minimizers,
+        validity_ok=validity_ok,
+        expected=expected,
+        matches_expected=matches,
         note=note,
     )
 

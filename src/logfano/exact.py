@@ -13,10 +13,9 @@ is built as a single Fraction at the end, so the results are Fractions as
 before, with one reduction each instead of one per operation.  Every Poly,
 an arithmetic result included, is built by its constructor.  A closed form of
 delta is a LinearFractional of four integers, put in normal form by one gcd in
-its constructor and evaluated as one Fraction by _fraction, Fraction(n, d) of
-two ints with one gcd and no type dispatch, the kernel delta's values share; a
-RationalFunction, the result of the fit only, is put in lowest terms with a
-monic denominator by its own.
+its constructor and evaluated as one Fraction by _fraction (Fraction(n, d) of two ints,
+one gcd, no type dispatch; delta's too); a RationalFunction, the result
+of the fit only, is put in lowest terms with a monic denominator by its own.
 Root finding runs on integer coefficients: it tests the discriminant for a
 square with ``math.isqrt``, and locates an irrational root by integer sign
 tests.  Its kernel, _root_pairs, takes and returns integer pairs (numerator,

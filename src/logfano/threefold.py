@@ -140,8 +140,7 @@ class CorollaryConfig:
 
     s is the surface degree in P^3 and m the point multiplicity; a kind takes
     exactly the degrees KIND_DEGREES names, each an int >= 1, all checked before
-    the cone is read (ValueError, or TypeError for a degree that is not an int),
-    and then lam is made a Fraction by rat, which refuses a float or a bool.
+    the cone is read (ValueError, or TypeError for a degree that is not an int); then rat coerces lam.
     """
 
     name: str
