@@ -18,8 +18,8 @@ entry is then guaranteed to surface as a mismatch.
 Conventions: the flag parameter interval scales with t = 3 - d*lambda, so
 thresholds and breakpoints are stored as multiples of t; affine functions of
 lambda are (a, b) pairs meaning a + b*lambda; per-point ratios are stored as
-ratio = (a + b*lambda) / (den_factor * t).  An entry
-that declares alias_of is built from its target, which comes earlier in the
+ratio = (a + b*lambda) / (den_factor * t).  The 19 entries
+that declare alias_of are each built from its target, which comes earlier in the
 catalog: only its id, label, order and degree rows are its own, so its local
 data is the target's by construction.
 """
@@ -280,20 +280,9 @@ _RAW_CASES: tuple[CaseSpec | _Alias, ...] = (
         (_row(2, 0, F(3, 4), (1,), (1,)),),
         ("E",),
     ),
-    _case(
-        "smooth_cubic_tangent2",
-        "smooth point of a cubic, simple tangency",
-        3,
-        _TANGENT2, 2, 2, 2, (3, -2), 1, 2, (1,),
-        (
-            _pt("EL", 0, 0, "on_L", 3, 0),
-            _pt("P1", F(1, 2), 0, "isolated", 3, 0, order=2),
-            _pt("Q", 0, 1, "on_C", 6, -6),
-        ),
-        (6, 0), 1,
-        (_row(3, 0, F(3, 4), (3, -2), (3, -3)),),
-        ("E",),
-    ),
+    _alias("smooth_cubic_tangent2",
+           "smooth point of a cubic, simple tangency",
+           3, "smooth_conic", _row(3, 0, F(3, 4), (3, -2), (3, -3))),
     _case(
         "smooth_cubic_flex",
         "flex of a cubic, triple tangency",
@@ -308,34 +297,12 @@ _RAW_CASES: tuple[CaseSpec | _Alias, ...] = (
         (_row(3, 0, F(8, 9), (4, -3), (4, -4)),),
         ("E",),
     ),
-    _case(
-        "smooth_quartic_tangent2",
-        "smooth point of a quartic, simple tangency",
-        5,
-        _TANGENT2, 2, 2, 2, (3, -2), 1, 2, (1,),
-        (
-            _pt("EL", 0, 0, "on_L", 3, 0),
-            _pt("P1", F(1, 2), 0, "isolated", 3, 0, order=2),
-            _pt("Q", 0, 1, "on_C", 6, -6),
-        ),
-        (6, 0), 1,
-        (_row(4, 0, F(3, 4), (3, -2), (3, -4)),),
-        ("E",),
-    ),
-    _case(
-        "smooth_quartic_flex",
-        "flex of a quartic, triple tangency",
-        6,
-        _FLEX3, 3, 3, 3, (4, -3), F(4, 3), 3, (1,),
-        (
-            _pt("EL", 0, 0, "on_L", 3, 0),
-            _pt("P1", F(2, 3), 0, "isolated", 3, 0, order=3),
-            _pt("Q", 0, 1, "on_C", 9, -9),
-        ),
-        (9, 0), 1,
-        (_row(4, 0, F(3, 4), (12, -9), (12, -16)),),
-        ("E",),
-    ),
+    _alias("smooth_quartic_tangent2",
+           "smooth point of a quartic, simple tangency",
+           5, "smooth_conic", _row(4, 0, F(3, 4), (3, -2), (3, -4))),
+    _alias("smooth_quartic_flex",
+           "flex of a quartic, triple tangency",
+           6, "smooth_cubic_flex", _row(4, 0, F(3, 4), (12, -9), (12, -16))),
     _case(
         "smooth_quartic_hyperflex",
         "hyperflex of a quartic, quadruple tangency",
@@ -645,20 +612,9 @@ _RAW_CASES: tuple[CaseSpec | _Alias, ...] = (
     _alias("conic_double_chord_on_chord",
            "conic plus double chord, smooth point on the chord",
            29, "double_line", _row(4, 0, F(1, 2), (3, -6), (3, -4))),
-    _case(
-        "conic_double_chord_node",
-        "conic plus double chord, crossing point",
-        30,
-        _SINGLE, None, 3, 1, (2, -3), F(2, 3), 1, (),
-        (
-            _pt("Q1", 0, 1, "on_C", 3, -3),
-            _pt("Q2", 0, 2, "on_C", 3, -6),
-        ),
-        (3, 0), 1,
-        (_row(4, 0, F(1, 2), (3, -6), (3, -4)),),
-        ("Q2",),
-        extra=(_DOUBLE_LINE_BOUND,),
-    ),
+    _alias("conic_double_chord_node",
+           "conic plus double chord, crossing point",
+           30, "double_line_plus_line_singular", _row(4, 0, F(1, 2), (3, -6), (3, -4))),
     _alias("conic_double_tangent_on_conic",
            "conic plus double tangent, smooth point on the conic",
            31, "smooth_quartic_tangent2", _row(4, 0, F(3, 4), (3, -2), (3, -4))),
@@ -689,20 +645,9 @@ _RAW_CASES: tuple[CaseSpec | _Alias, ...] = (
     _alias("double_line_two_lines_general_on_double",
            "double line plus two general lines, smooth point on the double line",
            36, "double_line", _row(4, 0, F(1, 2), (3, -6), (3, -4))),
-    _case(
-        "double_line_two_lines_general_singular",
-        "double line plus two general lines, crossing on the double line",
-        37,
-        _SINGLE, None, 3, 1, (2, -3), F(2, 3), 1, (),
-        (
-            _pt("Q1", 0, 1, "on_C", 3, -3),
-            _pt("Q2", 0, 2, "on_C", 3, -6),
-        ),
-        (3, 0), 1,
-        (_row(4, 0, F(1, 2), (3, -6), (3, -4)),),
-        ("Q2",),
-        extra=(_DOUBLE_LINE_BOUND,),
-    ),
+    _alias("double_line_two_lines_general_singular",
+           "double line plus two general lines, crossing on the double line",
+           37, "double_line_plus_line_singular", _row(4, 0, F(1, 2), (3, -6), (3, -4))),
     _alias("double_line_two_lines_concurrent_smooth",
            "double line plus two concurrent lines, smooth point",
            38, "line_component_smooth_point", _row(4, 0, F(3, 4), (3, -3), (3, -4))),

@@ -327,7 +327,7 @@ def cmd_threefold(args, out) -> int:
     lam = parse_rational(args.lam)
     cone = get_case(args.cone)
     # CorollaryConfig refuses a degree the kind does not take or a missing one (ValueError,
-    # exit 2); evaluate_corollary reads the cone at its degree: CaseSpec.row checks it
+    # exit 2), and a cone that does not admit its degree (DegreeNotAdmissible, from CaseSpec.row)
     config = threefold.CorollaryConfig(args.kind, args.kind, args.s, args.m, lam, cone.id)
     result = threefold.evaluate_corollary(config)
     notes = ["bound not strict"] if result.certifies and not result.strict else []

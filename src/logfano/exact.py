@@ -232,7 +232,7 @@ def _integral(ints: list[int], den: int, a: tuple[int, int], b: tuple[int, int])
 def _sum(ratios: list[tuple[int, int]]) -> Fraction:
     """The sum of integer ratios (numerator, denominator) over their least common denominator, as one Fraction."""
     den = math.lcm(*[d for _, d in ratios])
-    return Fraction(sum(n * (den // d) for n, d in ratios), den)
+    return _fraction(sum(n * (den // d) for n, d in ratios), den)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,9 @@ breakpoint.  The pieces returned are those integer rows, and their readers
 (invariant_violations, the S-integrals of delta and the homogeneity check of
 verify) pair them through _pairings, shared with the growth, and read the
 breakpoints as integer pairs, so each test is an integer sign or equality.
+invariant_violations re-tests each support's Gram matrix with
+exact.is_negative_definite, Sylvester's determinant test on Fractions, a
+different algorithm from the Bareiss pivots that grew the support.
 
 DivisorExpr (Polys over Fractions) and pair, its plain bilinear sum, are the
 reference for the rows; _integer_divisor turns a DivisorExpr into a row.
@@ -41,9 +44,11 @@ from .exact import (
     IrrationalRoot,
     PiecewisePoly,
     Poly,
+    _fraction,
     _from_integers,
     _integers,
     _root_pairs,
+    is_negative_definite,
     rat,
 )
 
@@ -311,9 +316,9 @@ def zariski_decompose(model: SurfaceModel, d: IntegerDivisor) -> ZariskiPieces:
         negatives.append(n)
         supports.append(support)
         if hits:
-            breakpoints.append(Fraction(*hits[0]))
+            breakpoints.append(_fraction(*hits[0]))
             return ZariskiPieces(model, tuple(breakpoints), tuple(positives), tuple(negatives), tuple(supports))
-        breakpoints.append(Fraction(*cross))
+        breakpoints.append(_fraction(*cross))
         support = support + tuple(crossing)
         v_p, v_q = cross
     raise AssertionError("support grew beyond the curve count")
@@ -324,24 +329,6 @@ def volume_function(z: ZariskiPieces) -> PiecewisePoly:
     table, den_t = z.model._integer_table
     volumes = (_from_integers(_pairings(table, p)[2], den_t * p[2] ** 2) for p in z.positives)
     return PiecewisePoly(z.breakpoints, tuple(volumes))
-
-
-def _negative_definite(gram: list[list[int]]) -> bool:
-    """Sylvester's test on an integer Gram matrix: its k-th leading principal minor has the sign of (-1)^k.
-
-    The minors are the pivots of this function's own fraction-free elimination, without row
-    swaps, stopped at the first that fails (a zero minor included).
-    """
-    m, det = [list(row) for row in gram], 1
-    for k in range(len(m)):
-        pivot = m[k][k]
-        if pivot == 0 or (pivot < 0) != (k % 2 == 0):
-            return False
-        for r in range(k + 1, len(m)):
-            f = m[r][k]
-            m[r] = [(x * pivot - f * y) // det for x, y in zip(m[r], m[k])]  # exact: Bareiss
-        det = pivot
-    return True
 
 
 def invariant_violations(z: ZariskiPieces) -> list[str]:
@@ -358,8 +345,8 @@ def invariant_violations(z: ZariskiPieces) -> list[str]:
     The piece ends are read as integer pairs p/q: an affine f0 + f1*v has the
     sign of f0*q + f1*p there, and two pieces' volumes meet at a breakpoint
     when their numerators there, each times the other's den^2, agree.  The
-    support Gram is re-tested on the model's integer table by _negative_definite,
-    apart from the Bareiss pivots of the decomposition.
+    support's Fraction Gram (model.gram) is re-tested by exact.is_negative_definite,
+    Sylvester's determinant test, apart from the Bareiss pivots of the decomposition.
     """
     problems: list[str] = []
     model = z.model
@@ -390,7 +377,7 @@ def invariant_violations(z: ZariskiPieces) -> list[str]:
                 problems.append(f"piece {i}: negative-part coefficient of {name} decreasing")
         if support:
             idx = [column[name] for name in support]
-            if not _negative_definite([[table[a][b] for b in idx] for a in idx]):
+            if not is_negative_definite([[model.gram[a - 1][b - 1] for b in idx] for a in idx]):
                 problems.append(f"piece {i}: support Gram not negative definite")
         if at(vol[1], 2 * vol[2], lo) > 0 or at(vol[1], 2 * vol[2], hi) > 0:
             problems.append(f"piece {i}: volume increasing on [{z.breakpoints[i]}, {z.breakpoints[i + 1]}]")

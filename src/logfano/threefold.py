@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .catalog import check_degree
+from .catalog import check_degree, get_case
 from .delta import _value, interior_samples
 from .exact import PiecewisePoly, Poly, integrate_piecewise, rat
 
@@ -140,7 +140,8 @@ class CorollaryConfig:
 
     s is the surface degree in P^3 and m the point multiplicity; a kind takes
     exactly the degrees KIND_DEGREES names, each an int >= 1, all checked before
-    the cone is read (ValueError, or TypeError for a degree that is not an int); then rat coerces lam.
+    the cone is read (ValueError, or TypeError for a degree that is not an int); then rat coerces
+    lam, and the cone case must admit cone_degree (UnknownCase, DegreeNotAdmissible).
     """
 
     name: str
@@ -161,6 +162,7 @@ class CorollaryConfig:
             if name in takes:
                 _positive_degree(getattr(self, name), label)
         object.__setattr__(self, "lam", rat(self.lam))
+        get_case(self.cone_case).row(self.cone_degree)
 
     @property
     def cone_degree(self) -> int:

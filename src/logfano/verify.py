@@ -43,6 +43,7 @@ from .delta import (
     delta_point,
     integrated_s_invariants,
 )
+from .exact import _fraction
 from .surface import SurfaceModel, ZariskiPieces, flag_family, invariant_violations, zariski_decompose
 
 F = Fraction
@@ -133,7 +134,7 @@ def _probe_lambda(row: DegreeRow) -> Fraction:
     """lo + (hi - lo)/7 = (6*lo + hi)/7, one Fraction of integers, where t_1 = 3 - d*lambda_1
     is 1 on no row (at the midpoint A7/d=4 has t = 1)."""
     (lo_p, lo_q), (hi_p, hi_q) = row.lo.as_integer_ratio(), row.hi.as_integer_ratio()
-    return F(6 * lo_p * hi_q + hi_p * lo_q, 7 * lo_q * hi_q)
+    return _fraction(6 * lo_p * hi_q + hi_p * lo_q, 7 * lo_q * hi_q)
 
 
 def verify_case(spec: CaseSpec, d: int, reference: _Reference | None = None) -> list[Check]:
@@ -174,7 +175,7 @@ def verify_case(spec: CaseSpec, d: int, reference: _Reference | None = None) -> 
         lam1 = _probe_lambda(row)
         p, q = lam1.as_integer_ratio()
         w = 3 * q - d * p  # t_1 = w/q
-        t1 = F(w, q)
+        t1 = _fraction(w, q)
         add(f"homogeneity at l={lam1}", _is_scaled(zariski_decompose(model, flag_family(model, t1)), ref, t1),
             lambda: f"not the t=1 decomposition scaled by {t1}")
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from collections import defaultdict
 from fractions import Fraction as F
 
 import pytest
@@ -76,13 +77,22 @@ class TestShippedCatalog:
         own = {"id", "label", "order", "rows", "alias_of"}
         ids = list(CASES)
         aliases = [spec for spec in CASES.values() if spec.alias_of is not None]
-        assert len(aliases) == 14
+        assert len(aliases) == 19
         for spec in aliases:
             target = CASES[spec.alias_of]
             assert ids.index(target.id) < ids.index(spec.id), spec.id
             for field in dataclasses.fields(spec):
                 if field.name not in own:
                     assert getattr(spec, field.name) == getattr(target, field.name), (spec.id, field.name)
+
+    def test_no_entry_is_a_typed_copy_of_another(self):
+        # entries equal on every field an alias takes from its target: one is typed, the rest are its aliases
+        own = {"id", "label", "order", "rows", "alias_of"}
+        groups = defaultdict(list)
+        for spec in CASES.values():
+            groups[tuple(getattr(spec, f.name) for f in dataclasses.fields(spec) if f.name not in own)].append(spec)
+        for group in groups.values():
+            assert len([spec for spec in group if spec.alias_of is None]) == 1, [spec.id for spec in group]
 
     def test_insertion_order_is_the_order_of_order(self):
         assert list(CASES) == sorted(CASES, key=lambda cid: CASES[cid].order)

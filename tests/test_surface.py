@@ -214,6 +214,16 @@ class TestInvariants:
         z = rows(ZariskiPieces(model, (F(0), F(1)), (p,), (DivisorExpr.zero(model),), (("E",),)))
         assert invariant_violations(z) == ["piece 0: support Gram not negative definite"]
 
+    def test_two_curve_support_gram_not_negative_definite_is_reported(self):
+        # P = (1 - v)*H pairs to zero with every curve; the support (L, E), listed out of model
+        # order, has a negative diagonal and determinant 0, so its second leading minor fails,
+        # while the blocks a shifted index into model.gram would read, (M, L) or (E, M), are definite
+        gram = ((-1, 1, 0), (1, -1, 0), (0, 0, -1))
+        model = SurfaceModel(("E", "L", "M"), gram, F(1), (F(0), F(0), F(0)))
+        p = DivisorExpr.build(model, Poly.affine(1, -1))
+        z = rows(ZariskiPieces(model, (F(0), F(1)), (p,), (DivisorExpr.zero(model),), (("L", "E"),)))
+        assert invariant_violations(z) == ["piece 0: support Gram not negative definite"]
+
     def test_volume_discontinuous_at_a_breakpoint_is_reported(self):
         # (1 - v)^2 on [0, 1/2], then (1 - v)^2 - 1/16 on [1/2, 3/4]: each falls, the second to zero at 3/4
         model = SurfaceModel(("E",), ((F(-1),),), F(1), (F(0),))

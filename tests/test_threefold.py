@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from logfano import threefold
+from logfano.catalog import DegreeNotAdmissible, UnknownCase
 from logfano.delta import interior_samples
 from logfano.threefold import (
     COROLLARY_CONFIGS,
@@ -243,6 +244,15 @@ class TestCorollaries:
         # the cone's row was read first: these said "case A2 does not admit degree 0" (or 2)
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             CorollaryConfig("x", kind, s, m, F(1, 2), "A2")
+
+    @pytest.mark.parametrize("m, cone, error, message", [
+        (2, "nope", UnknownCase, "unknown case id 'nope'"),
+        (3, "smooth_conic", DegreeNotAdmissible, "case smooth_conic does not admit degree 3 (admissible: (2,))"),
+    ], ids=["unknown-cone", "cone-without-the-degree"])
+    def test_config_refuses_a_cone_it_cannot_read(self, m, cone, error, message):
+        # these were built, and refused only when evaluate_corollary read the cone
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            CorollaryConfig("x", "blowup", 4, m, "1/2", cone)
 
     def test_config_keeps_lambda_as_a_fraction(self):
         # a "p/q" string was stored as given, and evaluate_corollary returned it in result.config.lam
