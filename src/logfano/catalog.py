@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .exact import LinearFractional, _format, rat
 from .surface import IntegerDivisor, SurfaceModel, flag_family
@@ -85,8 +85,7 @@ class Variant:
     points: tuple[PointSpec, ...]
 
 
-@dataclass(frozen=True)
-class CurveBound:
+class CurveBound(NamedTuple):
     """A plane curve class of degree e with multiplicity l inside C, used as
     an additional upper bound A/S = 3*e*(1 - l*lambda)/(3 - d*lambda)."""
 

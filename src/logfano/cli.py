@@ -30,7 +30,7 @@ from .delta import (
     delta_point,
     s_curve_on_plane,
 )
-from .exact import rat_str
+from .exact import rat, rat_str
 
 SCHEMA_VERSION = 1
 
@@ -53,10 +53,7 @@ def parse_integer(text: str) -> int:
 def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.match(text.strip()):
         raise InputError(f"expected an exact rational 'p/q', got {text!r}")
-    try:
-        return Fraction(text.strip())
-    except ZeroDivisionError:
-        raise InputError(f"zero denominator in {text!r}") from None
+    return rat(text)  # a zero denominator: ValueError, exit 2 as an InputError
 
 
 # ---------------------------------------------------------------------------

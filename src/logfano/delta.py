@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .catalog import Affine, CaseSpec, DegreeRow, check_degree, check_lambda, get_case
 from .exact import LinearFractional, _fraction, _integral, _sum, rat
@@ -48,8 +48,7 @@ class NotExactOnInterval(ValueError):
     """A closed form was requested where delta is only bounded."""
 
 
-@dataclass(frozen=True)
-class PointRow:
+class PointRow(NamedTuple):
     """One line of the per-point table of a DeltaReport."""
 
     variant: str
@@ -59,8 +58,7 @@ class PointRow:
     ratio: Fraction
 
 
-@dataclass(frozen=True)
-class DeltaReport:
+class DeltaReport(NamedTuple):
     case_id: str
     d: int
     lam: Fraction
@@ -82,8 +80,7 @@ class DeltaReport:
         return self.lower_bound
 
 
-@dataclass(frozen=True)
-class _UnitConstants:
+class _UnitConstants(NamedTuple):
     """Threshold and S-invariants of a surface model's family at t = 1."""
 
     tau: Fraction
@@ -92,8 +89,7 @@ class _UnitConstants:
     s_on_l: Fraction | None
 
 
-@dataclass(frozen=True)
-class Ratio:
+class Ratio(NamedTuple):
     """One ratio A/S of a ratio table: A = a + b*lambda, S = s*t with t = 3 - d*lambda.
 
     label is "E", "generic", "<variant>:<point>" or "curve(e=..,l=..)".
@@ -105,8 +101,7 @@ class Ratio:
     s: Fraction
 
 
-@dataclass(frozen=True)
-class Lines:
+class Lines(NamedTuple):
     """Ratio lines A/s = a + b*lambda (each ratio times t), by label.
 
     ints maps each label to (a*den, b*den), with den the least common

@@ -52,7 +52,8 @@ def rat(value: int | str | Fraction) -> Fraction:
 
     Floats are refused with TypeError: a binary float is not the rational it
     was meant to be, so there is no float input path into the engine.  So are
-    bools, which are ints to Python but no rational a caller means.
+    bools, which are ints to Python but no rational a caller means.  A string
+    with a zero denominator is refused with ValueError, as any other bad string.
     """
     if isinstance(value, Fraction):
         return value
@@ -62,7 +63,10 @@ def rat(value: int | str | Fraction) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         raise TypeError(f"float {value!r} is not an exact rational; pass a Fraction, an int or a 'p/q' string")
-    return Fraction(str(value).strip())
+    try:
+        return Fraction(str(value).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def rat_str(value: int | Fraction) -> str:

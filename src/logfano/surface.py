@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
+from typing import NamedTuple
 
 from .exact import (
     IrrationalRoot,
@@ -167,8 +168,7 @@ def pair_curve(model: SurfaceModel, d: DivisorExpr, name: str) -> Poly:
 IntegerDivisor = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
-@dataclass(frozen=True)
-class ZariskiPieces:
+class ZariskiPieces(NamedTuple):
     """Positive/negative parts of D(v) on [0, tau], one regime per piece.
 
     Each P and N is the IntegerDivisor (c, s, den) of the support solve,

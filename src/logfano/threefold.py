@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .catalog import check_degree, get_case
 from .delta import _value, interior_samples
@@ -192,8 +193,7 @@ COROLLARY_CONFIGS: tuple[CorollaryConfig, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class CorollaryResult:
+class CorollaryResult(NamedTuple):
     config: CorollaryConfig
     delta2d: Fraction
     delta2d_exact: bool

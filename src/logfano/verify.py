@@ -27,10 +27,9 @@ checks; verify_all verifies only ids of the mapping it is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import threefold
 from .catalog import _ORDER, CASES, Affine, CaseSpec, DegreeRow, _affine_str, _case_ids, validate_catalog
@@ -49,17 +48,11 @@ from .surface import SurfaceModel, ZariskiPieces, flag_family, invariant_violati
 F = Fraction
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     scope: str
     name: str
     ok: bool
     detail: str = ""
-
-
-def _check(scope: str, name: str, ok: bool, detail: Callable[[], str]) -> Check:
-    """A check whose detail text is built only when it fails."""
-    return Check(scope, name, bool(ok), "" if ok else detail())
 
 
 def _is_scaled(fresh: ZariskiPieces, ref: ZariskiPieces, t: Fraction) -> bool:
@@ -153,7 +146,7 @@ def verify_case(spec: CaseSpec, d: int, reference: _Reference | None = None) -> 
     scope = f"{spec.id}/d={d}"
     checks: list[Check] = []
 
-    def add(name: str, ok: bool, detail: Callable[[], str]) -> None:  # _check, inlined
+    def add(name: str, ok: bool, detail: Callable[[], str]) -> None:  # detail() only for a failing check
         checks.append(Check(scope, name, True, "") if ok else Check(scope, name, False, detail()))
 
     row = spec.row(d)
@@ -252,12 +245,12 @@ def verify_case(spec: CaseSpec, d: int, reference: _Reference | None = None) -> 
 
 def verify_threefold_section() -> list[Check]:
     """The volume identity of each flag of threefold.SECTION_FLAGS at each of threefold.SECTION_LAMBDAS."""
-    return [
-        _check("threefold", f"{kind} volume at l={lam}", threefold.verify_threefold_volumes(kind, params, lam),
-               lambda: "integral differs from closed form")
-        for kind, params in threefold.SECTION_FLAGS
-        for lam in threefold.SECTION_LAMBDAS
-    ]
+    checks = []
+    for kind, params in threefold.SECTION_FLAGS:
+        for lam in threefold.SECTION_LAMBDAS:
+            ok = threefold.verify_threefold_volumes(kind, params, lam)
+            checks.append(Check("threefold", f"{kind} volume at l={lam}", ok, "" if ok else "integral differs from closed form"))
+    return checks
 
 
 def verify_all(

@@ -9,8 +9,8 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction as F
 
-from logfano.catalog import CASES, CaseSpec, _affine_str, build_case, check_lambda
-from logfano.delta import DeltaReport, Lines, PointRow, RatioTable, _least, _minimizer_names
+from logfano.catalog import CASES, CaseSpec, CurveBound, _affine_str, build_case, check_lambda
+from logfano.delta import DeltaReport, Lines, PointRow, Ratio, RatioTable, _least, _minimizer_names, _UnitConstants
 from logfano.exact import PiecewisePoly, Poly, RationalFunction, integrate_piecewise, is_negative_definite
 from logfano.surface import (
     DivisorExpr,
@@ -21,7 +21,8 @@ from logfano.surface import (
     pair_curve,
     zariski_decompose,
 )
-from logfano.verify import verify_all
+from logfano.threefold import CorollaryResult
+from logfano.verify import Check, verify_all
 
 
 def poly_family(model: SurfaceModel, t) -> DivisorExpr:
@@ -48,8 +49,7 @@ def exprs(z: ZariskiPieces) -> ZariskiPieces:
     Two such views are equal exactly when the pieces are equal as values, whatever
     the rows' denominators; the Poly oracles below read the pieces through it.
     """
-    return dataclasses.replace(
-        z,
+    return z._replace(
         positives=tuple(divisor_expr(z.model, p) for p in z.positives),
         negatives=tuple(divisor_expr(z.model, n) for n in z.negatives),
     )
@@ -58,8 +58,8 @@ def exprs(z: ZariskiPieces) -> ZariskiPieces:
 def rows(z: ZariskiPieces) -> ZariskiPieces:
     """The inverse view: pieces given as DivisorExprs (hand-built or changed through exprs) as integer
     rows, by surface._integer_divisor, which refuses a piece that is not affine in v."""
-    return dataclasses.replace(
-        z, positives=tuple(map(_integer_divisor, z.positives)), negatives=tuple(map(_integer_divisor, z.negatives))
+    return z._replace(
+        positives=tuple(map(_integer_divisor, z.positives)), negatives=tuple(map(_integer_divisor, z.negatives))
     )
 
 
@@ -294,3 +294,39 @@ def fraction_delta_point(case: str | CaseSpec, d: int, lam) -> DeltaReport:
         note = "lower bound only"
     return DeltaReport(spec.id, d, lam, a_e, s_e, tuple(rows), upper, lower, exact, minimizers, validity_ok,
                        expected, matches, note)
+
+
+# Frozen-dataclass twins of the engine's NamedTuple records: each twin has its record's name, fields
+# in order and defaults, and so the repr, equality and hash the record had as a frozen dataclass.
+
+
+def _twin(name: str, fields: str, **defaults) -> type:
+    """A frozen dataclass called name, with the space-separated fields, those in defaults defaulted."""
+    specs = [(f, object, dataclasses.field(default=defaults[f])) if f in defaults else (f, object) for f in fields.split()]
+    return dataclasses.make_dataclass(name, specs, frozen=True)
+
+
+TWINS = {
+    PointRow: _twin("PointRow", "variant label a_value s_value ratio"),
+    DeltaReport: _twin(
+        "DeltaReport",
+        "case_id d lam a_e s_e rows upper_bound lower_bound exact minimizers validity_ok expected matches_expected note",
+    ),
+    _UnitConstants: _twin("_UnitConstants", "tau s_e s_generic s_on_l"),
+    Ratio: _twin("Ratio", "label a b s"),
+    Lines: _twin("Lines", "ints den"),
+    ZariskiPieces: _twin("ZariskiPieces", "model breakpoints positives negatives supports"),
+    Check: _twin("Check", "scope name ok detail", detail=""),
+    CorollaryResult: _twin("CorollaryResult", "config delta2d delta2d_exact bound"),
+    CurveBound: _twin("CurveBound", "e l"),
+}
+
+
+def as_twin(value):
+    """value with each record in it, itself or nested in records and plain tuples, made its twin."""
+    twin = TWINS.get(type(value))
+    if twin is not None:
+        return twin(*map(as_twin, value))
+    if type(value) is tuple:
+        return tuple(map(as_twin, value))
+    return value

@@ -9,7 +9,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import logfano
+from logfano import delta_point, s_divisor, threefold
+from logfano.exact import rat
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -56,3 +60,22 @@ def test_import_loads_the_engine_modules_but_not_the_cli():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
     engine = ["catalog", "delta", "exact", "surface", "threefold", "verify"]
     assert json.loads(proc.stdout) == [f"logfano.{m}" for m in engine]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: rat("1/0"),
+        lambda: delta_point("A2", 4, "1/0"),
+        lambda: s_divisor("A2", 4, "1/0"),
+        lambda: threefold.delta_bound_smooth(3, "1/0", 1),
+        lambda: threefold.delta_bound_blowup(4, 2, "1/0", 1),
+        lambda: threefold.delta_bound_quadric(2, "1/0", 1),
+        lambda: threefold.CorollaryConfig("x", "blowup", 4, 2, "1/0", "smooth_conic"),
+    ],
+    ids=["rat", "delta_point", "s_divisor", "smooth", "blowup", "quadric", "CorollaryConfig"],
+)
+def test_a_zero_denominator_is_a_value_error(call):
+    # Fraction("1/0") raises ZeroDivisionError, which is none of the library's refusals
+    with pytest.raises(ValueError, match=r"^zero denominator in '1/0'$"):
+        call()

@@ -723,7 +723,7 @@ def mutated(data, z: ZariskiPieces) -> ZariskiPieces:
     if kind == "tau moved":
         lo, tau = z.breakpoints[-2:]
         moved = data.draw(st.sampled_from([tau + F(1, 7), tau - (tau - lo) / 7]))
-        return dataclasses.replace(z, breakpoints=z.breakpoints[:-1] + (moved,))
+        return z._replace(breakpoints=z.breakpoints[:-1] + (moved,))
     i = data.draw(st.integers(0, len(z.positives) - 1))
     lo, hi = z.breakpoints[i : i + 2]
     model = z.model
@@ -752,7 +752,7 @@ def mutated(data, z: ZariskiPieces) -> ZariskiPieces:
             coeffs[k] = coeffs[k] + bent
             bent_expr = dataclasses.replace(expr, coeffs=tuple(coeffs))
         (positives if expr is p else negatives)[i] = bent_expr
-    return dataclasses.replace(z, positives=tuple(positives), negatives=tuple(negatives), supports=tuple(supports))
+    return z._replace(positives=tuple(positives), negatives=tuple(negatives), supports=tuple(supports))
 
 
 def affine(z: ZariskiPieces) -> bool:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from fractions import Fraction as F
 
@@ -196,7 +195,7 @@ class TestInvariants:
         model, d, _ = conic_setup()
         z = zariski_decompose(model, d)
         assert z.supports == ((), ("L",))
-        bad = dataclasses.replace(z, supports=(("L",), ("L",)))
+        bad = z._replace(supports=(("L",), ("L",)))
         assert invariant_violations(bad) == ["piece 0: (P . L) not identically zero on support"]
 
     def test_decreasing_negative_part_is_reported(self):
@@ -204,7 +203,7 @@ class TestInvariants:
         z = zariski_decompose(model, d)
         lo, hi = z.breakpoints[1:]
         falling = DivisorExpr.build(model, Poly(), {"L": Poly.affine(hi, -1)})  # hi - v: nonnegative on [lo, hi]
-        bad = dataclasses.replace(z, negatives=(z.negatives[0], _integer_divisor(falling)))
+        bad = z._replace(negatives=(z.negatives[0], _integer_divisor(falling)))
         assert invariant_violations(bad) == ["piece 1: negative-part coefficient of L decreasing"]
 
     def test_support_gram_not_negative_definite_is_reported(self):

@@ -41,10 +41,10 @@ def _counted_decompositions(monkeypatch):
 # reports off the ratio lines at lambda_1, each given the least common denominator den of the lower lines:
 # a row's ratio times den is its line's value with den dropped
 REPORT_FAULTS = {
-    "upper-plus-1": lambda rep, den: dataclasses.replace(rep, upper_bound=rep.upper_bound + 1),
-    "ratio-times-den": lambda rep, den: dataclasses.replace(
-        rep, rows=(dataclasses.replace(rep.rows[0], ratio=rep.rows[0].ratio * den), *rep.rows[1:])),
-    "lower-plus-1-over-den": lambda rep, den: dataclasses.replace(rep, lower_bound=rep.lower_bound + F(1, den)),
+    "upper-plus-1": lambda rep, den: rep._replace(upper_bound=rep.upper_bound + 1),
+    "ratio-times-den": lambda rep, den: rep._replace(
+        rows=(rep.rows[0]._replace(ratio=rep.rows[0].ratio * den), *rep.rows[1:])),
+    "lower-plus-1-over-den": lambda rep, den: rep._replace(lower_bound=rep.lower_bound + F(1, den)),
 }
 
 
@@ -67,7 +67,7 @@ class TestReferenceDecomposition:
             coeffs[n.model.index(name)] = n.coeff(name) + Poly.const(F(1, 13))
             negatives = list(pieces.negatives)
             negatives[i] = dataclasses.replace(n, coeffs=tuple(coeffs))
-            return rows(dataclasses.replace(pieces, negatives=tuple(negatives)))
+            return rows(pieces._replace(negatives=tuple(negatives)))
 
         monkeypatch.setattr(verify, "zariski_decompose", perturb_second)
         checks = verify_case(spec, d)
@@ -102,7 +102,7 @@ class TestReferenceDecomposition:
     def test_stale_cached_constants_fail_s_scaling_only(self, monkeypatch):
         real = verify._unit_constants
         monkeypatch.setattr(verify, "_unit_constants",
-                            lambda model: dataclasses.replace(real(model), s_generic=real(model).s_generic + 1))
+                            lambda model: real(model)._replace(s_generic=real(model).s_generic + 1))
         (bad,) = _failing(verify_case(CASES["A2"], 4))
         assert bad.name == "S scaling"
 
