@@ -1,4 +1,5 @@
-"""The documented library API: the README's example, the names `logfano` exports, and what importing it loads."""
+"""The documented library API: the README's example, the names `logfano` exports, what importing it
+loads, and the ValueError that refuses a zero denominator."""
 
 from __future__ import annotations
 
